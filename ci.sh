@@ -61,6 +61,22 @@ run_bench_bin mc_report --check --out target/BENCH_mc.json
 echo "== sub_report --check (standing-query push-vs-requery smoke)"
 run_bench_bin sub_report --check --out target/BENCH_sub.json
 
+# The committed reports are the reference outputs: a regenerated one that
+# differs is a behaviour change to explain and commit, not noise.
+# BENCH_sub.json is compared without its host-timed `wall_ms` field.
+echo "== committed BENCH_* reports (byte-identical regeneration)"
+for name in chaos contention admission mc; do
+  if ! cmp -s "target/BENCH_$name.json" "BENCH_$name.json"; then
+    echo "ci.sh: target/BENCH_$name.json differs from the committed BENCH_$name.json" >&2
+    exit 1
+  fi
+done
+strip_wall_ms() { sed -E 's/,"wall_ms":[0-9]+//' "$1"; }
+if ! cmp -s <(strip_wall_ms target/BENCH_sub.json) <(strip_wall_ms BENCH_sub.json); then
+  echo "ci.sh: target/BENCH_sub.json differs from the committed BENCH_sub.json (wall_ms aside)" >&2
+  exit 1
+fi
+
 echo "== benchmark tests (the standalone benchmark package)"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 

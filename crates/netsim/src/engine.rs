@@ -14,9 +14,9 @@
 //! [`reliable`](crate::reliable) ARQ sublayer underneath every
 //! `send`/`unicast`: each link transmission is acknowledged, retransmitted
 //! on seeded exponential-backoff timeouts, deduplicated at the receiver by
-//! `(src, seq)`, and abandoned after a bounded retry budget. Protocols are
-//! oblivious — the same protocol code runs reliably or unreliably depending
-//! only on the simulator configuration.
+//! `(receiver, seq)`, and abandoned after a bounded retry budget. Protocols
+//! are oblivious — the same protocol code runs reliably or unreliably
+//! depending only on the simulator configuration.
 
 use crate::flow::{FlowFired, FlowResched, FlowTable, LinkUtil};
 use crate::link::{HopOutcome, LinkModel};
@@ -389,8 +389,39 @@ struct ArqState<M> {
     pending: Vec<Option<LinkXfer<M>>>,
     /// Recycled `pending` slots.
     free: Vec<u32>,
-    /// Receiver-side dedup: `(receiver, seq)` pairs already accepted.
-    seen: BTreeSet<(usize, u64)>,
+    /// Receiver-side dedup.
+    seen: AcceptedSeqs,
+}
+
+/// Receiver-side ARQ dedup: every seq each receiver has accepted.
+///
+/// Each receiver keeps one ascending vector. Seqs are issued in send
+/// order, so a receiver mostly accepts them in ascending order: a new seq
+/// is appended at the tail, and a late or duplicate copy is found by a
+/// short scan back from the tail. Nothing is ever pruned: a duplicate may
+/// arrive any time after the original, and dedup must stay exact.
+struct AcceptedSeqs {
+    per_node: Vec<Vec<u64>>,
+}
+
+impl AcceptedSeqs {
+    fn new(nodes: usize) -> Self {
+        AcceptedSeqs {
+            per_node: vec![Vec::new(); nodes],
+        }
+    }
+
+    /// Records `seq` as accepted at `node`; `false` if it already was.
+    // simlint: hot
+    fn insert(&mut self, node: usize, seq: u64) -> bool {
+        let seen = &mut self.per_node[node];
+        let at = seen.iter().rposition(|&s| s <= seq).map_or(0, |i| i + 1);
+        if at > 0 && seen[at - 1] == seq {
+            return false;
+        }
+        seen.insert(at, seq);
+        true
+    }
 }
 
 impl<M> ArqState<M> {
@@ -1238,7 +1269,7 @@ impl<P: Protocol> Simulator<P> {
             next_seq: 0,
             pending: Vec::new(),
             free: Vec::new(),
-            seen: BTreeSet::new(),
+            seen: AcceptedSeqs::new(self.nodes.len()),
         });
     }
 
@@ -1449,7 +1480,7 @@ impl<P: Protocol> Simulator<P> {
                 // previous ack was lost.
                 self.core.arq_send_ack(node, link_from, seq, xfer);
                 let fresh = match &mut self.core.arq {
-                    Some(arq) => arq.seen.insert((node, seq)),
+                    Some(arq) => arq.seen.insert(node, seq),
                     None => true,
                 };
                 if !fresh {
@@ -2532,6 +2563,46 @@ mod tests {
             }
         }
         assert!(hit, "no seed in 0..64 exercised the lost-ack path");
+    }
+
+    #[test]
+    fn accepted_seqs_match_btreeset_oracle() {
+        // LCG-driven stream over 4 receivers: mostly fresh seqs in issue
+        // order, plus late copies (a seq issued a while ago, possibly never
+        // seen here) and duplicates (a seq this receiver already accepted).
+        let mut flat = AcceptedSeqs::new(4);
+        let mut oracle: BTreeSet<(usize, u64)> = BTreeSet::new();
+        let mut accepted: Vec<(usize, u64)> = Vec::new();
+        let mut next_seq = 0u64;
+        let mut x: u64 = 0x243F6A8885A308D3;
+        for _ in 0..4000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = x >> 33;
+            let node = (r % 4) as usize;
+            let (node, seq) = match (r >> 2) % 8 {
+                0..=3 => {
+                    next_seq += 1 + (r >> 5) % 3;
+                    (node, next_seq)
+                }
+                4 | 5 => (node, next_seq.saturating_sub((r >> 5) % 40)),
+                _ if accepted.is_empty() => (node, next_seq),
+                _ => accepted[(r >> 5) as usize % accepted.len()],
+            };
+            let fresh = oracle.insert((node, seq));
+            assert_eq!(flat.insert(node, seq), fresh, "({node}, {seq})");
+            if fresh {
+                accepted.push((node, seq));
+            }
+        }
+        for (node, seen) in flat.per_node.iter().enumerate() {
+            let want: Vec<u64> = oracle
+                .range((node, 0)..(node + 1, 0))
+                .map(|&(_, s)| s)
+                .collect();
+            assert_eq!(seen, &want, "receiver {node}");
+        }
     }
 
     #[test]

@@ -69,8 +69,8 @@
 //! * [`metrics`] is the deterministic observability registry: named
 //!   counters, gauges, [`Histogram`]s (e.g. `net.unicast_hops`) and
 //!   [`PhaseStats`] simulated-time phase envelopes, fed by the engine and
-//!   by protocols via [`Ctx::metrics`]/[`Ctx::phase_enter`]. Everything is
-//!   `BTreeMap`-backed and free of wall-clock, so same-seed runs produce
+//!   by protocols via [`Ctx::metrics`]/[`Ctx::phase_enter`]. Entries are
+//!   kept sorted by name and hold no wall-clock, so same-seed runs produce
 //!   byte-identical registries.
 //!
 //! # Drop & crash semantics
@@ -88,6 +88,8 @@
 pub mod canon;
 /// Event queue, dispatch loop and the `Ctx` protocol handle.
 pub mod engine;
+/// Sorted-vector map and set (`FlatMap`, `FlatSet`).
+pub mod flat;
 /// Flow-level contention model: fair-shared link capacity (`FairShareLink`).
 pub mod flow;
 /// Per-hop link models: sync, bounded-async, lossy, scripted.
@@ -105,6 +107,7 @@ pub mod trace;
 
 pub use canon::{canon_f64, fnv1a, Canonicalize};
 pub use engine::{Ctx, FlowsSnapshot, McEvent, Protocol, QueryId, SimNetwork, SimTime, Simulator};
+pub use flat::{FlatMap, FlatSet};
 pub use flow::{FairShareLink, FlowTable, LinkUtil};
 pub use link::{
     AsyncUniformLink, DelayModel, FlowParams, HopOutcome, LinkModel, LossyLink, ScriptedLink,

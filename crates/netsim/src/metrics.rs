@@ -5,10 +5,11 @@
 //! the paper's §8.2 message bill (per-kind packets × scalars), while
 //! [`Metrics`] answers *where the simulated time goes* (phase spans), *how
 //! work is distributed* (histograms, e.g. hops per unicast) and *how often
-//! things happen* (counters). Every container is `BTreeMap`-keyed by
-//! `&'static str`, so iteration order — and therefore any report rendered
-//! from a registry — is deterministic for a given seed (the same invariant
-//! simlint's `no-unordered-iteration` rule enforces for protocol state).
+//! things happen* (counters). Every container is keyed by `&'static str`
+//! and keeps its entries sorted by name, so iteration order — and
+//! therefore any report rendered from a registry — is deterministic for a
+//! given seed (the same invariant simlint's `no-unordered-iteration` rule
+//! enforces for protocol state).
 //!
 //! Wall-clock time deliberately has **no representation here**: netsim is a
 //! protocol crate where `Instant` is banned (simlint
@@ -47,7 +48,7 @@
 //! ```
 
 use crate::engine::SimTime;
-use std::collections::BTreeMap;
+use crate::flat::FlatMap;
 
 /// Default histogram bucket upper bounds: powers of two through 2¹⁶.
 /// Suited to hop counts, message tallies and event counts, which is what
@@ -199,10 +200,10 @@ impl PhaseStats {
 /// first touch of each name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    phases: BTreeMap<&'static str, PhaseStats>,
+    counters: FlatMap<&'static str, u64>,
+    gauges: FlatMap<&'static str, i64>,
+    histograms: FlatMap<&'static str, Histogram>,
+    phases: FlatMap<&'static str, PhaseStats>,
 }
 
 impl Metrics {
@@ -222,8 +223,9 @@ impl Metrics {
     // -- counters ---------------------------------------------------------
 
     /// Adds `v` to counter `name` (created at zero on first touch).
+    // simlint: hot
     pub fn add(&mut self, name: &'static str, v: u64) {
-        *self.counters.entry(name).or_insert(0) += v;
+        *self.counters.or_insert_with_name(name, || 0) += v;
     }
 
     /// Increments counter `name` by one.
@@ -241,7 +243,7 @@ impl Metrics {
     /// never happens (e.g. `net.retx` on a run that needed no
     /// retransmissions). A no-op if the counter already exists.
     pub fn declare_counter(&mut self, name: &'static str) {
-        self.counters.entry(name).or_insert(0);
+        self.counters.or_insert_with(name, || 0);
     }
 
     /// Iterates `(name, value)` over counters in name order.
@@ -252,8 +254,9 @@ impl Metrics {
     // -- gauges -----------------------------------------------------------
 
     /// Sets gauge `name` to `v` (last write wins).
+    // simlint: hot
     pub fn set_gauge(&mut self, name: &'static str, v: i64) {
-        self.gauges.insert(name, v);
+        *self.gauges.or_insert_with_name(name, || v) = v;
     }
 
     /// Current value of gauge `name`.
@@ -270,8 +273,11 @@ impl Metrics {
 
     /// Records `value` into histogram `name`, creating it with the default
     /// power-of-two bounds on first touch.
+    // simlint: hot
     pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
+        self.histograms
+            .or_insert_with_name(name, Histogram::default)
+            .record(value);
     }
 
     /// Pre-registers (or fetches) histogram `name` with explicit bounds.
@@ -279,8 +285,7 @@ impl Metrics {
     /// bounds returns the existing histogram unchanged.
     pub fn histogram_with(&mut self, name: &'static str, bounds: &[u64]) -> &mut Histogram {
         self.histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::with_bounds(bounds))
+            .or_insert_with(name, || Histogram::with_bounds(bounds))
     }
 
     /// Histogram `name`, if any sample or registration touched it.
@@ -297,29 +302,32 @@ impl Metrics {
 
     /// Records a phase-enter event at simulated time `now`: bumps the entry
     /// count and stretches the phase envelope to include `now`.
+    // simlint: hot
     pub fn phase_enter(&mut self, name: &'static str, now: SimTime) {
-        let p = self.phases.entry(name).or_insert(PhaseStats {
-            entries: 0,
-            first_enter: now,
-            last_exit: now,
-        });
+        let p = self.phase_at(name, now);
         p.entries += 1;
-        p.first_enter = p.first_enter.min(now);
-        p.last_exit = p.last_exit.max(now);
     }
 
     /// Records a phase-exit (or activity) event at `now`: stretches the
     /// envelope without counting an entry. Exiting a phase never entered
     /// creates it with zero entries, so marks and enters can be mixed
     /// freely.
+    // simlint: hot
     pub fn phase_exit(&mut self, name: &'static str, now: SimTime) {
-        let p = self.phases.entry(name).or_insert(PhaseStats {
+        self.phase_at(name, now);
+    }
+
+    /// Phase `name`, created empty at `now` if absent, with its envelope
+    /// stretched to include `now`.
+    fn phase_at(&mut self, name: &'static str, now: SimTime) -> &mut PhaseStats {
+        let p = self.phases.or_insert_with_name(name, || PhaseStats {
             entries: 0,
             first_enter: now,
             last_exit: now,
         });
         p.first_enter = p.first_enter.min(now);
         p.last_exit = p.last_exit.max(now);
+        p
     }
 
     /// RAII phase span for host-side harness code: enters `name` at `now`
@@ -357,20 +365,17 @@ impl Metrics {
             self.set_gauge(k, v);
         }
         for (k, h) in other.histograms() {
-            self.histograms.entry(k).or_default().merge(h);
+            self.histograms
+                .or_insert_with(k, Histogram::default)
+                .merge(h);
         }
         for (k, p) in other.phases() {
-            match self.phases.entry(k) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(p);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let mine = e.get_mut();
-                    mine.entries += p.entries;
-                    mine.first_enter = mine.first_enter.min(p.first_enter);
-                    mine.last_exit = mine.last_exit.max(p.last_exit);
-                }
-            }
+            let mine = self
+                .phases
+                .or_insert_with(k, || PhaseStats { entries: 0, ..p });
+            mine.entries += p.entries;
+            mine.first_enter = mine.first_enter.min(p.first_enter);
+            mine.last_exit = mine.last_exit.max(p.last_exit);
         }
     }
 }

@@ -6,11 +6,12 @@
 //! each hop is acknowledged by the receiving radio, retransmitted on a
 //! deterministic timeout with exponential backoff plus seeded jitter, and
 //! abandoned after a bounded number of retries. Receivers deduplicate by
-//! `(src, seq)` so a data copy whose ack was lost is re-acked but delivered
-//! to the protocol exactly once. Hop-by-hop (rather than end-to-end)
-//! recovery is what makes long unicast routes survive per-hop loss: a route
-//! of `h` hops at drop probability `p` succeeds with probability
-//! `(1 - p^(r+1))^h` instead of `((1-p)^h)`-per-attempt.
+//! `(receiver, seq)`, where `seq` names the logical message along its whole
+//! route, so a data copy whose ack was lost is re-acked but delivered to
+//! the protocol (or relayed onward) exactly once. Hop-by-hop (rather than
+//! end-to-end) recovery is what makes long unicast routes survive per-hop
+//! loss: a route of `h` hops at drop probability `p` succeeds with
+//! probability `(1 - p^(r+1))^h` instead of `((1-p)^h)`-per-attempt.
 //!
 //! # Accounting
 //!

@@ -2,7 +2,7 @@
 //! unified [`CostBook`] handle used by both the simulator and analytic
 //! cost models.
 
-use std::collections::BTreeMap;
+use crate::flat::FlatMap;
 
 /// Counters for one message kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -12,6 +12,20 @@ pub struct KindStats {
     /// Scalar-weighted cost: `Σ (payload scalars × hops)` per the paper's
     /// "one coefficient or data value per message" cost model.
     pub cost: u64,
+}
+
+impl KindStats {
+    /// Adds `hops` transmissions carrying `scalars` payload scalars (at
+    /// least one per hop).
+    fn bill(&mut self, hops: u64, scalars: u64) {
+        self.packets += hops;
+        self.cost += hops * scalars.max(1);
+    }
+
+    fn merge(&mut self, other: KindStats) {
+        self.packets += other.packets;
+        self.cost += other.cost;
+    }
 }
 
 /// Per-kind and total message statistics for a simulation run.
@@ -25,7 +39,7 @@ pub struct KindStats {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MessageStats {
-    kinds: BTreeMap<&'static str, KindStats>,
+    kinds: FlatMap<&'static str, KindStats>,
 }
 
 impl MessageStats {
@@ -37,13 +51,14 @@ impl MessageStats {
     /// Records a transmission of `kind` travelling `hops` hops carrying
     /// `scalars` payload scalars (clamped to at least 1: even a pure control
     /// message occupies one message slot per hop).
+    // simlint: hot
     pub fn record(&mut self, kind: &'static str, hops: u64, scalars: u64) {
         if hops == 0 {
             return; // local delivery is free
         }
-        let entry = self.kinds.entry(kind).or_default();
-        entry.packets += hops;
-        entry.cost += hops * scalars.max(1);
+        self.kinds
+            .or_insert_with_name(kind, KindStats::default)
+            .bill(hops, scalars);
     }
 
     /// Statistics for one kind (zero if never recorded).
@@ -71,9 +86,9 @@ impl MessageStats {
     /// runs several simulator instances, e.g. clustering + querying).
     pub fn merge(&mut self, other: &MessageStats) {
         for (kind, stats) in other.iter() {
-            let entry = self.kinds.entry(kind).or_default();
-            entry.packets += stats.packets;
-            entry.cost += stats.cost;
+            self.kinds
+                .or_insert_with(kind, KindStats::default)
+                .merge(stats);
         }
     }
 }
@@ -127,7 +142,7 @@ impl NodeStats {
 pub struct CostBook {
     kinds: MessageStats,
     nodes: Vec<NodeStats>,
-    queries: BTreeMap<u64, KindStats>,
+    queries: FlatMap<u64, KindStats>,
 }
 
 impl CostBook {
@@ -141,7 +156,7 @@ impl CostBook {
         CostBook {
             kinds: MessageStats::new(),
             nodes: vec![NodeStats::default(); n],
-            queries: BTreeMap::new(),
+            queries: FlatMap::new(),
         }
     }
 
@@ -154,6 +169,7 @@ impl CostBook {
     /// Records a transmission originated by `node`: aggregates plus the
     /// node's tx tally. No-op on the ledger if the book has no per-node
     /// tracking or `node` is out of range.
+    // simlint: hot
     pub fn record_tx(&mut self, node: usize, kind: &'static str, hops: u64, scalars: u64) {
         self.kinds.record(kind, hops, scalars);
         if hops > 0 {
@@ -179,13 +195,14 @@ impl CostBook {
     /// the full packet here while the wire totals count it once, so
     /// `Σ attributed − wire total = batching savings`. Zero-hop attribution
     /// is free, mirroring [`MessageStats::record`].
+    // simlint: hot
     pub fn attribute_query(&mut self, qid: u64, hops: u64, scalars: u64) {
         if hops == 0 {
             return;
         }
-        let entry = self.queries.entry(qid).or_default();
-        entry.packets += hops;
-        entry.cost += hops * scalars.max(1);
+        self.queries
+            .or_insert_with(qid, KindStats::default)
+            .bill(hops, scalars);
     }
 
     /// Cost attributed to query `qid` (zero if never attributed).
@@ -247,8 +264,8 @@ impl CostBook {
     }
 
     /// Merges another book into this one: aggregates always, per-node
-    /// tallies element-wise over the shorter ledger, per-query attribution
-    /// entry-wise.
+    /// tallies element-wise (this ledger first grows to the longer one's
+    /// length), per-query attribution entry-wise.
     pub fn merge(&mut self, other: &CostBook) {
         self.kinds.merge(&other.kinds);
         if self.nodes.len() < other.nodes.len() {
@@ -260,9 +277,9 @@ impl CostBook {
             mine.tx_cost += theirs.tx_cost;
         }
         for (qid, stats) in other.queries() {
-            let entry = self.queries.entry(qid).or_default();
-            entry.packets += stats.packets;
-            entry.cost += stats.cost;
+            self.queries
+                .or_insert_with(qid, KindStats::default)
+                .merge(stats);
         }
     }
 

@@ -66,39 +66,37 @@ impl CommGraph {
 
     /// BFS hop distances from `src`; unreachable nodes get `u32::MAX`.
     pub fn bfs_hops(&self, src: usize) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.n()];
-        let mut queue = VecDeque::new();
-        dist[src] = 0;
-        queue.push_back(src as u32);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v as usize];
-            for &w in &self.adj[v as usize] {
-                if dist[w as usize] == u32::MAX {
-                    dist[w as usize] = dv + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
+        self.bfs(src).1
     }
 
     /// BFS parents from `root` (a shortest-path spanning tree); `parent[root]
     /// == root`, unreachable nodes get `u32::MAX`.
     pub fn bfs_tree(&self, root: usize) -> Vec<u32> {
+        self.bfs(root).0
+    }
+
+    /// One BFS from `root` filling both [`CommGraph::bfs_tree`] and
+    /// [`CommGraph::bfs_hops`]: the first discovery of a node fixes its
+    /// parent and its hop count together.
+    fn bfs(&self, root: usize) -> (Vec<u32>, Vec<u32>) {
         let mut parent = vec![u32::MAX; self.n()];
+        let mut dist = vec![u32::MAX; self.n()];
         let mut queue = VecDeque::new();
         parent[root] = root as u32;
+        dist[root] = 0;
         queue.push_back(root as u32);
         while let Some(v) = queue.pop_front() {
+            let dv = dist[v as usize];
             // Deterministic order: adjacency lists are built deterministically.
             for &w in &self.adj[v as usize] {
                 if parent[w as usize] == u32::MAX {
                     parent[w as usize] = v;
+                    dist[w as usize] = dv + 1;
                     queue.push_back(w);
                 }
             }
         }
-        parent
+        (parent, dist)
     }
 
     /// Whether the graph is connected (trivially true for n ≤ 1).
@@ -189,12 +187,13 @@ pub struct RoutingTable {
 }
 
 impl RoutingTable {
-    /// Builds the routing table for a graph.
+    /// Builds the routing table for a graph: one BFS per destination fills
+    /// both of its rows.
     pub fn build(graph: &CommGraph) -> Self {
-        let n = graph.n();
+        let (parent_towards, hops) = (0..graph.n()).map(|dst| graph.bfs(dst)).unzip();
         RoutingTable {
-            parent_towards: (0..n).map(|dst| graph.bfs_tree(dst)).collect(),
-            hops: (0..n).map(|dst| graph.bfs_hops(dst)).collect(),
+            parent_towards,
+            hops,
         }
     }
 
