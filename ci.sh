@@ -18,6 +18,12 @@ RUSTDOCFLAGS="-D warnings -D rustdoc::broken_intra_doc_links" cargo doc --worksp
 echo "== cargo test"
 cargo test -q --workspace
 
+# The debug_assert! guards compile out of the release builds that produce
+# every BENCH number, so the serving suites (recovery, re-issue and
+# subscription paths included) also run in release (~15 s on 2 cores).
+echo "== cargo test --release -p elink-workload (serving suites without debug assertions)"
+cargo test --release -q -p elink-workload
+
 # The --check smokes below need release binaries: debug builds are ~10x
 # slower and `cargo run --release -q` would silently rebuild half the
 # workspace with no indication of why CI stalled. Build once, loudly, then

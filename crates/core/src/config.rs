@@ -53,8 +53,22 @@ impl ElinkConfig {
 
     /// Start time `T = Σ_{j=0}^{l-1} t_j` of sentinel set `S_l` in the
     /// implicit schedule (§4); 0 for the root sentinel.
+    ///
+    /// O(level): the geometric series of each `t_j` extends the previous
+    /// one by a single term, so both sums run once, adding the same terms
+    /// in the same order as [`ElinkConfig::t_level`] and giving its exact
+    /// bits. The outer sum stays an `Iterator::sum` so that even level 0's
+    /// empty sum keeps its sign (−0.0).
     pub fn schedule_start(&self, n: usize, level: usize) -> f64 {
-        (0..level).map(|j| self.t_level(n, j)).sum()
+        let kappa = self.kappa(n);
+        let (mut geom, mut term) = (0.0, 1.0);
+        (0..level)
+            .map(|_| {
+                geom += term;
+                term *= 0.5;
+                kappa * geom
+            })
+            .sum()
     }
 }
 
@@ -110,5 +124,30 @@ mod tests {
         let s2 = c.schedule_start(n, 2);
         assert!((s1 - c.t_level(n, 0)).abs() < 1e-9);
         assert!((s2 - (c.t_level(n, 0) + c.t_level(n, 1))).abs() < 1e-9);
+    }
+
+    /// The quadratic formula `schedule_start` replaced: one `t_level` per
+    /// earlier level, each re-summing its own `powi` series.
+    fn schedule_start_oracle(c: &ElinkConfig, n: usize, level: usize) -> f64 {
+        (0..level).map(|j| c.t_level(n, j)).sum()
+    }
+
+    #[test]
+    fn schedule_start_is_bit_identical_to_the_per_level_sum() {
+        for gamma in [0.0, 0.2, 0.4] {
+            let c = ElinkConfig {
+                gamma,
+                ..ElinkConfig::for_delta(1.0)
+            };
+            for n in (1..=65_536).step_by(257).chain([2, 1_024, 65_535, 65_536]) {
+                for level in 0..=44 {
+                    assert_eq!(
+                        c.schedule_start(n, level).to_bits(),
+                        schedule_start_oracle(&c, n, level).to_bits(),
+                        "gamma {gamma}, n {n}, level {level}"
+                    );
+                }
+            }
+        }
     }
 }

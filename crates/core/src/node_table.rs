@@ -110,39 +110,6 @@ impl NodeTable {
     }
 }
 
-/// Splits the symmetric difference of two sorted, deduplicated id slices
-/// into `(adds, removes)`: ids present in `new` but not `old`, and ids
-/// present in `old` but not `new`. One O(|old| + |new|) merge walk — this
-/// is the result-delta primitive of the standing-query repair path, where
-/// `old` is a subscriber's acknowledged view and `new` the freshly repaired
-/// answer.
-pub fn diff_sorted(old: &[NodeId], new: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
-    debug_assert!(old.windows(2).all(|w| w[0] < w[1]), "old must be sorted");
-    debug_assert!(new.windows(2).all(|w| w[0] < w[1]), "new must be sorted");
-    let mut adds = Vec::new();
-    let mut removes = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < old.len() && j < new.len() {
-        match old[i].cmp(&new[j]) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                removes.push(old[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                adds.push(new[j]);
-                j += 1;
-            }
-        }
-    }
-    removes.extend_from_slice(&old[i..]);
-    adds.extend_from_slice(&new[j..]);
-    (adds, removes)
-}
-
 /// Applies a `(adds, removes)` delta to a sorted view in place, preserving
 /// sortedness. Adds and removes are set operations (idempotent), so a delta
 /// applied to the exact base it was computed against reproduces the new

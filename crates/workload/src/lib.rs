@@ -7,6 +7,8 @@
 //! - [`gen`] — deterministic workload generation: seeded open/closed-loop
 //!   arrival processes over a zipf-skewed mixed range/path template table,
 //!   plus a background feature-update stream.
+//! - [`nodeset`] — [`NodeSet`], the dense node-id bitmap every serving
+//!   match set travels in.
 //! - [`plan`] — the per-node serving plan (cluster trees, M-tree child
 //!   entries, backbone adjacency) distributed at deployment time.
 //! - [`protocol`] — the serving protocol: query multiplexing with
@@ -27,6 +29,8 @@ pub mod chaos;
 pub mod engine;
 /// Seeded workload generation: templates, arrivals, updates.
 pub mod gen;
+/// Dense node-id bitmaps: the one type of every serving match set.
+pub mod nodeset;
 /// Per-node serving plans distributed at deployment.
 pub mod plan;
 /// The serving protocol: descents, replies, caching, recovery.
@@ -44,6 +48,7 @@ pub use chaos::{
 };
 pub use engine::{expected_matches, ServeOptions, WorkloadRun, WorkloadSim};
 pub use gen::{build_schedule, Arrival, Schedule, Template, WorkloadSpec};
+pub use nodeset::NodeSet;
 pub use plan::{ChildEntry, NodePlan, ServingPlan};
 pub use protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
 pub use qos::{AdaptiveWindow, Admission, LoadAdmission, QosConfig};

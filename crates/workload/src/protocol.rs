@@ -61,6 +61,7 @@
 //!   travel as routed unicasts.
 
 use crate::gen::{ScriptEntry, Template};
+use crate::nodeset::NodeSet;
 use crate::plan::{ChildEntry, NodePlan};
 use crate::qos::{self, Admission, QosConfig};
 use crate::subscribe::{end_reason, ClientSub, PushVerdict, SubState, TemplateView, WatchState};
@@ -199,7 +200,7 @@ pub enum ServeMsg {
         /// Query id.
         qid: QueryId,
         /// Matches from the sender's backbone subtree.
-        matches: Vec<NodeId>,
+        matches: NodeSet,
         /// Nodes whose membership in the answer this subtree determined.
         covered: u64,
     },
@@ -216,7 +217,7 @@ pub enum ServeMsg {
         /// Template index.
         template: u16,
         /// Matches within the sender's subtree.
-        matches: Vec<NodeId>,
+        matches: NodeSet,
         /// Nodes whose membership in the answer this subtree determined.
         covered: u64,
     },
@@ -224,8 +225,8 @@ pub enum ServeMsg {
     Down {
         /// Query id.
         qid: QueryId,
-        /// The full match set, ascending.
-        matches: Vec<NodeId>,
+        /// The full match set.
+        matches: NodeSet,
         /// Nodes whose membership in the answer the wave determined.
         covered: u64,
     },
@@ -286,8 +287,8 @@ pub enum ServeMsg {
         cluster: usize,
         /// Per-origin contribution sequence number.
         cseq: u64,
-        /// Matching members of that cluster, ascending.
-        matches: Vec<NodeId>,
+        /// Matching members of that cluster.
+        matches: NodeSet,
         /// Members whose membership the watcher determined (honesty).
         covered: u64,
         /// Dirty-mark time of the oldest repaired change (latency base).
@@ -397,8 +398,9 @@ struct EvalState {
     /// outstanding. Answers from nodes not listed here are late duplicates
     /// and are ignored.
     outstanding: Vec<NodeId>,
-    /// Matches accumulated so far.
-    acc: Vec<NodeId>,
+    /// Matches accumulated so far: the union of this node's own match bit
+    /// and every subtree answer received.
+    acc: NodeSet,
     /// Nodes whose membership the descent has determined so far.
     covered: u64,
     /// Invalidation epoch at eval start — a stale epoch at completion
@@ -417,7 +419,7 @@ impl EvalState {
             riders,
             launched: false,
             outstanding: Vec::new(),
-            acc: Vec::new(),
+            acc: NodeSet::new(),
             covered: 0,
             epoch0,
             partial: false,
@@ -442,8 +444,9 @@ struct EchoState {
     outstanding: Vec<usize>,
     /// Whether the local cluster answer is still being computed.
     local_pending: bool,
-    /// Matches accumulated so far.
-    acc: Vec<NodeId>,
+    /// Matches accumulated so far: the union of the local cluster answer
+    /// and every backbone subtree answer received.
+    acc: NodeSet,
     /// Nodes whose membership the wave has determined so far.
     covered: u64,
     /// Whether the one re-issue round has been spent.
@@ -466,7 +469,7 @@ struct PendingQuery {
 /// Outcome of a cluster root's local evaluation attempt.
 enum LocalEval {
     /// The local cluster answer is known now: (matches, covered nodes).
-    Resolved(Vec<NodeId>, u64),
+    Resolved(NodeSet, u64),
     /// A descent is in flight; the query rides it.
     Pending,
 }
@@ -516,7 +519,7 @@ pub struct ServeNode {
     /// `adopted`.
     nodes: NodeTable,
     /// Per-template cached subtree answers with their covered-node count.
-    cache: FlatMap<u16, (Vec<NodeId>, u64)>,
+    cache: FlatMap<u16, (NodeSet, u64)>,
     /// Single-flight descents, keyed by template.
     evals: FlatMap<u16, EvalState>,
     /// Echo states for queries this root participates in.
@@ -711,7 +714,7 @@ impl ServeNode {
 
     /// The cached subtree answer for `template`, if any: `(matches,
     /// covered-node count)`.
-    pub fn cached(&self, template: u16) -> Option<&(Vec<NodeId>, u64)> {
+    pub fn cached(&self, template: u16) -> Option<&(NodeSet, u64)> {
         self.cache.get(&template)
     }
 
@@ -777,7 +780,7 @@ impl ServeNode {
             Admission::Shed => {
                 ctx.metrics().inc("serve.shed");
                 ctx.trace_shed(qid);
-                self.deliver_answer(qid, Vec::new(), 0, true, ctx);
+                self.deliver_answer(qid, &NodeSet::new(), 0, true, ctx);
                 return;
             }
             Admission::Degraded => {
@@ -861,7 +864,7 @@ impl ServeNode {
             }
         } else {
             ctx.metrics().inc("wl.recover.query_gaveup");
-            self.deliver_answer(qid, Vec::new(), 0, false, ctx);
+            self.deliver_answer(qid, &NodeSet::new(), 0, false, ctx);
         }
     }
 
@@ -1016,13 +1019,13 @@ impl ServeNode {
             template,
             outstanding,
             local_pending: false,
-            acc: Vec::new(),
+            acc: NodeSet::new(),
             covered: 0,
             reissued: false,
         };
         match self.local_cluster_eval(qid, template, ctx) {
             LocalEval::Resolved(m, covered) => {
-                st.acc.extend(m);
+                st.acc = m;
                 st.covered += covered;
             }
             LocalEval::Pending => st.local_pending = true,
@@ -1102,11 +1105,11 @@ impl ServeNode {
         match decision {
             ClusterDecision::Exclude => {
                 ctx.metrics().inc("wl.cluster.exclude");
-                LocalEval::Resolved(Vec::new(), full)
+                LocalEval::Resolved(NodeSet::new(), full)
             }
             ClusterDecision::IncludeAll => {
                 ctx.metrics().inc("wl.cluster.include_all");
-                LocalEval::Resolved(self.plan.members.clone(), full)
+                LocalEval::Resolved(NodeSet::from_ids(&self.plan.members), full)
             }
             ClusterDecision::Drill => {
                 if let Some((hit, covered)) = self.cache.get(&template) {
@@ -1142,9 +1145,7 @@ impl ServeNode {
     }
 
     /// Converges the (possibly partial) echo result towards whoever asked.
-    fn finish_echo(&mut self, qid: QueryId, mut st: EchoState, ctx: &mut Ctx<'_, ServeMsg>) {
-        st.acc.sort_unstable();
-        st.acc.dedup();
+    fn finish_echo(&mut self, qid: QueryId, st: EchoState, ctx: &mut Ctx<'_, ServeMsg>) {
         let scalars = st.acc.len() as u64 + 1;
         if let Some(p) = st.parent {
             ctx.unicast_tagged(
@@ -1159,7 +1160,7 @@ impl ServeNode {
                 qid,
             );
         } else if st.initiator == self.id {
-            self.deliver_answer(qid, st.acc, st.covered, false, ctx);
+            self.deliver_answer(qid, &st.acc, st.covered, false, ctx);
         } else {
             ctx.unicast_tagged(
                 st.initiator,
@@ -1191,7 +1192,7 @@ impl ServeNode {
         ev.launched = true;
         ev.covered += 1;
         if node_matches(d_node, r, strict) {
-            ev.acc.push(self.id);
+            ev.acc.insert(self.id);
         }
         for entry in &self.plan.entries {
             let d_pc = shared.metric.distance(&self.anchor, &entry.feature);
@@ -1202,7 +1203,9 @@ impl ServeNode {
                 }
                 DescendDecision::IncludeAll => {
                     ctx.metrics().inc("wl.mtree.include_all");
-                    ev.acc.extend_from_slice(&entry.subtree);
+                    for &m in &entry.subtree {
+                        ev.acc.insert(m);
+                    }
                     ev.covered += entry.subtree.len() as u64;
                 }
                 DescendDecision::Descend => {
@@ -1359,8 +1362,6 @@ impl ServeNode {
     /// went stale mid-flight or the result is partial), then answer upward
     /// or resolve echo riders.
     fn complete_eval(&mut self, template: u16, mut ev: EvalState, ctx: &mut Ctx<'_, ServeMsg>) {
-        ev.acc.sort_unstable();
-        ev.acc.dedup();
         let stale = ev.epoch0 != self.inval_epoch;
         if stale || ev.partial {
             ctx.metrics().inc("wl.cache.skip_fill");
@@ -1393,7 +1394,7 @@ impl ServeNode {
         &mut self,
         template: u16,
         riders: &[QueryId],
-        matches: Vec<NodeId>,
+        matches: NodeSet,
         covered: u64,
         ctx: &mut Ctx<'_, ServeMsg>,
     ) {
@@ -1422,7 +1423,7 @@ impl ServeNode {
         } else {
             for &qid in riders {
                 if let Some(st) = self.echo.get_mut(&qid) {
-                    st.acc.extend_from_slice(&matches);
+                    st.acc.union(&matches);
                     st.covered += covered;
                     st.local_pending = false;
                 }
@@ -1542,7 +1543,7 @@ impl ServeNode {
     fn deliver_answer(
         &mut self,
         qid: QueryId,
-        matches: Vec<NodeId>,
+        matches: &NodeSet,
         covered: u64,
         shed: bool,
         ctx: &mut Ctx<'_, ServeMsg>,
@@ -1554,7 +1555,7 @@ impl ServeNode {
         let path = match &self.shared.templates[template as usize] {
             Template::Range { .. } => None,
             Template::Path { source, dest, .. } => {
-                let p = safe_path(&self.shared.topology, &matches, *source, *dest);
+                let p = safe_path(&self.shared.topology, matches, *source, *dest);
                 ctx.metrics().inc(if p.is_some() {
                     "wl.path.found"
                 } else {
@@ -1576,7 +1577,7 @@ impl ServeNode {
             template,
             submitted,
             finished,
-            matches,
+            matches: matches.to_vec(),
             path,
             coverage_milli,
             shed,
@@ -1904,7 +1905,7 @@ impl ServeNode {
     fn finish_repair(
         &mut self,
         template: u16,
-        matches: Vec<NodeId>,
+        matches: NodeSet,
         covered: u64,
         ctx: &mut Ctx<'_, ServeMsg>,
     ) {
@@ -1960,7 +1961,7 @@ impl ServeNode {
         coord: NodeId,
         template: u16,
         cseq: u64,
-        matches: Vec<NodeId>,
+        matches: NodeSet,
         covered: u64,
         trigger: SimTime,
         ctx: &mut Ctx<'_, ServeMsg>,
@@ -2042,7 +2043,7 @@ impl ServeNode {
         template: u16,
         cluster: usize,
         cseq: u64,
-        matches: Vec<NodeId>,
+        matches: NodeSet,
         covered: u64,
         trigger: SimTime,
         from: NodeId,
@@ -2119,7 +2120,7 @@ impl ServeNode {
     fn push_to(
         &mut self,
         sid: u64,
-        merged: &[NodeId],
+        merged: &NodeSet,
         covered: u64,
         trigger: SimTime,
         ctx: &mut Ctx<'_, ServeMsg>,
@@ -2422,16 +2423,16 @@ impl ServeNode {
     }
 }
 
-/// Breadth-first safe path from `source` to `dest` avoiding `unsafe_set`
-/// (sorted). Returns `None` when either endpoint is unsafe or the safe
-/// subgraph disconnects them.
+/// Breadth-first safe path from `source` to `dest` avoiding `unsafe_set`.
+/// Returns `None` when either endpoint is unsafe or the safe subgraph
+/// disconnects them.
 fn safe_path(
     topology: &Topology,
-    unsafe_set: &[NodeId],
+    unsafe_set: &NodeSet,
     source: NodeId,
     dest: NodeId,
 ) -> Option<Vec<NodeId>> {
-    let is_unsafe = |v: NodeId| unsafe_set.binary_search(&v).is_ok();
+    let is_unsafe = |v: NodeId| unsafe_set.contains(v);
     if is_unsafe(source) || is_unsafe(dest) {
         return None;
     }
@@ -2514,7 +2515,7 @@ impl Protocol for ServeNode {
                     let pc = self.shared.cluster_of[from];
                     if let Some(pos) = st.outstanding.iter().position(|&c| c == pc) {
                         st.outstanding.remove(pos);
-                        st.acc.extend_from_slice(&matches);
+                        st.acc.union(&matches);
                         st.covered += covered;
                     }
                 }
@@ -2552,7 +2553,7 @@ impl Protocol for ServeNode {
                     return;
                 };
                 ev.outstanding.remove(pos);
-                ev.acc.extend_from_slice(&matches);
+                ev.acc.union(&matches);
                 ev.covered += covered;
                 if ev.launched && ev.outstanding.is_empty() {
                     let ev = self.evals.remove(&template).expect("just seen");
@@ -2563,16 +2564,15 @@ impl Protocol for ServeNode {
                 qid,
                 matches,
                 covered,
-            } => self.deliver_answer(qid, matches, covered, false, ctx),
+            } => self.deliver_answer(qid, &matches, covered, false, ctx),
             ServeMsg::Probe { template } => {
                 let shared = Arc::clone(&self.shared);
                 let (center, r, strict) = params(&shared.templates[template as usize]);
                 let d = shared.metric.distance(center, &self.anchor);
-                let matches = if node_matches(d, r, strict) {
-                    vec![self.id]
-                } else {
-                    Vec::new()
-                };
+                let mut matches = NodeSet::new();
+                if node_matches(d, r, strict) {
+                    matches.insert(self.id);
+                }
                 let scalars = matches.len() as u64 + 1;
                 ctx.unicast(
                     from,
@@ -2813,7 +2813,8 @@ impl Canonicalize for ServeNode {
         }
         // Standing-subscription state: client views, the coordinator table,
         // merged template views, watcher state, and both flood dedup sets.
-        // All integer-keyed FlatMaps with Debug-safe (int/Vec/Option) fields.
+        // All integer-keyed FlatMaps with Debug-safe (int/Vec/NodeSet/Option)
+        // fields.
         out.push_str("|su:");
         for (sid, c) in self.subs.client.iter() {
             let _ = write!(out, "[{sid}:{c:?}]");

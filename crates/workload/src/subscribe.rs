@@ -30,12 +30,13 @@
 //!   excludes the template resolves to an empty contribution without any
 //!   descent, which is the leader-level pruning of backbone fan-out).
 //!
-//! Everything here is deterministic integer/`Vec` bookkeeping with no
-//! messaging; the IO glue (sends, timers, repair descents) lives in
+//! Everything here is deterministic integer/[`NodeSet`] bookkeeping with
+//! no messaging; the IO glue (sends, timers, repair descents) lives in
 //! `protocol.rs` so this module stays unit-testable in isolation.
 
+use crate::nodeset::NodeSet;
 use crate::qos::AdaptiveWindow;
-use elink_core::node_table::{apply_diff_sorted, diff_sorted, FlatMap, FlatSet};
+use elink_core::node_table::{apply_diff_sorted, FlatMap, FlatSet};
 use elink_netsim::SimTime;
 use elink_topology::NodeId;
 
@@ -148,8 +149,8 @@ pub struct ClusterContrib {
     pub origin: NodeId,
     /// Per-origin contribution sequence number (monotone).
     pub cseq: u64,
-    /// Matching members of that cluster, ascending.
-    pub matches: Vec<NodeId>,
+    /// Matching members of that cluster.
+    pub matches: NodeSet,
     /// Members whose membership the watcher determined.
     pub covered: u64,
 }
@@ -160,8 +161,8 @@ pub struct ClusterContrib {
 pub struct TemplateView {
     /// Latest accepted contribution per cluster.
     pub contrib: FlatMap<usize, ClusterContrib>,
-    /// Merged matches across clusters, ascending (clusters are disjoint).
-    pub merged: Vec<NodeId>,
+    /// Merged matches across clusters: the union of their contributions.
+    pub merged: NodeSet,
     /// Total covered nodes across contributions.
     pub covered: u64,
     /// Arrival-rate-adaptive push flush window.
@@ -177,7 +178,7 @@ impl TemplateView {
     pub fn new(window_min: SimTime, window_max: SimTime) -> TemplateView {
         TemplateView {
             contrib: FlatMap::new(),
-            merged: Vec::new(),
+            merged: NodeSet::new(),
             covered: 0,
             window: AdaptiveWindow::new(window_min, window_max),
             flush_armed: false,
@@ -194,7 +195,7 @@ impl TemplateView {
         cluster: usize,
         origin: NodeId,
         cseq: u64,
-        matches: Vec<NodeId>,
+        matches: NodeSet,
         covered: u64,
     ) -> bool {
         if let Some(c) = self.contrib.get(&cluster) {
@@ -227,13 +228,10 @@ impl TemplateView {
 
     /// Recomputes `merged`/`covered`; returns whether either changed.
     fn remerge(&mut self) -> bool {
-        let mut merged: Vec<NodeId> = self
-            .contrib
-            .values()
-            .flat_map(|c| c.matches.iter().copied())
-            .collect();
-        merged.sort_unstable();
-        merged.dedup();
+        let mut merged = NodeSet::new();
+        for c in self.contrib.values() {
+            merged.union(&c.matches);
+        }
         let covered: u64 = self.contrib.values().map(|c| c.covered).sum();
         let changed = merged != self.merged || covered != self.covered;
         self.merged = merged;
@@ -252,7 +250,7 @@ pub struct SentPush {
     /// snapshots).
     pub base_version: u64,
     /// The full view at `version` (becomes `acked` on ack).
-    pub view: Vec<NodeId>,
+    pub view: NodeSet,
     /// Covered count at `version`.
     pub covered: u64,
     /// Whether it was a snapshot.
@@ -278,7 +276,7 @@ pub struct SubEntry {
     /// Last view the client confirmed (fault-free runs confirm
     /// optimistically at send time): `(view, covered, version)`. `None`
     /// forces the next push to be a snapshot.
-    pub acked: Option<(Vec<NodeId>, u64, u64)>,
+    pub acked: Option<(NodeSet, u64, u64)>,
     /// Version of the last composed push.
     pub version: u64,
     /// Push in flight awaiting ack (recovery only).
@@ -309,21 +307,23 @@ impl SubEntry {
 
     /// Composes the next push against the current merged view, or `None`
     /// when the client's confirmed state already matches. Snapshot pushes
-    /// are forced while nothing is confirmed (`acked == None`); deltas are
-    /// computed with [`diff_sorted`] against the confirmed view.
+    /// are forced while nothing is confirmed (`acked == None`); a delta's
+    /// adds and removes are the two set differences between the merged and
+    /// the confirmed view.
     pub fn compose_push(
         &mut self,
-        merged: &[NodeId],
+        merged: &NodeSet,
         covered: u64,
         trigger: SimTime,
     ) -> Option<SentPush> {
         let (snapshot, base_version, adds, removes) = match &self.acked {
             None => (true, 0, merged.to_vec(), Vec::new()),
             Some((view, acked_cov, acked_version)) => {
-                let (adds, removes) = diff_sorted(view, merged);
-                if adds.is_empty() && removes.is_empty() && *acked_cov == covered {
+                if view == merged && *acked_cov == covered {
                     return None;
                 }
+                let adds = merged.difference(view).to_vec();
+                let removes = view.difference(merged).to_vec();
                 (false, *acked_version, adds, removes)
             }
         };
@@ -332,7 +332,7 @@ impl SubEntry {
         let push = SentPush {
             version: self.version,
             base_version,
-            view: merged.to_vec(),
+            view: merged.clone(),
             covered,
             snapshot,
             adds,
@@ -370,7 +370,7 @@ pub struct WatchState {
     pub cseq: u64,
     /// Last contribution sent: `(matches, covered)` — unchanged results
     /// are not re-sent (churn-proportional traffic).
-    pub last: Option<(Vec<NodeId>, u64)>,
+    pub last: Option<(NodeSet, u64)>,
     /// The template changed since the last repair completed.
     pub dirty: bool,
     /// A repair evaluation is in flight.
@@ -518,14 +518,14 @@ mod tests {
     #[test]
     fn view_integration_is_per_origin_monotone() {
         let mut v = TemplateView::new(1, 8);
-        assert!(v.integrate(0, 10, 1, vec![1, 2], 5,));
-        assert!(v.integrate(1, 20, 1, vec![7], 4));
+        assert!(v.integrate(0, 10, 1, NodeSet::from_ids(&[1, 2]), 5,));
+        assert!(v.integrate(1, 20, 1, NodeSet::from_ids(&[7]), 4));
         assert_eq!(v.merged, vec![1, 2, 7]);
         assert_eq!(v.covered, 9);
         // A stale duplicate from the same origin is dropped.
-        assert!(!v.integrate(0, 10, 1, vec![9], 5));
+        assert!(!v.integrate(0, 10, 1, NodeSet::from_ids(&[9]), 5));
         // A failover successor (new origin) supersedes at any cseq.
-        assert!(v.integrate(0, 11, 1, vec![2], 4));
+        assert!(v.integrate(0, 11, 1, NodeSet::from_ids(&[2]), 4));
         assert_eq!(v.merged, vec![2, 7]);
         assert_eq!(v.covered, 8);
         // Zeroing a dead root's cluster drops its claims honestly.
@@ -539,20 +539,28 @@ mod tests {
     fn compose_push_snapshots_then_deltas_then_skips_noops() {
         let mut e = SubEntry::new(4, 0, false, 10);
         // Nothing confirmed yet: first push is a snapshot.
-        let p = e.compose_push(&[1, 5], 50, 12).expect("snapshot");
+        let p = e
+            .compose_push(&NodeSet::from_ids(&[1, 5]), 50, 12)
+            .expect("snapshot");
         assert!(p.snapshot);
         assert_eq!(p.adds, vec![1, 5]);
         assert!(e.confirm(p.version));
         // Confirmed base: the next push is a delta.
-        let p = e.compose_push(&[1, 8], 50, 14).expect("delta");
+        let p = e
+            .compose_push(&NodeSet::from_ids(&[1, 8]), 50, 14)
+            .expect("delta");
         assert!(!p.snapshot);
         assert_eq!((p.adds.clone(), p.removes.clone()), (vec![8], vec![5]));
         assert!(e.confirm(p.version));
         // Unchanged view and coverage: no push at all.
-        assert!(e.compose_push(&[1, 8], 50, 15).is_none());
+        assert!(e
+            .compose_push(&NodeSet::from_ids(&[1, 8]), 50, 15)
+            .is_none());
         // Coverage-only movement still pushes (honesty must reach the
         // client even when the match set is unchanged).
-        let p = e.compose_push(&[1, 8], 44, 16).expect("coverage push");
+        let p = e
+            .compose_push(&NodeSet::from_ids(&[1, 8]), 44, 16)
+            .expect("coverage push");
         assert!(p.adds.is_empty() && p.removes.is_empty());
         // A stale ack does not confirm the in-flight push.
         assert!(!e.confirm(p.version - 1));
