@@ -58,7 +58,7 @@ run_bench_bin contention_report --check --out target/BENCH_contention.json
 echo "== admission_report --check (load-admission A/B knee + determinism smoke)"
 run_bench_bin admission_report --check --out target/BENCH_admission.json
 
-echo "== scale_report --check (scheduler-differential scaling smoke)"
+echo "== scale_report --check (1k-64k O(N) scaling sweep + determinism smoke)"
 run_bench_bin scale_report --check --out target/BENCH_scale.json
 
 echo "== mc_report --check (exhaustive model-checking gate on the small-topology suite)"
@@ -69,7 +69,8 @@ run_bench_bin sub_report --check --out target/BENCH_sub.json
 
 # The committed reports are the reference outputs: a regenerated one that
 # differs is a behaviour change to explain and commit, not noise.
-# BENCH_sub.json is compared without its host-timed `wall_ms` field.
+# BENCH_sub.json and BENCH_scale.json are compared without their host-timed
+# `wall_ms` fields.
 echo "== committed BENCH_* reports (byte-identical regeneration)"
 for name in chaos contention admission mc; do
   if ! cmp -s "target/BENCH_$name.json" "BENCH_$name.json"; then
@@ -78,10 +79,12 @@ for name in chaos contention admission mc; do
   fi
 done
 strip_wall_ms() { sed -E 's/,"wall_ms":[0-9]+//' "$1"; }
-if ! cmp -s <(strip_wall_ms target/BENCH_sub.json) <(strip_wall_ms BENCH_sub.json); then
-  echo "ci.sh: target/BENCH_sub.json differs from the committed BENCH_sub.json (wall_ms aside)" >&2
-  exit 1
-fi
+for name in sub scale; do
+  if ! cmp -s <(strip_wall_ms "target/BENCH_$name.json") <(strip_wall_ms "BENCH_$name.json"); then
+    echo "ci.sh: target/BENCH_$name.json differs from the committed BENCH_$name.json (wall_ms aside)" >&2
+    exit 1
+  fi
+done
 
 echo "== benchmark tests (the standalone benchmark package)"
 cargo test --offline --manifest-path benchmark/Cargo.toml

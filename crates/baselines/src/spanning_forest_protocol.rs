@@ -12,7 +12,7 @@ use crate::BaselineOutcome;
 use elink_core::node_table::{FlatMap, NodeHandle, NodeTable};
 use elink_core::Clustering;
 use elink_metric::{Feature, Metric};
-use elink_netsim::{Ctx, DelayModel, Protocol, SimNetwork, Simulator};
+use elink_netsim::{Ctx, Protocol, SimNetwork, Simulator, SyncLink};
 use elink_topology::NodeId;
 use std::sync::Arc;
 
@@ -194,7 +194,7 @@ pub fn spanning_forest_protocol(
     let nodes: Vec<SfNode> = (0..n)
         .map(|v| SfNode::new(n, features[v].clone(), Arc::clone(&metric), delta))
         .collect();
-    let mut sim = Simulator::new(network.clone(), DelayModel::Sync, 0, nodes);
+    let mut sim = Simulator::new(network.clone(), SyncLink, 0, nodes);
     sim.run_to_completion();
 
     // Resolve cluster roots exactly as the algorithmic version does.

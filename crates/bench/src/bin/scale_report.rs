@@ -1,36 +1,23 @@
 //! Runs the 1k→64k scaling bench and writes `BENCH_scale.json`.
 //!
 //! ```text
-//! scale_report [--check] [--quick] [--out PATH]
+//! scale_report [--check] [--out PATH]
 //! ```
 //!
-//! * `--quick` — run only the 1k/4k fleets (CI-friendly).
-//! * `--check` — run the quick set twice and fail (exit 1) unless the
-//!   deterministic views (everything except wall-clock fields) are
-//!   byte-identical. Implies `--quick`.
+//! * `--check` — run the sweep twice and fail (exit 1) unless the
+//!   deterministic views (everything except `wall_ms`) are byte-identical.
 //! * `--out PATH` — where to write the report (default `BENCH_scale.json`).
-//!
-//! Every fleet size runs under both scheduler backends; `run_point` panics
-//! if their digests diverge, so a clean exit is itself the Heap≡Calendar
-//! determinism proof at every size in the report.
 
-use elink_bench::scale::{
-    run_scale, scale_deterministic_json, scale_report_json, FULL_SIDES, QUICK_SIDES,
-};
+use elink_bench::scale::{run_scale, scale_deterministic_json, scale_report_json, FULL_SIDES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check = false;
-    let mut quick = false;
     let mut out_path = String::from("BENCH_scale.json");
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--check" => {
-                check = true;
-                quick = true;
-            }
-            "--quick" => quick = true,
+            "--check" => check = true,
             "--out" => {
                 i += 1;
                 match args.get(i) {
@@ -43,32 +30,24 @@ fn main() {
             }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: scale_report [--check] [--quick] [--out PATH]");
+                eprintln!("usage: scale_report [--check] [--out PATH]");
                 std::process::exit(2);
             }
         }
         i += 1;
     }
 
-    let sides: &[usize] = if quick { &QUICK_SIDES } else { &FULL_SIDES };
-    let points = run_scale(sides);
+    let points = run_scale(&FULL_SIDES);
     for p in &points {
         println!(
-            "n={:<6} clusters={:<5} msgs/node={:<8.2} bytes/node={:<9.2} peak_events={:<7} heap={}ms calendar={}ms ({:.2}x)",
-            p.n,
-            p.clusters,
-            p.msgs_per_node,
-            p.bytes_per_node,
-            p.peak_live_events,
-            p.wall_ms_heap,
-            p.wall_ms_calendar,
-            p.wall_ms_heap as f64 / p.wall_ms_calendar.max(1) as f64
+            "n={:<6} clusters={:<5} msgs/node={:<8.2} bytes/node={:<9.2} peak_events={:<7} wall={}ms",
+            p.n, p.clusters, p.msgs_per_node, p.bytes_per_node, p.peak_live_events, p.wall_ms
         );
     }
 
     if check {
-        eprintln!("--check: re-running the quick set to verify determinism...");
-        let again = run_scale(sides);
+        eprintln!("--check: re-running the sweep to verify determinism...");
+        let again = run_scale(&FULL_SIDES);
         let a = scale_deterministic_json(&points);
         let b = scale_deterministic_json(&again);
         if a != b {

@@ -23,7 +23,7 @@ use elink_core::maintenance_protocol::{maintenance_nodes, MaintMsg};
 use elink_core::{run_explicit, run_implicit, ElinkConfig, ElinkOutcome};
 use elink_datasets::{TaoDataset, TaoParams, TerrainDataset};
 use elink_metric::{DistanceMatrix, Feature, Metric};
-use elink_netsim::{Ctx, DelayModel, Metrics, Protocol, SimNetwork, Simulator};
+use elink_netsim::{Ctx, Metrics, Protocol, SimNetwork, Simulator, SyncLink};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -115,7 +115,7 @@ fn bench_fig08_explicit() -> BenchResult {
         &features,
         metric,
         ElinkConfig::for_delta(delta),
-        DelayModel::Sync,
+        SyncLink,
         0,
     );
     let wall = start.elapsed().as_millis() as u64;
@@ -158,7 +158,7 @@ fn bench_fig11_maintenance() -> BenchResult {
         slack,
     );
     let start = Instant::now();
-    let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+    let mut sim = Simulator::new(network, SyncLink, 0, nodes);
     sim.run_to_completion(); // drain (empty) start events
     let mut models = data.train_models();
     let steps = data.evaluation()[0].len();
@@ -202,7 +202,7 @@ fn bench_substrate_unicast() -> BenchResult {
     let network = SimNetwork::new(topo);
     let nodes: Vec<Storm> = (0..n).map(|_| Storm { n }).collect();
     let start = Instant::now();
-    let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+    let mut sim = Simulator::new(network, SyncLink, 0, nodes);
     let elapsed = sim.run_to_completion();
     let wall = start.elapsed().as_millis() as u64;
     BenchResult {

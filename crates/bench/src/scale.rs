@@ -2,15 +2,10 @@
 //!
 //! The paper's central claim is O(N)-message clustering (Theorem 3); this
 //! bench puts the reproduction's msgs/node curve next to it at fleet sizes
-//! up to 64k nodes — the "Fundamentals of Large Sensor Networks" regime —
-//! and doubles as the scheduler-refactor scoreboard:
-//!
-//! * every size runs the identical workload under **both**
-//!   [`SchedulerKind`](elink_netsim::SchedulerKind)s; the run digests (per-kind `CostBook`, per-node
-//!   tallies, assignments, quiescence time) must be byte-identical, which
-//!   is the determinism contract of the calendar-queue refactor;
-//! * `wall_ms` is recorded per backend, so the report itself carries the
-//!   heap-baseline speedup at each size.
+//! up to 64k nodes — the "Fundamentals of Large Sensor Networks" regime.
+//! Each size runs once; `wall_ms` is a single host-time reading, so it is
+//! a sanity figure, not a benchmark (the repo benchmark under `benchmark/`
+//! measures `growth-64k` with repeated trials).
 //!
 //! Fleets are unit-spacing grids (`O(n)` construction) with a smooth
 //! two-frequency feature field, clustered by implicit-mode ELink over a
@@ -19,18 +14,15 @@
 //! `O(n²)` memory (≈ 34 GiB at 64k) and is built lazily; the bench asserts
 //! it was never materialized.
 
-use elink_core::protocol::SignalMode;
-use elink_core::{run_with_options, ElinkConfig, ElinkOutcome, RunOptions};
+use elink_core::{run_implicit, ElinkConfig};
 use elink_metric::{Absolute, Feature};
-use elink_netsim::{DelayModel, SchedulerKind, SimNetwork};
+use elink_netsim::SimNetwork;
 use elink_topology::Topology;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Grid sides of the full preset: 1k, 4k, 16k and 64k nodes.
 pub const FULL_SIDES: [usize; 4] = [32, 64, 128, 256];
-/// Grid sides of the quick preset used by `--check` and CI smokes.
-pub const QUICK_SIDES: [usize; 2] = [32, 64];
 
 /// One fleet size's measurements.
 #[derive(Debug, Clone)]
@@ -51,11 +43,8 @@ pub struct ScalePoint {
     pub bytes_per_node: f64,
     /// High-water mark of simultaneously live scheduler events.
     pub peak_live_events: usize,
-    /// Wall-clock of the heap-backend run (the pre-refactor baseline),
-    /// in milliseconds.
-    pub wall_ms_heap: u64,
-    /// Wall-clock of the calendar-backend run, in milliseconds.
-    pub wall_ms_calendar: u64,
+    /// Wall-clock of the run, in milliseconds.
+    pub wall_ms: u64,
 }
 
 /// The smooth synthetic feature field: two incommensurate spatial
@@ -78,95 +67,24 @@ fn grid_features(side: usize) -> Vec<Feature> {
 /// enough that the field's ridges split the grid into many regions.
 const SCALE_DELTA: f64 = 25.0;
 
-/// FNV-1a over a byte stream — cheap, deterministic, dependency-free.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
-/// A digest of everything the determinism contract covers: per-kind
-/// message bills, per-node tx/rx tallies, the assignment vector, cluster
-/// roots, and quiescence time. Two runs of the same seed must produce
-/// byte-identical digests regardless of scheduler backend.
-pub fn run_digest(outcome: &ElinkOutcome) -> String {
-    let mut s = String::new();
-    for (kind, st) in outcome.costs.iter() {
-        s.push_str(&format!("{kind}:{}:{};", st.packets, st.cost));
-    }
-    s.push_str(&format!(
-        "total:{}:{};elapsed:{};",
-        outcome.costs.total_packets(),
-        outcome.costs.total_cost(),
-        outcome.elapsed
-    ));
-    let mut fnv = Fnv::new();
-    for &a in &outcome.clustering.assignment {
-        fnv.write_u64(a as u64);
-    }
-    for c in &outcome.clustering.clusters {
-        fnv.write_u64(c.root as u64);
-    }
-    for node in outcome.costs.nodes() {
-        fnv.write_u64(node.tx_packets);
-        fnv.write_u64(node.rx_packets);
-        fnv.write_u64(node.tx_cost);
-    }
-    s.push_str(&format!(
-        "clusters:{};state_fnv:{:016x}",
-        outcome.clustering.cluster_count(),
-        fnv.0
-    ));
-    s
-}
-
-fn run_one(network: &SimNetwork, features: &[Feature], kind: SchedulerKind) -> (ElinkOutcome, u64) {
-    let start = Instant::now();
-    let outcome = run_with_options(
-        network,
-        features,
-        Arc::new(Absolute),
-        ElinkConfig::for_delta(SCALE_DELTA),
-        SignalMode::Implicit,
-        DelayModel::Sync,
-        0,
-        RunOptions {
-            arq: None,
-            scheduler: kind,
-        },
-    );
-    (outcome, start.elapsed().as_millis() as u64)
-}
-
-/// Runs one fleet size under both scheduler backends.
+/// Runs one fleet size.
 ///
 /// # Panics
-/// Panics if the two backends' run digests differ (the determinism
-/// contract), or if the broadcast-only run materialized the O(n²) routing
-/// table.
+/// Panics if the broadcast-only run materialized the O(n²) routing table.
 pub fn run_point(side: usize) -> ScalePoint {
     let topology = Topology::grid(side, side);
     let n = topology.n();
     let features = grid_features(side);
     let network = SimNetwork::new(topology);
 
-    let (heap_outcome, wall_ms_heap) = run_one(&network, &features, SchedulerKind::Heap);
-    let (outcome, wall_ms_calendar) = run_one(&network, &features, SchedulerKind::Calendar);
-
-    let heap_digest = run_digest(&heap_outcome);
-    let calendar_digest = run_digest(&outcome);
-    assert_eq!(
-        heap_digest, calendar_digest,
-        "scheduler backends diverged at n={n}"
+    let start = Instant::now();
+    let outcome = run_implicit(
+        &network,
+        &features,
+        Arc::new(Absolute),
+        ElinkConfig::for_delta(SCALE_DELTA),
     );
+    let wall_ms = start.elapsed().as_millis() as u64;
     assert!(
         !network.routing_built(),
         "broadcast-only run materialized the O(n²) routing table"
@@ -183,13 +101,11 @@ pub fn run_point(side: usize) -> ScalePoint {
         msgs_per_node: messages as f64 / n as f64,
         bytes_per_node: bytes as f64 / n as f64,
         peak_live_events: outcome.peak_live_events,
-        wall_ms_heap,
-        wall_ms_calendar,
+        wall_ms,
     }
 }
 
-/// Runs the bench over the given grid sides (see [`FULL_SIDES`] /
-/// [`QUICK_SIDES`]).
+/// Runs the bench over the given grid sides (see [`FULL_SIDES`]).
 pub fn run_scale(sides: &[usize]) -> Vec<ScalePoint> {
     sides.iter().map(|&side| run_point(side)).collect()
 }
@@ -205,19 +121,14 @@ fn point_json(p: &ScalePoint, include_wall: bool) -> String {
         p.msgs_per_node, p.bytes_per_node, p.peak_live_events
     ));
     if include_wall {
-        out.push_str(&format!(
-            ",\"wall_ms_heap\":{},\"wall_ms_calendar\":{},\"speedup\":{:.2}",
-            p.wall_ms_heap,
-            p.wall_ms_calendar,
-            p.wall_ms_heap as f64 / (p.wall_ms_calendar.max(1)) as f64
-        ));
+        out.push_str(&format!(",\"wall_ms\":{}", p.wall_ms));
     }
     out.push('}');
     out
 }
 
 fn report(points: &[ScalePoint], include_wall: bool) -> String {
-    let mut out = String::from("{\"schema\":\"elink-scale/v1\",\"results\":[\n");
+    let mut out = String::from("{\"schema\":\"elink-scale/v2\",\"results\":[\n");
     for (i, p) in points.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
@@ -228,7 +139,7 @@ fn report(points: &[ScalePoint], include_wall: bool) -> String {
     out
 }
 
-/// The full `BENCH_scale.json` payload (wall-clock and speedup included).
+/// The full `BENCH_scale.json` payload (wall-clock included).
 pub fn scale_report_json(points: &[ScalePoint]) -> String {
     report(points, true)
 }
@@ -243,10 +154,10 @@ pub fn scale_deterministic_json(points: &[ScalePoint]) -> String {
 mod tests {
     use super::*;
 
-    /// The smallest fleet, both backends: digests equal (asserted inside
-    /// `run_point`), messages O(N)-ish, peak events nonzero, routing lazy.
+    /// The smallest fleet: messages O(N)-ish, peak events nonzero, routing
+    /// lazy (asserted inside `run_point`).
     #[test]
-    fn quick_point_is_deterministic_across_backends() {
+    fn small_point_is_linear_and_broadcast_only() {
         let p = run_point(16);
         assert_eq!(p.n, 256);
         assert!(p.clusters > 1, "field should split the grid");
@@ -268,12 +179,10 @@ mod tests {
         assert!(!scale_deterministic_json(&a).contains("wall_ms"));
         let full = scale_report_json(&a);
         for key in [
-            "\"schema\":\"elink-scale/v1\"",
+            "\"schema\":\"elink-scale/v2\"",
             "\"msgs_per_node\":",
             "\"peak_live_events\":",
-            "\"wall_ms_heap\":",
-            "\"wall_ms_calendar\":",
-            "\"speedup\":",
+            "\"wall_ms\":",
         ] {
             assert!(full.contains(key), "missing {key}");
         }

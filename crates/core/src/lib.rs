@@ -60,5 +60,5 @@ pub use node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
 pub use protocol::{stray, ElinkMsg, ElinkNode, SignalMode};
 pub use runner::{
     build_sim, run_explicit, run_implicit, run_unordered, run_with_link, run_with_link_arq,
-    run_with_options, ElinkOutcome, RunOptions,
+    ElinkOutcome,
 };

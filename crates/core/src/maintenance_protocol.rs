@@ -540,7 +540,7 @@ mod tests {
     use super::*;
     use crate::maintenance::MaintenanceSim;
     use elink_metric::Absolute;
-    use elink_netsim::{DelayModel, SimNetwork, Simulator};
+    use elink_netsim::{SimNetwork, Simulator, SyncLink};
     use elink_topology::Topology;
 
     /// Drives both implementations with the same sequential stream and
@@ -568,7 +568,7 @@ mod tests {
         );
         let nodes = maintenance_nodes(&clustering, Arc::clone(&metric), &features, delta, slack);
         let network = SimNetwork::new(topology);
-        let mut sim_proto = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim_proto = Simulator::new(network, SyncLink, 0, nodes);
         sim_proto.run_to_completion(); // drain (empty) start events
 
         for &(node, value) in stream {
@@ -658,7 +658,7 @@ mod tests {
         let metric: Arc<dyn Metric> = Arc::new(Absolute);
         let nodes = maintenance_nodes(&clustering, metric, &features, 6.0, 0.5);
         let network = SimNetwork::new(topology);
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.run_to_completion();
         assert!(sim.nodes().iter().all(|n| n.anchor_epoch() == 0));
 

@@ -6,8 +6,7 @@ use crate::protocol::{ElinkNode, SignalMode};
 use crate::quadinfo::QuadInfo;
 use elink_metric::{Feature, Metric};
 use elink_netsim::{
-    ArqConfig, CostBook, DelayModel, LinkModel, Metrics, SchedulerKind, SimNetwork, SimTime,
-    Simulator,
+    ArqConfig, CostBook, LinkModel, Metrics, SimNetwork, SimTime, Simulator, SyncLink,
 };
 use std::sync::Arc;
 
@@ -29,18 +28,6 @@ pub struct ElinkOutcome {
     /// High-water mark of simultaneously live events in the scheduler —
     /// the arena footprint the scaling bench reports.
     pub peak_live_events: usize,
-}
-
-/// Extended run knobs beyond the link model: the optional ARQ sublayer and
-/// the event-scheduler backend (differential testing and the scale bench
-/// run the same workload under both [`SchedulerKind`]s).
-#[derive(Debug, Clone, Default)]
-pub struct RunOptions {
-    /// When `Some`, every protocol message rides the reliable-delivery
-    /// (ack/retransmit/dedup) sublayer.
-    pub arq: Option<ArqConfig>,
-    /// Event-queue backend (default [`SchedulerKind::Calendar`]).
-    pub scheduler: SchedulerKind,
 }
 
 /// Runs ELink in any [`SignalMode`] over an arbitrary [`LinkModel`] — the
@@ -78,24 +65,47 @@ pub fn run_with_link_arq(
     seed: u64,
     arq: Option<ArqConfig>,
 ) -> ElinkOutcome {
-    run_with_options(
+    let topo = network.topology();
+    let mut sim = build_sim(
         network,
         features,
-        metric,
+        Arc::clone(&metric),
         config,
         mode,
         link,
         seed,
-        RunOptions {
-            arq,
-            ..RunOptions::default()
-        },
-    )
+    );
+    if let Some(arq_config) = arq {
+        sim.enable_arq(arq_config);
+    }
+    let elapsed = sim.run_to_completion();
+    let mut metrics = sim.take_metrics();
+    let states: Vec<_> = sim
+        .nodes()
+        .iter()
+        .enumerate()
+        .map(|(id, node)| node.cluster_state(id))
+        .collect();
+    // Host-side extraction happens "at" quiescence in simulated time: a
+    // zero-width span whose entry marks the extraction ran exactly once.
+    let clustering = {
+        let _guard = metrics.enter_phase("host.extract", elapsed);
+        Clustering::from_node_states(&states, topo, metric.as_ref())
+    };
+    metrics.phase_enter("run", 0);
+    metrics.phase_exit("run", elapsed);
+    ElinkOutcome {
+        clustering,
+        costs: sim.costs().clone(),
+        metrics,
+        elapsed,
+        peak_live_events: sim.peak_live_events(),
+    }
 }
 
 /// Constructs the ELink simulator without running it — the seam the model
 /// checker uses to drive the real protocol through its own schedules. The
-/// construction is shared with [`run_with_options`], so checked state and
+/// construction is shared with [`run_with_link_arq`], so checked state and
 /// production state cannot drift.
 pub fn build_sim(
     network: &SimNetwork,
@@ -124,58 +134,6 @@ pub fn build_sim(
         })
         .collect();
     Simulator::new(network.clone(), link, seed, nodes)
-}
-
-/// The fully-general runner: [`run_with_link_arq`] plus scheduler-backend
-/// selection via [`RunOptions`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_options(
-    network: &SimNetwork,
-    features: &[Feature],
-    metric: Arc<dyn Metric>,
-    config: ElinkConfig,
-    mode: SignalMode,
-    link: impl Into<Box<dyn LinkModel>>,
-    seed: u64,
-    options: RunOptions,
-) -> ElinkOutcome {
-    let topo = network.topology();
-    let mut sim = build_sim(
-        network,
-        features,
-        Arc::clone(&metric),
-        config,
-        mode,
-        link,
-        seed,
-    );
-    sim.set_scheduler(options.scheduler);
-    if let Some(arq_config) = options.arq {
-        sim.enable_arq(arq_config);
-    }
-    let elapsed = sim.run_to_completion();
-    let mut metrics = sim.take_metrics();
-    let states: Vec<_> = sim
-        .nodes()
-        .iter()
-        .enumerate()
-        .map(|(id, node)| node.cluster_state(id))
-        .collect();
-    // Host-side extraction happens "at" quiescence in simulated time: a
-    // zero-width span whose entry marks the extraction ran exactly once.
-    let clustering = {
-        let _guard = metrics.enter_phase("host.extract", elapsed);
-        Clustering::from_node_states(&states, topo, metric.as_ref())
-    };
-    metrics.phase_enter("run", 0);
-    metrics.phase_exit("run", elapsed);
-    ElinkOutcome {
-        clustering,
-        costs: sim.costs().clone(),
-        metrics,
-        elapsed,
-        peak_live_events: sim.peak_live_events(),
-    }
 }
 
 /// Implicit-signalling ELink (§4) — synchronous networks only: level `l`
@@ -210,7 +168,7 @@ pub fn run_implicit(
         metric,
         config,
         SignalMode::Implicit,
-        DelayModel::Sync,
+        SyncLink,
         0,
     )
 }
@@ -222,7 +180,7 @@ pub fn run_explicit(
     features: &[Feature],
     metric: Arc<dyn Metric>,
     config: ElinkConfig,
-    delay: DelayModel,
+    link: impl Into<Box<dyn LinkModel>>,
     seed: u64,
 ) -> ElinkOutcome {
     run_with_link(
@@ -231,7 +189,7 @@ pub fn run_explicit(
         metric,
         config,
         SignalMode::Explicit,
-        delay,
+        link,
         seed,
     )
 }
@@ -243,7 +201,7 @@ pub fn run_unordered(
     features: &[Feature],
     metric: Arc<dyn Metric>,
     config: ElinkConfig,
-    delay: DelayModel,
+    link: impl Into<Box<dyn LinkModel>>,
     seed: u64,
 ) -> ElinkOutcome {
     run_with_link(
@@ -252,7 +210,7 @@ pub fn run_unordered(
         metric,
         config,
         SignalMode::Unordered,
-        delay,
+        link,
         seed,
     )
 }
@@ -262,6 +220,7 @@ mod tests {
     use super::*;
     use crate::clustering::validate_delta_clustering;
     use elink_metric::Absolute;
+    use elink_netsim::LossyLink;
     use elink_topology::Topology;
 
     /// 1×8 path with two obvious feature zones.
@@ -300,14 +259,7 @@ mod tests {
         let (net, features) = two_zone();
         let config = ElinkConfig::for_delta(10.0);
         let a = run_implicit(&net, &features, Arc::new(Absolute), config);
-        let b = run_explicit(
-            &net,
-            &features,
-            Arc::new(Absolute),
-            config,
-            DelayModel::Sync,
-            0,
-        );
+        let b = run_explicit(&net, &features, Arc::new(Absolute), config, SyncLink, 0);
         assert_eq!(a.clustering.assignment, b.clustering.assignment);
         // ... but the explicit variant pays synchronization messages.
         assert!(b.costs.total_cost() > a.costs.total_cost());
@@ -347,7 +299,7 @@ mod tests {
             &features,
             Arc::new(Absolute),
             ElinkConfig::for_delta(10.0),
-            DelayModel::Async { min: 1, max: 4 },
+            LossyLink::new(1, 4),
             7,
         );
         assert_eq!(outcome.clustering.cluster_count(), 2);
@@ -399,7 +351,7 @@ mod tests {
             &features,
             Arc::new(Absolute),
             ElinkConfig::for_delta(10.0),
-            DelayModel::Sync,
+            SyncLink,
             0,
         );
         // Implicit mode has no synchronization messages; explicit mode must
@@ -416,7 +368,7 @@ mod tests {
             &features,
             Arc::new(Absolute),
             ElinkConfig::for_delta(10.0),
-            DelayModel::Sync,
+            SyncLink,
             0,
         );
         validate_delta_clustering(

@@ -6,7 +6,7 @@ use elink_core::{
 };
 use elink_datasets::{TaoDataset, TaoParams, TerrainDataset};
 use elink_metric::{Absolute, DistanceMatrix, Feature, Metric};
-use elink_netsim::{DelayModel, SimNetwork};
+use elink_netsim::{LossyLink, SimNetwork, SyncLink};
 use elink_topology::Topology;
 use std::sync::Arc;
 
@@ -91,7 +91,7 @@ fn implicit_and_explicit_agree_on_tao_sync() {
     let config = ElinkConfig::for_delta(delta);
     let net = SimNetwork::new(data.topology().clone());
     let imp = run_implicit(&net, &features, Arc::clone(&metric) as _, config);
-    let exp = run_explicit(&net, &features, metric as _, config, DelayModel::Sync, 0);
+    let exp = run_explicit(&net, &features, metric as _, config, SyncLink, 0);
     // §8.4 says the two variants "output the same clusters". That holds
     // exactly when within-level expansions do not race (see the runner unit
     // test on a path graph); on larger grids the start-message arrival
@@ -134,7 +134,7 @@ fn explicit_on_async_terrain_is_valid() {
         &features,
         Arc::new(Absolute),
         ElinkConfig::for_delta(delta),
-        DelayModel::Async { min: 1, max: 5 },
+        LossyLink::new(1, 5),
         13,
     );
     validate_delta_clustering(
@@ -160,7 +160,7 @@ fn async_seeds_do_not_break_validity() {
             &features,
             Arc::new(Absolute),
             ElinkConfig::for_delta(300.0),
-            DelayModel::Async { min: 1, max: 7 },
+            LossyLink::new(1, 7),
             seed,
         );
         validate_delta_clustering(
@@ -229,7 +229,7 @@ fn unordered_quality_is_no_better_than_ordered() {
     let config = ElinkConfig::for_delta(delta);
     let net = SimNetwork::new(data.topology().clone());
     let ordered = run_implicit(&net, &features, Arc::clone(&metric) as _, config);
-    let unordered = run_unordered(&net, &features, metric as _, config, DelayModel::Sync, 0);
+    let unordered = run_unordered(&net, &features, metric as _, config, SyncLink, 0);
     assert!(
         unordered.clustering.cluster_count() >= ordered.clustering.cluster_count(),
         "unordered {} < ordered {}",
@@ -251,7 +251,7 @@ fn deterministic_runs() {
         &features,
         Arc::clone(&metric) as _,
         config,
-        DelayModel::Async { min: 1, max: 3 },
+        LossyLink::new(1, 3),
         99,
     );
     let b = run_explicit(
@@ -259,7 +259,7 @@ fn deterministic_runs() {
         &features,
         metric as _,
         config,
-        DelayModel::Async { min: 1, max: 3 },
+        LossyLink::new(1, 3),
         99,
     );
     assert_eq!(a.clustering.assignment, b.clustering.assignment);

@@ -6,7 +6,7 @@ use elink_core::maintenance_protocol::{maintenance_nodes, MaintMsg};
 use elink_core::protocol::SignalMode;
 use elink_core::{run_implicit, run_with_link, run_with_link_arq, ElinkConfig, ElinkOutcome};
 use elink_metric::{Absolute, Feature, Metric};
-use elink_netsim::{ArqConfig, DelayModel, LinkModel, LossyLink, SimNetwork, Simulator};
+use elink_netsim::{ArqConfig, LinkModel, LossyLink, SimNetwork, Simulator, SyncLink};
 use elink_topology::Topology;
 use std::sync::Arc;
 
@@ -32,10 +32,10 @@ type LinkRegime = (
 /// retransmits each dropped hop instead of letting the handshake stall.
 fn link_regimes() -> Vec<LinkRegime> {
     vec![
-        ("sync", DelayModel::Sync.into(), SignalMode::Explicit, None),
+        ("sync", SyncLink.into(), SignalMode::Explicit, None),
         (
             "async",
-            DelayModel::Async { min: 1, max: 4 }.into(),
+            LossyLink::new(1, 4).into(),
             SignalMode::Explicit,
             None,
         ),

@@ -1,12 +1,12 @@
 //! Differential property tests for the flow-level link model.
 //!
-//! Three contracts pin `FairShareLink` to the per-message substrate:
+//! Two contracts pin `FairShareLink` to the per-message substrate:
 //!
 //! 1. **Degenerate equivalence (byte-identical)** — with effectively
 //!    infinite capacity no transfer ever contends, every service takes the
 //!    one-tick floor, and a broadcast-only run is *byte-identical* (same
-//!    `JsonlTrace` stream) to `AsyncUniformLink::new(1, 1)` — the
-//!    zero-jitter per-message model with the same fixed delay. This works
+//!    `JsonlTrace` stream) to `SyncLink` — the per-message model with the
+//!    same fixed one-tick delay. This works
 //!    because an uncontended flow's tentative-completion event occupies
 //!    exactly the queue slot the per-message `Deliver` would have, and is
 //!    never invalidated (see `netsim::flow`).
@@ -20,18 +20,13 @@
 //!    the order of same-tick trace lines can differ — so the full-protocol
 //!    test compares traces as per-tick sorted sequences and everything
 //!    else (`CostBook`, elapsed, clustering) exactly.
-//! 3. **Backend independence** — under real contention (finite capacity,
-//!    invalidations and reschedules in play) Heap and Calendar schedulers
-//!    must still agree event-for-event, the same guarantee the scheduler
-//!    differential suite pins for per-message links.
 
 use elink_core::protocol::{ElinkNode, SignalMode};
 use elink_core::quadinfo::QuadInfo;
 use elink_core::{Clustering, ElinkConfig};
 use elink_metric::{Absolute, Feature};
 use elink_netsim::{
-    AsyncUniformLink, CostBook, Ctx, FairShareLink, JsonlTrace, LinkModel, Protocol, SchedulerKind,
-    SimNetwork, Simulator,
+    CostBook, Ctx, FairShareLink, JsonlTrace, LinkModel, Protocol, SimNetwork, Simulator, SyncLink,
 };
 use elink_topology::Topology;
 use proptest::prelude::*;
@@ -54,7 +49,6 @@ fn run_traced(
     mode: SignalMode,
     link: Box<dyn LinkModel>,
     seed: u64,
-    kind: SchedulerKind,
 ) -> RunView {
     let n = topology.n();
     let quad = Arc::new(QuadInfo::build(topology));
@@ -74,7 +68,6 @@ fn run_traced(
         .collect();
     let network = SimNetwork::new(topology.clone());
     let mut sim = Simulator::new(network, link, seed, nodes);
-    sim.set_scheduler(kind);
     let sink = Arc::new(Mutex::new(JsonlTrace::new(Vec::<u8>::new())));
     sim.set_trace(Arc::clone(&sink));
     let elapsed = sim.run_to_completion();
@@ -226,22 +219,6 @@ fn assert_equivalent_modulo_tick_order(
     Ok(())
 }
 
-/// Asserts two views are byte-identical on every observable, labelling any
-/// divergence with the first differing trace line.
-fn assert_equivalent(a: &RunView, b: &RunView, label: &str) -> Result<(), TestCaseError> {
-    assert_traces_identical(&a.trace, &b.trace, label)?;
-    prop_assert_eq!(&a.costs, &b.costs, "{}: cost books diverge", label);
-    prop_assert_eq!(a.elapsed, b.elapsed, "{}: elapsed diverges", label);
-    prop_assert_eq!(
-        &a.assignment,
-        &b.assignment,
-        "{}: assignments diverge",
-        label
-    );
-    prop_assert_eq!(&a.roots, &b.roots, "{}: roots diverge", label);
-    Ok(())
-}
-
 fn synthetic_features(n: usize, seed: u64, scale: f64) -> Vec<Feature> {
     (0..n)
         .map(|v| {
@@ -258,9 +235,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Capacity = ∞, broadcast-only traffic ⇒ byte-identical to
-    /// `AsyncUniformLink` with zero jitter (`min == max == 1`): the traced
-    /// event stream, compared byte for byte, cannot tell the two models
-    /// apart.
+    /// `SyncLink`: the traced event stream, compared byte for byte, cannot
+    /// tell the two models apart.
     #[test]
     fn unlimited_flow_is_byte_identical_for_broadcast_traffic(
         n in 8usize..48,
@@ -277,23 +253,23 @@ proptest! {
         let (ft, fc, fe) = run_flood(
             &topology, &sources, FairShareLink::unlimited().into(), seed,
         );
-        let (at, ac, ae) = run_flood(
-            &topology, &sources, AsyncUniformLink::new(1, 1).into(), seed,
+        let (st, sc, se) = run_flood(
+            &topology, &sources, SyncLink.into(), seed,
         );
-        assert_traces_identical(&ft, &at, "flood flow-vs-async")?;
-        prop_assert_eq!(&fc, &ac, "flood: cost books diverge");
-        prop_assert_eq!(fe, ae, "flood: elapsed diverges");
+        assert_traces_identical(&ft, &st, "flood flow-vs-sync")?;
+        prop_assert_eq!(&fc, &sc, "flood: cost books diverge");
+        prop_assert_eq!(fe, se, "flood: elapsed diverges");
     }
 
     /// Capacity = ∞, full ELink growth protocol ⇒ equivalent to
-    /// `AsyncUniformLink` with zero jitter on every observable. The growth
+    /// `SyncLink` on every observable. The growth
     /// protocol unicasts (quadtree phase-1/phase-2 waves), and multi-hop
     /// unicast is store-and-forward under the flow model, so same-tick
     /// trace lines may interleave differently — traces are compared as
     /// per-tick sorted sequences; costs, elapsed time and the final
     /// clustering must match exactly.
     #[test]
-    fn unlimited_flow_equals_async_jitter_zero(
+    fn unlimited_flow_equals_sync_link(
         n in 8usize..48,
         topo_seed in 0u64..300,
         delta_frac in 0.1f64..1.0,
@@ -307,36 +283,11 @@ proptest! {
         let mode = if explicit { SignalMode::Explicit } else { SignalMode::Unordered };
         let flow = run_traced(
             &topology, &features, config, mode,
-            FairShareLink::unlimited().into(), seed, SchedulerKind::Calendar,
+            FairShareLink::unlimited().into(), seed,
         );
         let per_message = run_traced(
-            &topology, &features, config, mode,
-            AsyncUniformLink::new(1, 1).into(), seed, SchedulerKind::Calendar,
+            &topology, &features, config, mode, SyncLink.into(), seed,
         );
-        assert_equivalent_modulo_tick_order(&flow, &per_message, "flow-vs-async")?;
-    }
-
-    /// Finite capacity ⇒ real contention, invalidated predictions and
-    /// rescheduled completions — Heap and Calendar must still agree on
-    /// every event.
-    #[test]
-    fn contended_flow_agrees_across_backends(
-        n in 8usize..40,
-        topo_seed in 0u64..200,
-        delta_frac in 0.1f64..1.0,
-        seed in 0u64..64,
-        capacity in 1u64..6,
-    ) {
-        let topology = Topology::random_synthetic(n, topo_seed);
-        let scale = 100.0;
-        let features = synthetic_features(n, topo_seed, scale);
-        let config = ElinkConfig::for_delta((scale * delta_frac).max(1e-6));
-        let run = |kind| {
-            run_traced(
-                &topology, &features, config, SignalMode::Explicit,
-                FairShareLink::new(capacity).into(), seed, kind,
-            )
-        };
-        assert_equivalent(&run(SchedulerKind::Heap), &run(SchedulerKind::Calendar), "contended")?;
+        assert_equivalent_modulo_tick_order(&flow, &per_message, "flow-vs-sync")?;
     }
 }

@@ -8,7 +8,7 @@ use elink_core::{
     run_explicit, run_implicit, run_unordered, Clustering, ElinkConfig, ElinkOutcome,
 };
 use elink_metric::{DistanceMatrix, Feature, Metric};
-use elink_netsim::{DelayModel, SimNetwork};
+use elink_netsim::{SimNetwork, SyncLink};
 use elink_spectral::SpectralConfig;
 use elink_topology::Topology;
 use std::io::Write;
@@ -130,22 +130,18 @@ pub struct ScenarioBuilder {
     features: Vec<Feature>,
     metric: Arc<dyn Metric>,
     delta: DeltaSpec,
-    delay: DelayModel,
-    seed: u64,
 }
 
 impl ScenarioBuilder {
     /// Starts a scenario from a topology, per-node features and a metric.
-    /// Defaults: δ at the median pairwise distance, synchronous links,
-    /// seed 0.
+    /// Defaults to δ at the median pairwise distance. Runs use synchronous
+    /// links, which draw no randomness.
     pub fn new(topology: Topology, features: Vec<Feature>, metric: Arc<dyn Metric>) -> Self {
         ScenarioBuilder {
             topology,
             features,
             metric,
             delta: DeltaSpec::Quantile(0.5),
-            delay: DelayModel::Sync,
-            seed: 0,
         }
     }
 
@@ -158,18 +154,6 @@ impl ScenarioBuilder {
     /// Sets δ as a quantile of the pairwise feature-distance distribution.
     pub fn delta_quantile(mut self, q: f64) -> Self {
         self.delta = DeltaSpec::Quantile(q);
-        self
-    }
-
-    /// Sets the link delay model used by explicit/unordered runs.
-    pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Sets the link-randomness seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -188,8 +172,6 @@ impl ScenarioBuilder {
             features: self.features,
             metric: self.metric,
             delta,
-            delay: self.delay,
-            seed: self.seed,
         }
     }
 }
@@ -207,10 +189,6 @@ pub struct Scenario {
     pub metric: Arc<dyn Metric>,
     /// The resolved δ threshold.
     pub delta: f64,
-    /// Link delay model for explicit/unordered runs.
-    pub delay: DelayModel,
-    /// Link-randomness seed.
-    pub seed: u64,
 }
 
 impl Scenario {
@@ -239,7 +217,7 @@ impl Scenario {
         )
     }
 
-    /// Explicit ELink at the scenario δ over the scenario's delay model.
+    /// Explicit ELink at the scenario δ over synchronous links.
     pub fn run_explicit(&self) -> ElinkOutcome {
         self.run_explicit_with(self.config())
     }
@@ -251,8 +229,8 @@ impl Scenario {
             &self.features,
             Arc::clone(&self.metric),
             config,
-            self.delay,
-            self.seed,
+            SyncLink,
+            0,
         )
     }
 
@@ -264,8 +242,8 @@ impl Scenario {
             &self.features,
             Arc::clone(&self.metric),
             config,
-            self.delay,
-            self.seed,
+            SyncLink,
+            0,
         )
     }
 
@@ -366,7 +344,7 @@ impl SuiteBench {
             &self.features,
             Arc::clone(&self.metric),
             config,
-            DelayModel::Sync,
+            SyncLink,
             0,
         );
         let sf = spanning_forest_clustering(topo, &self.features, self.metric.as_ref(), delta);

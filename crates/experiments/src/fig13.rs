@@ -78,7 +78,6 @@ pub fn run(params: Params) -> Table {
                 Arc::new(Euclidean),
             )
             .delta(params.delta)
-            .seed(seed)
             .build();
             let features = scenario.features.clone();
             let config = ElinkConfig::for_delta(params.delta);

@@ -17,7 +17,7 @@ use elink_core::{build_sim, Clustering, ElinkConfig, SignalMode};
 use elink_mc::McSystem;
 use elink_metric::{Absolute, Feature};
 use elink_netsim::{
-    ArqConfig, CostBook, DelayModel, JsonlTrace, LinkModel, LossyLink, SimNetwork, Simulator,
+    ArqConfig, CostBook, JsonlTrace, LinkModel, LossyLink, SimNetwork, Simulator, SyncLink,
 };
 use elink_topology::Topology;
 use proptest::prelude::*;
@@ -168,12 +168,15 @@ proptest! {
         let config = ElinkConfig::for_delta((scale * delta_frac).max(1e-6));
         let mode = [SignalMode::Implicit, SignalMode::Explicit, SignalMode::Unordered][mode_pick];
         // Implicit mode assumes a synchronous network.
-        let delay = if sync || mode == SignalMode::Implicit {
-            DelayModel::Sync
-        } else {
-            DelayModel::Async { min: 1, max: 4 }
+        let sync = sync || mode == SignalMode::Implicit;
+        let link = || -> Box<dyn LinkModel> {
+            if sync {
+                Box::new(SyncLink)
+            } else {
+                Box::new(LossyLink::new(1, 4))
+            }
         };
-        run_case(&topology, &features, config, mode, || delay.into(), seed, None, "loss-free")?;
+        run_case(&topology, &features, config, mode, link, seed, None, "loss-free")?;
     }
 
     /// Lossy link + ARQ: retransmission timers, acks and dedup state all

@@ -22,7 +22,7 @@ use crate::flow::{FlowFired, FlowResched, FlowTable, LinkUtil};
 use crate::link::{HopOutcome, LinkModel};
 use crate::metrics::Metrics;
 use crate::reliable::{ArqConfig, KIND_ACK, KIND_RETX};
-use crate::scheduler::{PoppedEvent, Scheduler, SchedulerKind};
+use crate::scheduler::{PoppedEvent, Scheduler};
 use crate::stats::{CostBook, MessageStats};
 use crate::trace::{DropReason, TraceEvent, TraceSink};
 use elink_topology::{RoutingTable, Topology};
@@ -165,24 +165,24 @@ enum EventKind<M> {
 /// (for `M: Clone`) so the model checker can snapshot in-flight flows.
 #[derive(Clone)]
 enum FlowJob<M> {
-    /// A single-hop protocol message: dispatch its delivery.
-    Deliver {
-        from: usize,
-        msg: M,
-        query: Option<QueryId>,
-    },
-    /// One leg of a multi-hop unicast: deliver at `dst`, otherwise bill the
-    /// relay and chain the next leg.
-    Relay {
-        src: usize,
-        dst: usize,
-        msg: M,
-        kind: &'static str,
-        scalars: u64,
-        query: Option<QueryId>,
-    },
-    /// An ARQ data/ack copy: dispatch the wrapped engine event.
-    Arq(EventKind<M>),
+    /// A copy that ends at the flow's receiver — a protocol message, a
+    /// unicast's last leg, an ARQ data copy or ack: dispatch the event.
+    Event(EventKind<M>),
+    /// A unicast leg into a relay: carry the message on towards its
+    /// destination (see [`Core::forward`]).
+    Relay(Unicast<M>),
+}
+
+/// A multi-hop unicast in transit, carried leg to leg: its logical origin
+/// and destination, the payload, and what every leg is billed as.
+#[derive(Clone)]
+struct Unicast<M> {
+    src: usize,
+    dst: usize,
+    msg: M,
+    kind: &'static str,
+    scalars: u64,
+    query: Option<QueryId>,
 }
 
 /// A captured engine event: what the engine *would* have enqueued, handed
@@ -529,17 +529,167 @@ impl<M> Core<M> {
         self.flow_resched = resched;
     }
 
-    /// Rolls the link-fault dice for one flow-model transmission: the flow
-    /// path never consults [`LinkModel::hop`] for pricing, but a composed
-    /// fault link (capacity × loss × partition) still decides *whether* the
-    /// transmission survives. Pure [`crate::FairShareLink`] always delivers
-    /// without touching the RNG, so loss-free flow runs are byte-identical
-    /// to before this check existed.
-    fn flow_hop_drops(&mut self, from: usize, to: usize) -> bool {
-        matches!(
-            self.link.hop(from, to, self.now, &mut self.rng),
-            HopOutcome::Drop
-        )
+    /// Whether `node` is up at `at`: the link model's verdict, unless the
+    /// model checker forced the node dead (see
+    /// [`Simulator::set_dead_override`]). The one liveness predicate of
+    /// dispatch, relaying and [`Ctx::is_alive`].
+    fn alive(&self, node: usize, at: SimTime) -> bool {
+        !self.dead_override.contains(&node) && self.link.is_alive(node, at)
+    }
+
+    /// Bills one radio transmission by `from` under `kind`: the per-kind
+    /// and per-node ledgers, plus `query`'s ledger when the copy is tagged.
+    fn bill(&mut self, from: usize, kind: &'static str, scalars: u64, query: Option<QueryId>) {
+        self.costs.record_tx(from, kind, 1, scalars);
+        if let Some(qid) = query {
+            self.costs.attribute_query(qid, 1, scalars);
+        }
+    }
+
+    /// The link's verdict on one transmission `from → to` sent at tick
+    /// `at`: the tick the copy lands, or `None` when the link loses it.
+    /// The only caller of [`LinkModel::hop`] and the only place a loss is
+    /// counted (`net.drops.loss`). A lost logical message — `traced` holds
+    /// its origin, destination and query — is also traced; ARQ copies and
+    /// acks pass `None`, since their losses show as retransmissions. On a
+    /// flow link the verdict decides only *whether* the copy survives: the
+    /// flow table prices its delay.
+    fn fate(
+        &mut self,
+        from: usize,
+        to: usize,
+        at: SimTime,
+        traced: Option<(usize, usize, Option<QueryId>)>,
+    ) -> Option<SimTime> {
+        match self.link.hop(from, to, at, &mut self.rng) {
+            HopOutcome::Deliver { delay } => Some(at + delay),
+            HopOutcome::Drop => {
+                self.metrics.inc("net.drops.loss");
+                if let Some((from, to, query)) = traced {
+                    self.trace(TraceEvent::Drop {
+                        time: at,
+                        from,
+                        to,
+                        reason: DropReason::Loss,
+                        query,
+                    });
+                }
+                None
+            }
+        }
+    }
+
+    /// Hands a copy that survived its [`Core::fate`] to the network: a
+    /// per-message link queues `event` at `arrive`; a flow link opens a
+    /// flow `from → to` that dispatches `event` on completion. Returns the
+    /// copy's delivery bound in ticks, from which ARQ sizes its RTO: the
+    /// predicted sojourn under current contention on a flow link (a
+    /// congested link legitimately takes longer, and a static RTO there
+    /// would retransmit into the very queue that delays it), the static
+    /// hop bound otherwise.
+    // simlint: hot
+    fn transmit(
+        &mut self,
+        from: usize,
+        to: usize,
+        scalars: u64,
+        arrive: SimTime,
+        event: EventKind<M>,
+    ) -> u64 {
+        if self.flows.is_none() {
+            self.push(arrive, to, event);
+            return self.link.max_hop_delay();
+        }
+        let finish = self.flow_start(from, to, scalars, FlowJob::Event(event));
+        finish.saturating_sub(self.now).max(1)
+    }
+
+    /// Carries unicast `u` on from `cur`, which holds it at tick `at`: the
+    /// one step for every store-and-forward leg. A relay (any `cur` but
+    /// the origin) that is down swallows the message; a live one records
+    /// the reception. The holder then bills the next leg and rolls its
+    /// fate, and the last leg delivers through [`Core::transmit`]. A flow
+    /// link carries one leg per call, and the leg's completion calls back
+    /// in at the relay. A per-message link walks the rest of the route
+    /// now, so the final delivery keeps its early queue position and the
+    /// RNG draws keep their order.
+    // simlint: hot
+    fn forward(&mut self, mut cur: usize, mut at: SimTime, u: Unicast<M>) {
+        loop {
+            if cur != u.src {
+                if !self.alive(cur, at) {
+                    self.drop_node_down(at, u.src, u.dst, u.query);
+                    return;
+                }
+                self.costs.record_rx(cur);
+            }
+            let Some(next) = self.network.routing().next_hop(cur, u.dst) else {
+                // The sender checked that `dst` is routable, so every
+                // prefix of the path is; a miss is routing-table
+                // corruption, not an injected fault.
+                debug_assert!(false, "unicast relay without a route to dst");
+                return;
+            };
+            self.bill(cur, u.kind, u.scalars, u.query);
+            let Some(arrive) = self.fate(cur, next, at, Some((u.src, u.dst, u.query))) else {
+                return;
+            };
+            if next == u.dst {
+                // The receiver's liveness and reception are checked when
+                // the delivery is dispatched.
+                let deliver = EventKind::Deliver {
+                    from: u.src,
+                    msg: u.msg,
+                    query: u.query,
+                };
+                self.transmit(cur, next, u.scalars, arrive, deliver);
+                return;
+            }
+            if self.flows.is_some() {
+                self.flow_start(cur, next, u.scalars, FlowJob::Relay(u));
+                return;
+            }
+            (cur, at) = (next, arrive);
+        }
+    }
+
+    /// Counts and traces a message lost to a receiver or relay that is
+    /// down when it arrives.
+    fn drop_node_down(&mut self, at: SimTime, from: usize, to: usize, query: Option<QueryId>) {
+        self.metrics.inc("net.drops.node_down");
+        self.trace(TraceEvent::Drop {
+            time: at,
+            from,
+            to,
+            reason: DropReason::NodeDown,
+            query,
+        });
+    }
+
+    /// Worst-case ticks for one hop of a `scalars`-sized copy: the link's
+    /// static bound, or on a flow link the solo sojourn, stretched to the
+    /// current contention horizon when `contended`.
+    fn hop_envelope(&self, scalars: u64, contended: bool) -> u64 {
+        match &self.flows {
+            Some(table) if contended => table
+                .horizon(self.now)
+                .max(table.uncontended_sojourn(scalars)),
+            Some(table) => table.uncontended_sojourn(scalars),
+            None => self.link.max_hop_delay(),
+        }
+    }
+
+    /// Worst-case ticks for one successful neighbour delivery: the
+    /// single-scalar [`Core::hop_envelope`], through the full ARQ retry
+    /// envelope when reliable delivery is on. Behind both
+    /// [`Ctx::max_delivery_delay`] (`contended`) and
+    /// [`Ctx::nominal_delivery_delay`] (idle).
+    fn delivery_envelope(&self, contended: bool) -> u64 {
+        let hop = self.hop_envelope(1, contended);
+        match &self.arq {
+            Some(arq) => arq.config.worst_case_link_delivery(hop),
+            None => hop,
+        }
     }
 
     /// Opens a flow `from → to` carrying `job` and schedules the resulting
@@ -650,10 +800,7 @@ impl<M: Clone> Core<M> {
                 retx: true,
             });
         }
-        self.costs.record_tx(holder, billing_kind, 1, scalars);
-        if let Some(qid) = query {
-            self.costs.attribute_query(qid, 1, scalars);
-        }
+        self.bill(holder, billing_kind, scalars, query);
         let data = EventKind::ArqData {
             seq,
             src,
@@ -665,35 +812,12 @@ impl<M: Clone> Core<M> {
             query,
             xfer,
         };
-        // RTO base: the static delay envelope for per-message links, the
-        // transfer's predicted sojourn under *current contention* for
-        // flow-model links — a congested link legitimately takes longer, and
-        // a static RTO there would retransmit into the very queue that is
-        // the cause of the delay.
-        let delay_estimate = if self.flows.is_some() {
-            if self.flow_hop_drops(holder, next) {
-                // The copy is lost before entering the queue; the RTO is
-                // sized from the contention envelope the retry will face.
-                self.metrics.inc("net.drops.loss");
-                let table = self.flows.as_ref().expect("checked above"); // simlint: allow(no-panic-in-protocol): flows.is_some() checked above, cannot fail
-                table
-                    .horizon(now)
-                    .max(table.uncontended_sojourn(scalars))
-                    .max(1)
-            } else {
-                let finish = self.flow_start(holder, next, scalars, FlowJob::Arq(data));
-                finish.saturating_sub(now).max(1)
-            }
-        } else {
-            match self.link.hop(holder, next, now, &mut self.rng) {
-                HopOutcome::Deliver { delay } => {
-                    self.push(now + delay, next, data);
-                }
-                HopOutcome::Drop => {
-                    self.metrics.inc("net.drops.loss");
-                }
-            }
-            self.link.max_hop_delay()
+        // RTO base: the copy's delivery bound. A copy lost before it enters
+        // a flow queue is sized from the contention envelope its retry
+        // will face.
+        let delay_estimate = match self.fate(holder, next, now, None) {
+            Some(arrive) => self.transmit(holder, next, scalars, arrive, data),
+            None => self.hop_envelope(scalars, true),
         };
         let mut rto = config.rto(attempt, delay_estimate);
         if config.jitter_max > 0 {
@@ -715,25 +839,11 @@ impl<M: Clone> Core<M> {
     /// overhead, not logical messages: they are never traced and never
     /// query-attributed.
     fn arq_send_ack(&mut self, from: usize, to: usize, seq: u64, xfer: u32) {
-        let now = self.now;
-        self.costs.record_tx(from, KIND_ACK, 1, 0);
-        if self.flows.is_some() {
-            if self.flow_hop_drops(from, to) {
-                self.metrics.inc("net.drops.loss");
-                return;
-            }
-            // Acks ride the shared link too (minimum one-scalar demand), so
-            // reverse-path contention delays them honestly.
-            self.flow_start(from, to, 0, FlowJob::Arq(EventKind::ArqAck { seq, xfer }));
-            return;
-        }
-        match self.link.hop(from, to, now, &mut self.rng) {
-            HopOutcome::Deliver { delay } => {
-                self.push(now + delay, to, EventKind::ArqAck { seq, xfer });
-            }
-            HopOutcome::Drop => {
-                self.metrics.inc("net.drops.loss");
-            }
+        self.bill(from, KIND_ACK, 0, None);
+        if let Some(arrive) = self.fate(from, to, self.now, None) {
+            // On a flow link acks ride the shared link too (minimum
+            // one-scalar demand), so reverse-path contention delays them.
+            self.transmit(from, to, 0, arrive, EventKind::ArqAck { seq, xfer });
         }
     }
 }
@@ -788,16 +898,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// `coverage` budgets, recovery timeouts — therefore stretches honestly
     /// as the network congests instead of timing out into a queue.
     pub fn max_delivery_delay(&self) -> u64 {
-        let hop_bound = match &self.core.flows {
-            Some(table) => table
-                .horizon(self.core.now)
-                .max(table.uncontended_sojourn(1)),
-            None => self.core.link.max_hop_delay(),
-        };
-        match &self.core.arq {
-            Some(arq) => arq.config.worst_case_link_delivery(hop_bound),
-            None => hop_bound,
-        }
+        self.core.delivery_envelope(true)
     }
 
     /// The *uncontended* counterpart of [`Ctx::max_delivery_delay`]: the
@@ -812,14 +913,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// compare current congestion against the idle envelope without any
     /// floating point (see `elink_workload::qos::admit_load`).
     pub fn nominal_delivery_delay(&self) -> u64 {
-        let hop_bound = match &self.core.flows {
-            Some(table) => table.uncontended_sojourn(1),
-            None => self.core.link.max_hop_delay(),
-        };
-        match &self.core.arq {
-            Some(arq) => arq.config.worst_case_link_delivery(hop_bound),
-            None => hop_bound,
-        }
+        self.core.delivery_envelope(false)
     }
 
     /// Whether the engine is running the ARQ reliable-delivery sublayer.
@@ -830,7 +924,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// Whether `node` is up right now under the link model (and not forced
     /// dead by the model checker's override).
     pub fn is_alive(&self, node: usize) -> bool {
-        !self.core.dead_override.contains(&node) && self.core.link.is_alive(node, self.core.now)
+        self.core.alive(node, self.core.now)
     }
 
     /// Sends a single-hop message to a direct neighbor. Charged as one
@@ -907,46 +1001,10 @@ impl<'a, M: Clone> Ctx<'a, M> {
             query,
             retx: false,
         });
-        if self.core.flows.is_some() {
-            self.core.costs.record_tx(from, kind, 1, scalars);
-            if let Some(qid) = query {
-                self.core.costs.attribute_query(qid, 1, scalars);
-            }
-            if self.core.flow_hop_drops(from, to) {
-                self.core.metrics.inc("net.drops.loss");
-                self.core.trace(TraceEvent::Drop {
-                    time: now,
-                    from,
-                    to,
-                    reason: DropReason::Loss,
-                    query,
-                });
-                return;
-            }
-            self.core
-                .flow_start(from, to, scalars, FlowJob::Deliver { from, msg, query });
-            return;
-        }
-        let outcome = self.core.link.hop(from, to, now, &mut self.core.rng);
-        self.core.costs.record_tx(from, kind, 1, scalars);
-        if let Some(qid) = query {
-            self.core.costs.attribute_query(qid, 1, scalars);
-        }
-        match outcome {
-            HopOutcome::Deliver { delay } => {
-                self.core
-                    .push(now + delay, to, EventKind::Deliver { from, msg, query });
-            }
-            HopOutcome::Drop => {
-                self.core.metrics.inc("net.drops.loss");
-                self.core.trace(TraceEvent::Drop {
-                    time: now,
-                    from,
-                    to,
-                    reason: DropReason::Loss,
-                    query,
-                });
-            }
+        self.core.bill(from, kind, scalars, query);
+        if let Some(arrive) = self.core.fate(from, to, now, Some((from, to, query))) {
+            let deliver = EventKind::Deliver { from, msg, query };
+            self.core.transmit(from, to, scalars, arrive, deliver);
         }
     }
 
@@ -1035,105 +1093,16 @@ impl<'a, M: Clone> Ctx<'a, M> {
             query,
             retx: false,
         });
-        if self.core.flows.is_some() {
-            // Store-and-forward under contention: open a flow for the first
-            // leg; each leg's completion bills the relay and chains the
-            // next leg (see `Simulator::flow_relay`).
-            let Some(first) = self.core.network.routing().next_hop(src, dst) else {
-                debug_assert!(false, "routable destination without a next hop");
-                return false;
-            };
-            self.core.costs.record_tx(src, kind, 1, scalars);
-            if let Some(qid) = query {
-                self.core.costs.attribute_query(qid, 1, scalars);
-            }
-            if self.core.flow_hop_drops(src, first) {
-                self.core.metrics.inc("net.drops.loss");
-                self.core.trace(TraceEvent::Drop {
-                    time: now,
-                    from: src,
-                    to: dst,
-                    reason: DropReason::Loss,
-                    query,
-                });
-                return true;
-            }
-            self.core.flow_start(
-                src,
-                first,
-                scalars,
-                FlowJob::Relay {
-                    src,
-                    dst,
-                    msg,
-                    kind,
-                    scalars,
-                    query,
-                },
-            );
-            return true;
-        }
-        // Materialize the lazy table up front, then walk it through a
-        // cloned handle so the loop below can borrow `core` mutably.
-        self.core.network.routing();
-        let routing = Arc::clone(&self.core.network.routing);
-        let routing = routing.get().expect("routing table just built"); // simlint: allow(no-panic-in-protocol): populated by the routing() call two lines up, cannot fail
-        let mut cur = src;
-        let mut t = now;
-        loop {
-            let next = routing
-                .next_hop(cur, dst)
-                // simlint: allow(no-panic-in-protocol): hops() returned Some above, so every prefix of the path is routable; a miss is engine corruption, not an injected fault
-                .expect("routing invariant: prefix of a known path");
-            let outcome = self.core.link.hop(cur, next, t, &mut self.core.rng);
-            self.core.costs.record_tx(cur, kind, 1, scalars);
-            if let Some(qid) = query {
-                self.core.costs.attribute_query(qid, 1, scalars);
-            }
-            match outcome {
-                HopOutcome::Deliver { delay } => {
-                    t += delay;
-                    if next == dst {
-                        // Final-hop reception is recorded at dispatch time,
-                        // where liveness is re-checked.
-                        self.core.push(
-                            t,
-                            dst,
-                            EventKind::Deliver {
-                                from: src,
-                                msg,
-                                query,
-                            },
-                        );
-                        return true;
-                    }
-                    if !self.core.link.is_alive(next, t) {
-                        self.core.metrics.inc("net.drops.node_down");
-                        self.core.trace(TraceEvent::Drop {
-                            time: t,
-                            from: src,
-                            to: dst,
-                            reason: DropReason::NodeDown,
-                            query,
-                        });
-                        return true;
-                    }
-                    self.core.costs.record_rx(next);
-                    cur = next;
-                }
-                HopOutcome::Drop => {
-                    self.core.metrics.inc("net.drops.loss");
-                    self.core.trace(TraceEvent::Drop {
-                        time: t,
-                        from: src,
-                        to: dst,
-                        reason: DropReason::Loss,
-                        query,
-                    });
-                    return true;
-                }
-            }
-        }
+        let unicast = Unicast {
+            src,
+            dst,
+            msg,
+            kind,
+            scalars,
+            query,
+        };
+        self.core.forward(src, now, unicast);
+        true
     }
 
     /// Hop distance to another node (`None` if unreachable).
@@ -1202,9 +1171,8 @@ pub struct Simulator<P: Protocol> {
 
 impl<P: Protocol> Simulator<P> {
     /// Creates a simulator over `network` with one protocol instance per
-    /// node. `link` accepts any [`LinkModel`] (or a legacy
-    /// [`DelayModel`](crate::link::DelayModel) as shorthand); `seed` drives
-    /// all link-layer randomness.
+    /// node. `link` accepts any [`LinkModel`]; `seed` drives all link-layer
+    /// randomness.
     ///
     /// # Panics
     /// Panics if `nodes.len()` differs from the topology size.
@@ -1235,7 +1203,7 @@ impl<P: Protocol> Simulator<P> {
             nodes,
             core: Core {
                 now: 0,
-                queue: Scheduler::new(SchedulerKind::Calendar),
+                queue: Scheduler::new(),
                 costs: CostBook::with_nodes(n),
                 metrics,
                 link,
@@ -1271,26 +1239,6 @@ impl<P: Protocol> Simulator<P> {
             free: Vec::new(),
             seen: AcceptedSeqs::new(self.nodes.len()),
         });
-    }
-
-    /// Selects the event-queue backend (default:
-    /// [`SchedulerKind::Calendar`]). Both kinds produce byte-identical
-    /// runs; see [`SchedulerKind`]. Call before the run starts.
-    ///
-    /// # Panics
-    /// Panics if events are already queued (mid-run switches would lose
-    /// them).
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        assert!(
-            !self.started && self.core.queue.is_empty(),
-            "set_scheduler must be called before the run starts"
-        );
-        self.core.queue = Scheduler::new(kind);
-    }
-
-    /// The event-queue backend in force.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.core.queue.kind()
     }
 
     /// High-water mark of simultaneously queued events over the run — the
@@ -1381,44 +1329,24 @@ impl<P: Protocol> Simulator<P> {
             self.flow_fire(time, node, flow, gen);
             return;
         }
-        if self.core.dead_override.contains(&node) || !self.core.link.is_alive(node, time) {
-            match &event_kind {
+        if !self.core.alive(node, time) {
+            let (from, query) = match &event_kind {
                 // Engine-internal ARQ bookkeeping is silent: the sender-side
                 // state is simply lost with the crashed radio.
                 EventKind::ArqRetx { seq, xfer, .. } => {
                     if let Some(arq) = &mut self.core.arq {
                         arq.remove(*xfer, *seq, node);
                     }
+                    return;
                 }
-                EventKind::ArqAck { .. } => {}
+                EventKind::ArqAck { .. } => return,
                 EventKind::ArqData {
                     link_from, query, ..
-                } => {
-                    self.core.metrics.inc("net.drops.node_down");
-                    let (from, query) = (*link_from, *query);
-                    self.core.trace(TraceEvent::Drop {
-                        time,
-                        from,
-                        to: node,
-                        reason: DropReason::NodeDown,
-                        query,
-                    });
-                }
-                _ => {
-                    let (from, query) = match &event_kind {
-                        EventKind::Deliver { from, query, .. } => (*from, *query),
-                        _ => (node, None),
-                    };
-                    self.core.metrics.inc("net.drops.node_down");
-                    self.core.trace(TraceEvent::Drop {
-                        time,
-                        from,
-                        to: node,
-                        reason: DropReason::NodeDown,
-                        query,
-                    });
-                }
-            }
+                } => (*link_from, *query),
+                EventKind::Deliver { from, query, .. } => (*from, *query),
+                _ => (node, None),
+            };
+            self.core.drop_node_down(time, from, node, query);
             return;
         }
         match event_kind {
@@ -1579,102 +1507,11 @@ impl<P: Protocol> Simulator<P> {
                 self.core.metrics.observe("net.flow.sojourn", sojourn);
                 self.core.metrics.set_gauge("net.flows.active", active);
                 match payload {
-                    FlowJob::Deliver { from, msg, query } => {
-                        self.dispatch_event(time, node, EventKind::Deliver { from, msg, query });
-                    }
-                    FlowJob::Relay {
-                        src,
-                        dst,
-                        msg,
-                        kind,
-                        scalars,
-                        query,
-                    } => {
-                        self.flow_relay(time, node, src, dst, msg, kind, scalars, query);
-                    }
-                    FlowJob::Arq(event) => {
-                        self.dispatch_event(time, node, event);
-                    }
+                    FlowJob::Event(event) => self.dispatch_event(time, node, event),
+                    FlowJob::Relay(unicast) => self.core.forward(node, time, unicast),
                 }
             }
         }
-    }
-
-    /// A unicast leg completed at `node` under the flow model: deliver if
-    /// this is the destination, otherwise bill the relay and chain the next
-    /// leg — the store-and-forward mirror of the per-message hop walk in
-    /// `unicast_internal`, with identical billing and drop semantics.
-    #[allow(clippy::too_many_arguments)]
-    // simlint: hot
-    fn flow_relay(
-        &mut self,
-        time: SimTime,
-        node: usize,
-        src: usize,
-        dst: usize,
-        msg: P::Msg,
-        kind: &'static str,
-        scalars: u64,
-        query: Option<QueryId>,
-    ) {
-        if node == dst {
-            // Final-hop reception: the Deliver arm re-checks liveness and
-            // records rx, exactly as the per-message path does.
-            self.dispatch_event(
-                time,
-                node,
-                EventKind::Deliver {
-                    from: src,
-                    msg,
-                    query,
-                },
-            );
-            return;
-        }
-        if self.core.dead_override.contains(&node) || !self.core.link.is_alive(node, time) {
-            self.core.metrics.inc("net.drops.node_down");
-            self.core.trace(TraceEvent::Drop {
-                time,
-                from: src,
-                to: dst,
-                reason: DropReason::NodeDown,
-                query,
-            });
-            return;
-        }
-        self.core.costs.record_rx(node);
-        let Some(next) = self.core.network.routing().next_hop(node, dst) else {
-            debug_assert!(false, "relay without a route to dst");
-            return;
-        };
-        self.core.costs.record_tx(node, kind, 1, scalars);
-        if let Some(qid) = query {
-            self.core.costs.attribute_query(qid, 1, scalars);
-        }
-        if self.core.flow_hop_drops(node, next) {
-            self.core.metrics.inc("net.drops.loss");
-            self.core.trace(TraceEvent::Drop {
-                time,
-                from: src,
-                to: dst,
-                reason: DropReason::Loss,
-                query,
-            });
-            return;
-        }
-        self.core.flow_start(
-            node,
-            next,
-            scalars,
-            FlowJob::Relay {
-                src,
-                dst,
-                msg,
-                kind,
-                scalars,
-                query,
-            },
-        );
     }
 
     /// Current simulated time.
@@ -1715,7 +1552,7 @@ impl<P: Protocol> Simulator<P> {
     /// model checker's dead-node override, see
     /// [`Simulator::set_dead_override`]).
     pub fn is_alive(&self, node: usize) -> bool {
-        !self.core.dead_override.contains(&node) && self.core.link.is_alive(node, self.core.now)
+        self.core.alive(node, self.core.now)
     }
 
     /// Replaces the set of nodes forced dead for liveness queries,
@@ -1947,9 +1784,11 @@ impl<P: Protocol> Simulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{DelayModel, LossyLink};
+    use crate::link::{LossyLink, ScriptedLink, SyncLink};
     use crate::trace::{CountingTrace, RingBufferTrace};
     use elink_topology::Topology;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use std::sync::{Arc, Mutex};
 
     /// Flooding protocol: node 0 floods a token; everyone records receipt
@@ -1985,7 +1824,7 @@ mod tests {
 
     #[test]
     fn flood_reaches_everyone_in_sync_time() {
-        let mut sim = flood_sim(DelayModel::Sync, 0);
+        let mut sim = flood_sim(SyncLink, 0);
         sim.run_to_completion();
         for (v, node) in sim.nodes().iter().enumerate() {
             let expected = sim.network().routing().hops(0, v).unwrap() as u64;
@@ -1995,7 +1834,7 @@ mod tests {
 
     #[test]
     fn flood_message_count_bounded_by_degree_sum() {
-        let mut sim = flood_sim(DelayModel::Sync, 0);
+        let mut sim = flood_sim(SyncLink, 0);
         sim.run_to_completion();
         // Each node broadcasts once: total packets = Σ degree = 2|E| = 48.
         assert_eq!(sim.stats().total_packets(), 48);
@@ -2003,8 +1842,8 @@ mod tests {
 
     #[test]
     fn async_is_deterministic_per_seed() {
-        let mut a = flood_sim(DelayModel::Async { min: 1, max: 5 }, 9);
-        let mut b = flood_sim(DelayModel::Async { min: 1, max: 5 }, 9);
+        let mut a = flood_sim(LossyLink::new(1, 5), 9);
+        let mut b = flood_sim(LossyLink::new(1, 5), 9);
         a.run_to_completion();
         b.run_to_completion();
         let ta: Vec<_> = a.nodes().iter().map(|n| n.seen).collect();
@@ -2015,8 +1854,8 @@ mod tests {
 
     #[test]
     fn async_seeds_change_timing() {
-        let mut a = flood_sim(DelayModel::Async { min: 1, max: 10 }, 1);
-        let mut b = flood_sim(DelayModel::Async { min: 1, max: 10 }, 2);
+        let mut a = flood_sim(LossyLink::new(1, 10), 1);
+        let mut b = flood_sim(LossyLink::new(1, 10), 2);
         a.run_to_completion();
         b.run_to_completion();
         let ta: Vec<_> = a.nodes().iter().map(|n| n.seen).collect();
@@ -2048,7 +1887,7 @@ mod tests {
     fn unicast_charges_scalars_times_hops() {
         let network = SimNetwork::new(Topology::grid(4, 4));
         let nodes = (0..16).map(|_| Uni { got: false }).collect();
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.run_to_completion();
         assert!(sim.nodes()[15].got);
         // 0 -> 15 in a 4x4 grid is 6 hops; 4 scalars per hop.
@@ -2075,7 +1914,7 @@ mod tests {
         }
         let network = SimNetwork::new(Topology::grid(2, 2));
         let nodes = (0..4).map(|_| SelfSend { got: false }).collect();
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.run_to_completion();
         assert!(sim.nodes()[0].got);
         assert_eq!(sim.stats().total_cost(), 0);
@@ -2102,7 +1941,7 @@ mod tests {
     fn timers_fire_at_requested_times() {
         let network = SimNetwork::new(Topology::grid(1, 3));
         let nodes = (0..3).map(|_| Timers { fired_at: None }).collect();
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.run_to_completion();
         assert_eq!(sim.nodes()[0].fired_at, Some(0));
         assert_eq!(sim.nodes()[1].fired_at, Some(10));
@@ -2113,7 +1952,7 @@ mod tests {
     fn run_until_stops_at_deadline() {
         let network = SimNetwork::new(Topology::grid(1, 3));
         let nodes = (0..3).map(|_| Timers { fired_at: None }).collect();
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.run_until(10);
         assert_eq!(sim.nodes()[1].fired_at, Some(10));
         assert_eq!(sim.nodes()[2].fired_at, None);
@@ -2134,7 +1973,7 @@ mod tests {
         }
         let network = SimNetwork::new(Topology::grid(1, 2));
         let nodes = (0..2).map(|_| Sink { got: vec![] }).collect();
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.inject(5, 1, 42);
         sim.inject(3, 1, 7);
         sim.run_to_completion();
@@ -2156,7 +1995,7 @@ mod tests {
             fn on_message(&mut self, _f: usize, _m: (), _c: &mut Ctx<'_, ()>) {}
         }
         let network = SimNetwork::new(Topology::grid(1, 3));
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, vec![Bad, Bad, Bad]);
+        let mut sim = Simulator::new(network, SyncLink, 0, vec![Bad, Bad, Bad]);
         sim.run_to_completion();
     }
 
@@ -2182,7 +2021,7 @@ mod tests {
         let network = SimNetwork::new(Topology::grid(1, 2));
         let mut sim = Simulator::new(
             network,
-            DelayModel::Sync,
+            SyncLink,
             0,
             vec![Order { got: vec![] }, Order { got: vec![] }],
         );
@@ -2204,7 +2043,7 @@ mod tests {
         }
         let network = SimNetwork::new(Topology::grid(3, 3));
         let nodes = (0..9).map(|_| Check).collect();
-        Simulator::new(network, DelayModel::Sync, 0, nodes).run_to_completion();
+        Simulator::new(network, SyncLink, 0, nodes).run_to_completion();
     }
 
     #[test]
@@ -2251,6 +2090,20 @@ mod tests {
         assert!(!sim.nodes()[3].got);
         assert_eq!(sim.stats().kind("uni").packets, 2);
         assert_eq!(sim.stats().kind("uni").cost, 8);
+
+        // Under the model checker's capture seam the crash lives in the
+        // dead-node override, not in the link: the relay must swallow the
+        // unicast all the same.
+        let network = SimNetwork::new(Topology::grid(1, 4));
+        let nodes = (0..4).map(|_| Uni { got: false }).collect();
+        let mut sim = Simulator::new(network, ScriptedLink::pristine(1), 0, nodes);
+        sim.set_dead_override([2]);
+        let boot = sim.capture_boot();
+        assert!(
+            !boot.iter().any(|ev| ev.is_message() && ev.node() == 3),
+            "capture delivered through a dead relay"
+        );
+        assert_eq!(sim.stats().kind("uni").packets, 2);
     }
 
     #[test]
@@ -2269,7 +2122,7 @@ mod tests {
 
     #[test]
     fn per_node_tallies_cover_flood() {
-        let mut sim = flood_sim(DelayModel::Sync, 0);
+        let mut sim = flood_sim(SyncLink, 0);
         sim.run_to_completion();
         let book = sim.costs();
         // Every node broadcast once: tx = its degree; rx = its degree (one
@@ -2290,7 +2143,7 @@ mod tests {
     #[test]
     fn trace_sink_observes_engine_events() {
         let shared = Arc::new(Mutex::new(CountingTrace::new()));
-        let mut sim = flood_sim(DelayModel::Sync, 0);
+        let mut sim = flood_sim(SyncLink, 0);
         sim.set_trace(Arc::clone(&shared));
         sim.run_to_completion();
         let trace = *shared.lock().unwrap();
@@ -2322,7 +2175,7 @@ mod tests {
         let shared = Arc::new(Mutex::new(CountingTrace::new()));
         let network = SimNetwork::new(Topology::grid(1, 4));
         let nodes = (0..4).map(|_| Uni { got: false }).collect();
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.set_trace(Arc::clone(&shared));
         sim.run_to_completion();
         assert!(sim.nodes()[3].got);
@@ -2345,7 +2198,7 @@ mod tests {
     fn engine_metrics_record_unicast_hop_histogram() {
         let network = SimNetwork::new(Topology::grid(4, 4));
         let nodes = (0..16).map(|_| Uni { got: false }).collect();
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.run_to_completion();
         let h = sim.metrics().histogram("net.unicast_hops").unwrap();
         assert_eq!(h.count(), 1);
@@ -2376,7 +2229,7 @@ mod tests {
             }
         }
         let network = SimNetwork::new(Topology::grid(1, 2));
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, vec![Phased, Phased]);
+        let mut sim = Simulator::new(network, SyncLink, 0, vec![Phased, Phased]);
         let elapsed = sim.run_to_completion();
         let p = *sim.metrics().phase("work").unwrap();
         assert_eq!(p.entries, 2);
@@ -2417,7 +2270,7 @@ mod tests {
         let shared = Arc::new(Mutex::new(RingBufferTrace::new(64)));
         let network = SimNetwork::new(Topology::grid(1, 4));
         let nodes = (0..4).map(|_| Tagged).collect();
-        let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+        let mut sim = Simulator::new(network, SyncLink, 0, nodes);
         sim.set_trace(Arc::clone(&shared));
         sim.run_to_completion();
         let book = sim.costs();
@@ -2495,7 +2348,7 @@ mod tests {
         // 0 -> 3 on a 1x4 line: 3 hops, no loss. The payload bill is
         // identical to the unreliable engine (3 packets x 4 scalars) and the
         // only overhead is one 0-scalar ack per link.
-        let mut sim = arq_uni_sim(DelayModel::Sync, 0, 4);
+        let mut sim = arq_uni_sim(SyncLink, 0, 4);
         sim.run_to_completion();
         assert_eq!(sim.nodes()[3].got, 1);
         assert_eq!(sim.stats().kind("uni").packets, 3);
@@ -2725,6 +2578,90 @@ mod tests {
         );
     }
 
+    /// A link wrapper that counts [`LinkModel::hop`] calls.
+    struct CountHops {
+        inner: Box<dyn LinkModel>,
+        calls: Rc<Cell<u64>>,
+    }
+
+    impl LinkModel for CountHops {
+        fn max_hop_delay(&self) -> u64 {
+            self.inner.max_hop_delay()
+        }
+
+        fn hop(
+            &self,
+            from: usize,
+            to: usize,
+            now: SimTime,
+            rng: &mut rand::rngs::StdRng,
+        ) -> HopOutcome {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.hop(from, to, now, rng)
+        }
+
+        fn is_alive(&self, node: usize, time: SimTime) -> bool {
+            self.inner.is_alive(node, time)
+        }
+
+        fn crashed_in_window(&self, node: usize, after: SimTime, upto: SimTime) -> bool {
+            self.inner.crashed_in_window(node, after, upto)
+        }
+
+        fn is_deterministic(&self) -> bool {
+            self.inner.is_deterministic()
+        }
+
+        fn flow_params(&self) -> Option<crate::link::FlowParams> {
+            self.inner.flow_params()
+        }
+    }
+
+    /// One fate per transmission: on every path — protocol sends,
+    /// per-message and store-and-forward unicast legs, ARQ data copies and
+    /// acks, over per-message and flow links — the link is asked exactly
+    /// once for each transmission the cost book bills.
+    #[test]
+    fn every_billed_transmission_rolls_one_fate() {
+        fn check<P: Protocol>(
+            label: &str,
+            link: impl Into<Box<dyn LinkModel>>,
+            build: impl FnOnce(Box<dyn LinkModel>) -> Simulator<P>,
+        ) {
+            let calls = Rc::new(Cell::new(0));
+            let inner = link.into();
+            let mut sim = build(Box::new(CountHops {
+                inner,
+                calls: Rc::clone(&calls),
+            }));
+            sim.run_to_completion();
+            let tx: u64 = sim.costs().nodes().iter().map(|n| n.tx_packets).sum();
+            assert!(tx > 0, "{label}: nothing was transmitted");
+            assert_eq!(
+                calls.get(),
+                tx,
+                "{label}: hop calls vs billed transmissions"
+            );
+        }
+        let flood = |link: Box<dyn LinkModel>| flood_sim(link, 0);
+        let uni = |link: Box<dyn LinkModel>| {
+            let nodes = (0..16).map(|_| Uni { got: false }).collect();
+            Simulator::new(SimNetwork::new(Topology::grid(4, 4)), link, 3, nodes)
+        };
+        check("SyncLink flood", SyncLink, flood);
+        check("per-message unicast", LossyLink::new(1, 3), uni);
+        let lossy = LossyLink::new(1, 2).with_drop_prob(0.3);
+        check("LossyLink + ARQ", lossy.clone(), |link| {
+            arq_uni_sim(link, 1, 5)
+        });
+        check("FairShareLink unicast", FairShareLink::new(1), uni);
+        check(
+            "LossyLink with capacity + ARQ",
+            lossy.with_capacity(1),
+            |link| arq_uni_sim(link, 2, 5),
+        );
+    }
+
     // ---- flow-model (FairShareLink) integration ------------------------
 
     use crate::flow::FairShareLink;
@@ -2734,7 +2671,7 @@ mod tests {
         // Single-flow degenerate case: with no contention every hop costs
         // exactly the one-tick service floor — identical receipt times and
         // wire bill to SyncLink.
-        let mut sync = flood_sim(DelayModel::Sync, 0);
+        let mut sync = flood_sim(SyncLink, 0);
         let mut flow = flood_sim(FairShareLink::unlimited(), 0);
         sync.run_to_completion();
         flow.run_to_completion();
@@ -2817,33 +2754,6 @@ mod tests {
         assert_eq!(sim.nodes()[3].got, 1);
         assert_eq!(sim.metrics().counter("net.retx"), 0);
         assert_eq!(sim.metrics().counter("net.timeout"), 0);
-    }
-
-    #[test]
-    fn flow_runs_identical_across_scheduler_backends() {
-        let run = |kind: SchedulerKind| {
-            let network = SimNetwork::new(Topology::grid(4, 4));
-            let nodes = (0..16).map(|_| Flood { seen: None }).collect();
-            let mut sim = Simulator::new(network, FairShareLink::new(2), 11, nodes);
-            sim.set_scheduler(kind);
-            let trace = Arc::new(Mutex::new(CountingTrace::new()));
-            sim.set_trace(Arc::clone(&trace));
-            sim.run_to_completion();
-            let counts = *trace.lock().unwrap();
-            (
-                sim.now(),
-                sim.stats().total_cost(),
-                sim.nodes().iter().map(|n| n.seen).collect::<Vec<_>>(),
-                counts.sends,
-                counts.delivers,
-                sim.metrics().counter("net.queued_ms"),
-            )
-        };
-        assert_eq!(
-            run(SchedulerKind::Heap),
-            run(SchedulerKind::Calendar),
-            "flow runs must be byte-identical across scheduler backends"
-        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! 1. **settles** elapsed progress (`rate × elapsed`, exact integer
 //!    arithmetic) against each flow's remaining demand,
 //! 2. **recomputes** each unfinished flow's predicted completion
-//!    `now + ⌈remaining / rate⌉ + base_delay`, and
+//!    `now + ⌈remaining / rate⌉`, and
 //! 3. **reschedules** a *tentative completion event* for every flow whose
 //!    prediction moved, bumping the flow's generation counter so the
 //!    previously queued event is recognized as stale and ignored when it
@@ -34,8 +34,7 @@
 //! transition are exact: a completion event that fires with a current
 //! generation finds its flow's remaining demand at exactly zero. No floats
 //! ever enter an event key, and the scheduler's `(time, seq)` order is the
-//! only tiebreak — the model is byte-identical across
-//! [`SchedulerKind`](crate::SchedulerKind) backends and across reruns.
+//! only tiebreak — the model is byte-identical across reruns.
 //!
 //! A flow whose prediction *did not* move keeps its original queued event —
 //! and therefore its original queue position. This is what makes the
@@ -43,7 +42,7 @@
 //! [`FairShareLink::unlimited`] and the differential proptests): with
 //! infinite capacity every prediction is `now + 1` forever, nothing is
 //! ever invalidated, and the event stream is byte-identical to
-//! [`AsyncUniformLink`](crate::AsyncUniformLink) with zero jitter.
+//! [`SyncLink`](crate::SyncLink)'s.
 //!
 //! # Data layout
 //!
@@ -104,8 +103,8 @@ use rand::rngs::StdRng;
 /// ```
 /// use elink_netsim::{FairShareLink, LinkModel};
 ///
-/// // 8 scalars/tick per directed link, no propagation delay beyond the
-/// // one-tick service floor.
+/// // 8 scalars/tick per directed link; every transfer takes at least
+/// // the one-tick service floor.
 /// let link = FairShareLink::new(8);
 /// assert!(link.flow_params().is_some());
 /// assert!(link.is_deterministic());
@@ -118,9 +117,7 @@ use rand::rngs::StdRng;
 /// assert_eq!(params.capacity_milli, 8_000);
 /// ```
 ///
-/// With [`FairShareLink::with_base_delay`] every transfer additionally
-/// pays a fixed propagation tail after its service completes; with
-/// [`FairShareLink::with_delay_cap`] the advertised
+/// With [`FairShareLink::with_delay_cap`] the advertised
 /// [`max_hop_delay`](LinkModel::max_hop_delay) envelope is tuned (it is a
 /// *nominal* timeout envelope — queueing delay is unbounded under
 /// overload, so protocols should prefer the contention-aware
@@ -129,16 +126,13 @@ use rand::rngs::StdRng;
 pub struct FairShareLink {
     /// Link capacity in payload scalars per tick (≥ 1).
     capacity: u64,
-    /// Fixed propagation tail added after a transfer's service completes.
-    base_delay: u64,
     /// Advertised `max_hop_delay` envelope (nominal, not a hard bound).
     delay_cap: u64,
 }
 
 impl FairShareLink {
     /// A fair-sharing link of `capacity` payload scalars per tick per
-    /// directed link, zero propagation tail, and the default nominal delay
-    /// envelope of 1024 ticks.
+    /// directed link and the default nominal delay envelope of 1024 ticks.
     ///
     /// # Panics
     /// Panics if `capacity` is zero — a zero-capacity link can never
@@ -151,39 +145,26 @@ impl FairShareLink {
         );
         FairShareLink {
             capacity,
-            base_delay: 0,
             delay_cap: 1024,
         }
     }
 
     /// Effectively infinite capacity: every transfer is served in the
     /// one-tick floor regardless of concurrency. Useful as the degenerate
-    /// baseline — byte-identical to
-    /// [`AsyncUniformLink`](crate::AsyncUniformLink) with `min == max == 1`
-    /// (zero jitter), which the differential proptests pin.
+    /// baseline — byte-identical to [`SyncLink`](crate::SyncLink), which
+    /// the differential proptests pin.
     pub fn unlimited() -> Self {
         // Divided by 1000 so capacity_milli cannot overflow u64.
         FairShareLink::new(u64::MAX / 1000)
     }
 
-    /// Adds a fixed propagation tail: a transfer is delivered `base_delay`
-    /// ticks after its (contended) service completes.
-    pub fn with_base_delay(mut self, base_delay: u64) -> Self {
-        self.base_delay = base_delay;
-        self.delay_cap = self.delay_cap.max(base_delay + 1);
-        self
-    }
-
     /// Overrides the nominal [`max_hop_delay`](LinkModel::max_hop_delay)
-    /// envelope (must exceed the base delay). This value feeds legacy
+    /// envelope (at least one tick). This value feeds legacy
     /// static timeout math only; queueing delay under overload is
     /// unbounded, and contention-aware protocols should consult
     /// [`Ctx::max_delivery_delay`](crate::Ctx::max_delivery_delay).
     pub fn with_delay_cap(mut self, delay_cap: u64) -> Self {
-        assert!(
-            delay_cap > self.base_delay,
-            "delay cap must exceed the base delay"
-        );
+        assert!(delay_cap >= 1, "delay cap must be at least one tick");
         self.delay_cap = delay_cap;
         self
     }
@@ -199,13 +180,11 @@ impl LinkModel for FairShareLink {
         self.delay_cap
     }
 
-    /// Uncontended fallback only: the engine never consults `hop()` for a
-    /// link that advertises [`FlowParams`] — transmissions go through the
+    /// Every transmission survives; the engine ignores the delay of a link
+    /// that advertises [`FlowParams`] and prices the transfer through the
     /// flow table instead.
     fn hop(&self, _from: usize, _to: usize, _now: SimTime, _rng: &mut StdRng) -> HopOutcome {
-        HopOutcome::Deliver {
-            delay: self.base_delay.max(1),
-        }
+        HopOutcome::Deliver { delay: 1 }
     }
 
     fn is_deterministic(&self) -> bool {
@@ -215,7 +194,6 @@ impl LinkModel for FairShareLink {
     fn flow_params(&self) -> Option<FlowParams> {
         Some(FlowParams {
             capacity_milli: self.capacity.saturating_mul(1000),
-            base_delay: self.base_delay,
         })
     }
 }
@@ -267,7 +245,7 @@ pub struct LinkUtil {
 struct Flow<T> {
     /// Dense index of the directed link the flow occupies.
     link: usize,
-    /// Remaining service demand (milli-scalars); 0 = in propagation tail.
+    /// Remaining service demand (milli-scalars); 0 = service complete.
     remaining_milli: u64,
     /// Generation of the currently valid tentative-completion event.
     gen: u32,
@@ -275,7 +253,7 @@ struct Flow<T> {
     predicted_finish: SimTime,
     /// Tick the flow was started.
     enqueued: SimTime,
-    /// Service + propagation ticks the transfer would take alone.
+    /// Service ticks the transfer would take alone.
     uncontended: u64,
     /// Engine continuation delivered on completion.
     payload: T,
@@ -396,13 +374,13 @@ impl<T> FlowTable<T> {
     /// Recomputes predicted completions for every unfinished flow on a
     /// link and appends reschedules for those whose prediction moved
     /// (bumping their generation, which invalidates the queued event).
-    /// Flows already in their propagation tail (`remaining == 0`) keep
-    /// their prediction and their queued event untouched.
+    /// Flows whose service already completed (`remaining == 0`, their
+    /// completion event due this tick) keep their prediction and their
+    /// queued event untouched.
     fn recompute(
         flows: &mut [Option<Flow<T>>],
         state: &LinkState,
         rate: u64,
-        base_delay: u64,
         now: SimTime,
         out: &mut Vec<FlowResched>,
     ) {
@@ -415,7 +393,7 @@ impl<T> FlowTable<T> {
                 continue;
             }
             let service = flow.remaining_milli.div_ceil(rate);
-            let finish = now + service + base_delay;
+            let finish = now + service;
             if finish != flow.predicted_finish {
                 flow.gen = flow.gen.wrapping_add(1);
                 flow.predicted_finish = finish;
@@ -441,12 +419,9 @@ impl<T> FlowTable<T> {
         out: &mut Vec<FlowResched>,
     ) -> SimTime {
         let link = self.link_index(from, to);
-        let FlowParams {
-            capacity_milli,
-            base_delay,
-        } = self.params;
+        let capacity_milli = self.params.capacity_milli;
         let size_milli = scalars.max(1).saturating_mul(1000);
-        let uncontended = size_milli.div_ceil(capacity_milli).max(1) + base_delay;
+        let uncontended = size_milli.div_ceil(capacity_milli).max(1);
 
         let state = &mut self.links[link];
         if state.flows.is_empty() {
@@ -489,7 +464,7 @@ impl<T> FlowTable<T> {
         self.peak_active = self.peak_active.max(self.active);
 
         let rate = fair_share(capacity_milli, state.flows.len());
-        Self::recompute(&mut self.flows, state, rate, base_delay, now, out);
+        Self::recompute(&mut self.flows, state, rate, now, out);
         self.flows[slot as usize]
             .as_ref()
             .map_or(now + 1, |f| f.predicted_finish)
@@ -513,10 +488,7 @@ impl<T> FlowTable<T> {
             Some(Some(flow)) if flow.gen == gen => flow.link,
             _ => return FlowFired::Stale,
         };
-        let FlowParams {
-            capacity_milli,
-            base_delay,
-        } = self.params;
+        let capacity_milli = self.params.capacity_milli;
         let state = &mut self.links[link];
         let rate = fair_share(capacity_milli, state.flows.len());
         Self::settle(&mut self.flows, state, rate, now);
@@ -537,7 +509,7 @@ impl<T> FlowTable<T> {
         self.active -= 1;
 
         let rate = fair_share(capacity_milli, state.flows.len());
-        Self::recompute(&mut self.flows, state, rate, base_delay, now, out);
+        Self::recompute(&mut self.flows, state, rate, now, out);
 
         let sojourn = now.saturating_sub(flow.enqueued);
         FlowFired::Done {
@@ -561,11 +533,11 @@ impl<T> FlowTable<T> {
             .unwrap_or(0)
     }
 
-    /// Uncontended sojourn of a `scalars`-sized transfer: solo service
-    /// time plus the propagation tail, never below one tick.
+    /// Uncontended sojourn of a `scalars`-sized transfer: its solo service
+    /// time, never below one tick.
     pub fn uncontended_sojourn(&self, scalars: u64) -> u64 {
         let size_milli = scalars.max(1).saturating_mul(1000);
-        size_milli.div_ceil(self.params.capacity_milli).max(1) + self.params.base_delay
+        size_milli.div_ceil(self.params.capacity_milli).max(1)
     }
 
     /// Number of transfers currently in flight.
@@ -616,11 +588,7 @@ impl<T> FlowTable<T> {
     pub fn canonical(&self, now: SimTime) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "fl[c{} b{}",
-            self.params.capacity_milli, self.params.base_delay
-        );
+        let _ = write!(out, "fl[c{}", self.params.capacity_milli);
         for ((from, to), state) in self.links_ascending() {
             if state.flows.is_empty() {
                 continue;
@@ -658,11 +626,10 @@ mod tests {
     use super::*;
     use std::collections::{BTreeMap, BTreeSet};
 
-    fn table(capacity: u64, base_delay: u64) -> FlowTable<&'static str> {
+    fn table(capacity: u64) -> FlowTable<&'static str> {
         FlowTable::new(
             FlowParams {
                 capacity_milli: capacity * 1000,
-                base_delay,
             },
             4,
         )
@@ -676,7 +643,7 @@ mod tests {
 
     #[test]
     fn solo_flow_serves_at_full_capacity() {
-        let mut t = table(4, 0);
+        let mut t = table(4);
         let mut out = Vec::new();
         // 8 scalars at 4/tick: 2 ticks of service.
         assert_eq!(t.start(0, 1, 8, 10, "a", &mut out), 12);
@@ -700,7 +667,7 @@ mod tests {
 
     #[test]
     fn two_flows_share_the_link_equally() {
-        let mut t = table(2, 0);
+        let mut t = table(2);
         let mut out = Vec::new();
         // Two 2-scalar transfers, same tick: alone each takes 1 tick;
         // sharing, each gets 1 scalar/tick and takes 2.
@@ -729,7 +696,7 @@ mod tests {
 
     #[test]
     fn late_arrival_slows_only_the_remaining_work() {
-        let mut t = table(2, 0);
+        let mut t = table(2);
         let mut out = Vec::new();
         // a: 4 scalars at 2/tick = 2 ticks solo, starting at 0.
         assert_eq!(t.start(0, 1, 4, 0, "a", &mut out), 2);
@@ -747,7 +714,7 @@ mod tests {
 
     #[test]
     fn departure_speeds_up_survivors() {
-        let mut t = table(2, 0);
+        let mut t = table(2);
         let mut out = Vec::new();
         // a: 2 scalars, b: 6 scalars, both at tick 0. Shared at 1/tick:
         // a done at 2; b then owns the link (4 milli-k left at 2/tick).
@@ -771,7 +738,7 @@ mod tests {
 
     #[test]
     fn links_are_independent() {
-        let mut t = table(1, 0);
+        let mut t = table(1);
         let mut out = Vec::new();
         // Three different directed links: nobody shares, all finish in 1.
         assert_eq!(t.start(0, 1, 1, 0, "a", &mut out), 1);
@@ -782,26 +749,6 @@ mod tests {
             3,
             "one event per flow, no cross-link invalidation"
         );
-    }
-
-    #[test]
-    fn base_delay_is_a_serial_tail() {
-        let mut t = table(2, 3);
-        let mut out = Vec::new();
-        assert_eq!(
-            t.start(0, 1, 2, 0, "a", &mut out),
-            4,
-            "1 tick service + 3 ticks tail"
-        );
-        match t.fire(0, 1, 4, &mut out) {
-            FlowFired::Done {
-                sojourn, queued, ..
-            } => {
-                assert_eq!(sojourn, 4);
-                assert_eq!(queued, 0, "tail is part of the uncontended time");
-            }
-            FlowFired::Stale => panic!("valid"),
-        }
     }
 
     #[test]
@@ -826,7 +773,7 @@ mod tests {
 
     #[test]
     fn flow_arriving_and_finishing_within_one_tick_takes_the_floor() {
-        let mut t = table(1000, 0);
+        let mut t = table(1000);
         let mut out = Vec::new();
         // A 1-scalar transfer on a 1000-scalar/tick link: service rounds
         // up to the one-tick floor — a flow never finishes the tick it
@@ -840,7 +787,7 @@ mod tests {
 
     #[test]
     fn stale_generations_never_validate_across_slot_reuse() {
-        let mut t = table(1, 0);
+        let mut t = table(1);
         let mut out = Vec::new();
         t.start(0, 1, 1, 0, "a", &mut out);
         assert!(matches!(t.fire(0, 1, 1, &mut out), FlowFired::Done { .. }));
@@ -855,7 +802,7 @@ mod tests {
 
     #[test]
     fn horizon_tracks_the_latest_predicted_finish() {
-        let mut t = table(1, 0);
+        let mut t = table(1);
         let mut out = Vec::new();
         assert_eq!(t.horizon(0), 0);
         t.start(0, 1, 3, 0, "a", &mut out);
@@ -871,7 +818,7 @@ mod tests {
         // transition the horizon must equal the largest remaining sojourn
         // of a mirror built from the reschedule stream alone.
         let links = [(0, 1), (1, 2), (2, 0), (1, 0)];
-        let mut t = table(2, 1);
+        let mut t = table(2);
         let mut out = Vec::new();
         // slot → latest predicted finish, for flows still in flight.
         let mut live: BTreeMap<u32, SimTime> = BTreeMap::new();
@@ -924,7 +871,7 @@ mod tests {
         // solo flow at a time: their dense link indices differ, while every
         // counter, slot and generation watermark ends up the same.
         let warm = |order: [(usize, usize); 2]| {
-            let mut t = table(1, 0);
+            let mut t = table(1);
             let mut out = Vec::new();
             for (now, (from, to)) in (0..).zip(order) {
                 t.start(from, to, 1, now, "warm", &mut out);
@@ -961,7 +908,7 @@ mod tests {
 
     #[test]
     fn utilization_counters_accumulate() {
-        let mut t = table(2, 0);
+        let mut t = table(2);
         let mut out = Vec::new();
         t.start(0, 1, 2, 0, "a", &mut out);
         t.start(0, 1, 2, 0, "b", &mut out);

@@ -13,8 +13,8 @@
 //!                      │  on_start / on_message / on_timer
 //!                      ▼
 //!  ┌──────────────────────────────────────────────────────────────────┐
-//!  │ engine   event queue + run loop; Ctx handle (send, unicast,      │
-//!  │          broadcast_neighbors, timers, neighbors &[u32],         │
+//!  │ engine   calendar-queue scheduler + run loop; Ctx handle (send,  │
+//!  │          unicast, broadcast_neighbors, timers, neighbors &[u32],│
 //!  │          metrics/phase_enter/phase_exit)                        │
 //!  └────┬──────────────┬────────────────┬───────────────┬────────────┘
 //!       │ hop()/       │ record_tx/     │ every event   │ counters,
@@ -23,28 +23,30 @@
 //!  ┌──────────┐  ┌───────────┐   ┌─────────────┐  ┌─────────────┐
 //!  │ link     │  │ stats     │   │ trace       │  │ metrics     │
 //!  │ SyncLink │  │ CostBook  │   │ TraceSink   │  │ Metrics     │
-//!  │ AsyncUni…│  │ ├ per-kind│   │ ├ RingBuffer│  │ ├ Histogram │
-//!  │ LossyLink│  │ │ (§8.2)  │   │ ├ Counting  │  │ └ PhaseStats│
+//!  │ LossyLink│  │ ├ per-kind│   │ ├ RingBuffer│  │ ├ Histogram │
+//!  │ FairShare│  │ │ (§8.2)  │   │ ├ Counting  │  │ └ PhaseStats│
 //!  │ (+crash, │  │ └ per-node│   │ └ Jsonl     │  │  (sim-time  │
 //!  │  loss,   │  │   tx/rx/  │   │  (optional) │  │   only)     │
 //!  │  partition)  │   energy  │   └─────────────┘  └─────────────┘
 //!  └──────────┘  └───────────┘
 //! ```
 //!
-//! * [`engine`] owns the event queue and dispatch loop. Protocols implement
-//!   [`Protocol`] and interact through [`Ctx`]. One hop = one `LinkModel`
-//!   decision; multi-hop [`Ctx::unicast`] walks the shortest path hop by
-//!   hop.
-//! * [`link`] decides per-hop fate: [`SyncLink`] (one tick per hop, §4),
-//!   [`AsyncUniformLink`] (bounded uniform delays, §5), and [`LossyLink`]
-//!   (drop probability, scheduled node crash/recover windows, partition
-//!   masks) — all seeded and deterministic. The legacy [`DelayModel`] enum
-//!   remains as config shorthand and converts `Into<Box<dyn LinkModel>>`.
-//! * [`flow`] is the contention-aware fourth model: [`FairShareLink`]
+//! * [`engine`] owns the dispatch loop over the [`scheduler`]'s calendar
+//!   queue. Protocols implement [`Protocol`] and interact through [`Ctx`].
+//!   Every radio transmission — a send, a unicast leg, an ARQ data copy
+//!   or ack — takes one path: it is billed once and asks the link for its
+//!   fate once (one [`LinkModel::hop`] call). Multi-hop [`Ctx::unicast`]
+//!   walks the shortest path hop by hop.
+//! * [`link`] decides per-hop fate: [`SyncLink`] (one tick per hop, §4)
+//!   and [`LossyLink`] (bounded uniform delays, §5, plus drop probability,
+//!   scheduled node crash/recover windows and partition masks) — both
+//!   seeded and deterministic — and [`ScriptedLink`] for model-checker
+//!   replay.
+//! * [`flow`] is the contention-aware model: [`FairShareLink`]
 //!   gives each directed link an integer capacity shared max-min-fairly
 //!   across in-flight transfers. A link advertising
 //!   [`link::FlowParams`] switches the engine from per-message `hop()`
-//!   pricing to a [`FlowTable`] of tentative-completion events —
+//!   delays to a [`FlowTable`] of tentative-completion events —
 //!   messages queue behind each other, [`Ctx::max_delivery_delay`]
 //!   stretches with the backlog, and `net.queued_ms` /
 //!   [`Simulator::link_utilization`] expose the congestion. See
@@ -92,13 +94,13 @@ pub mod engine;
 pub mod flat;
 /// Flow-level contention model: fair-shared link capacity (`FairShareLink`).
 pub mod flow;
-/// Per-hop link models: sync, bounded-async, lossy, scripted.
+/// Per-hop link models: sync, bounded-delay lossy, scripted.
 pub mod link;
 /// Deterministic counters, gauges, histograms and phase spans.
 pub mod metrics;
 /// ARQ sublayer configuration and retransmission timing policy.
 pub mod reliable;
-/// Event schedulers: binary heap and calendar queue.
+/// The calendar-queue event scheduler.
 pub mod scheduler;
 /// Unified cost accounting (`CostBook`): per-kind and per-node bills.
 pub mod stats;
@@ -109,13 +111,10 @@ pub use canon::{canon_f64, fnv1a, Canonicalize};
 pub use engine::{Ctx, FlowsSnapshot, McEvent, Protocol, QueryId, SimNetwork, SimTime, Simulator};
 pub use flat::{FlatMap, FlatSet};
 pub use flow::{FairShareLink, FlowTable, LinkUtil};
-pub use link::{
-    AsyncUniformLink, DelayModel, FlowParams, HopOutcome, LinkModel, LossyLink, ScriptedLink,
-    SyncLink,
-};
+pub use link::{FlowParams, HopOutcome, LinkModel, LossyLink, ScriptedLink, SyncLink};
 pub use metrics::{Histogram, Metrics, PhaseGuard, PhaseStats};
 pub use reliable::{ArqConfig, KIND_ACK, KIND_RETX};
-pub use scheduler::{EventHandle, Scheduler, SchedulerKind};
+pub use scheduler::{EventHandle, Scheduler};
 pub use stats::{
     qid_kind, CostBook, KindStats, MessageStats, NodeStats, QID_SUB_CONTROL, QID_SUB_PUSH,
     QID_SUB_REPAIR,

@@ -3,9 +3,10 @@
 //! A [`LinkModel`] decides, for every attempted hop, whether the transmission
 //! is delivered (and after what delay) or dropped, and whether a node is up
 //! at a given time. All decisions are driven by the engine's seeded RNG, so a
-//! run is fully deterministic per seed. The legacy [`DelayModel`] enum is
-//! kept as configuration shorthand and converts into the two loss-free
-//! models via `From`.
+//! run is fully deterministic per seed. [`SyncLink`] is §4's one-tick
+//! network, [`LossyLink`] covers §5's bounded delays (`LossyLink::new(min,
+//! max)` with no faults) and adds loss, crashes and partitions, and
+//! [`ScriptedLink`] replays model-checker schedules.
 
 use crate::engine::SimTime;
 use rand::rngs::StdRng;
@@ -32,9 +33,6 @@ pub struct FlowParams {
     /// message of `s` payload scalars carries `max(1, s) × 1000`
     /// milli-scalars of service demand.
     pub capacity_milli: u64,
-    /// Fixed propagation tail (ticks) added after a transfer's service
-    /// completes.
-    pub base_delay: u64,
 }
 
 /// Per-hop behaviour of the network: latency, loss, and node liveness.
@@ -48,6 +46,9 @@ pub trait LinkModel {
     fn max_hop_delay(&self) -> u64;
 
     /// Decides the fate of a transmission `from → to` started at `now`.
+    /// The engine calls it exactly once per radio transmission — every
+    /// protocol send, unicast leg, ARQ data copy and ack — and bills that
+    /// transmission whatever the outcome.
     fn hop(&self, from: usize, to: usize, now: SimTime, rng: &mut StdRng) -> HopOutcome;
 
     /// Whether `node` is up at `time`. Dead nodes receive no deliveries and
@@ -76,39 +77,14 @@ pub trait LinkModel {
     }
 
     /// `Some` iff this is a flow-level (capacity-sharing) model. When a
-    /// link advertises flow parameters, the engine stops calling
-    /// [`LinkModel::hop`] and instead prices every transmission through
-    /// its [`FlowTable`](crate::FlowTable) — messages share the link's
+    /// link advertises flow parameters, the engine still asks
+    /// [`LinkModel::hop`] whether each transmission survives, but ignores
+    /// its delay and prices the transmission through its
+    /// [`FlowTable`](crate::FlowTable) instead — messages share the link's
     /// capacity and queue behind each other. Per-message models keep the
     /// default `None`.
     fn flow_params(&self) -> Option<FlowParams> {
         None
-    }
-}
-
-/// Per-hop delay model (legacy configuration shorthand; loss-free).
-#[derive(Debug, Clone, Copy)]
-pub enum DelayModel {
-    /// Synchronous network: every hop takes exactly one tick.
-    Sync,
-    /// Asynchronous network: every hop takes a uniform random delay in
-    /// `[min, max]` ticks (inclusive), sampled deterministically from the
-    /// simulator seed.
-    Async {
-        /// Minimum hop delay (≥ 1).
-        min: u64,
-        /// Maximum hop delay (≥ min).
-        max: u64,
-    },
-}
-
-impl DelayModel {
-    /// The largest possible hop delay under this model.
-    pub fn max_hop_delay(&self) -> u64 {
-        match self {
-            DelayModel::Sync => 1,
-            DelayModel::Async { max, .. } => *max,
-        }
     }
 }
 
@@ -144,55 +120,6 @@ impl LinkModel for SyncLink {
     }
 }
 
-/// Asynchronous loss-free links: uniform random per-hop delay in
-/// `[min, max]` ticks (§5's bounded asynchronous setting).
-///
-/// # Examples
-///
-/// ```
-/// use elink_netsim::{AsyncUniformLink, HopOutcome, LinkModel};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let link = AsyncUniformLink::new(2, 7);
-/// let mut rng = StdRng::seed_from_u64(1);
-/// // Each hop draws a delay from the seeded RNG, always within bounds.
-/// match link.hop(0, 1, 0, &mut rng) {
-///     HopOutcome::Deliver { delay } => assert!((2..=7).contains(&delay)),
-///     HopOutcome::Drop => unreachable!("loss-free model never drops"),
-/// }
-/// assert_eq!(link.max_hop_delay(), 7);
-/// // With min == max the draw is degenerate: a fixed-delay network.
-/// let fixed = AsyncUniformLink::new(3, 3);
-/// assert_eq!(fixed.hop(0, 1, 0, &mut rng), HopOutcome::Deliver { delay: 3 });
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct AsyncUniformLink {
-    /// Minimum hop delay (≥ 1).
-    pub min: u64,
-    /// Maximum hop delay (≥ min).
-    pub max: u64,
-}
-
-impl AsyncUniformLink {
-    /// Uniform delays in `[min, max]` ticks.
-    pub fn new(min: u64, max: u64) -> Self {
-        assert!(min >= 1 && max >= min, "need 1 <= min <= max");
-        AsyncUniformLink { min, max }
-    }
-}
-
-impl LinkModel for AsyncUniformLink {
-    fn max_hop_delay(&self) -> u64 {
-        self.max
-    }
-
-    fn hop(&self, _from: usize, _to: usize, _now: SimTime, rng: &mut StdRng) -> HopOutcome {
-        HopOutcome::Deliver {
-            delay: rng.gen_range(self.min..=self.max),
-        }
-    }
-}
-
 /// A scheduled node outage.
 #[derive(Debug, Clone, Copy)]
 struct Crash {
@@ -213,9 +140,10 @@ struct Partition {
     until: Option<SimTime>,
 }
 
-/// Lossy/faulty links: bounded uniform delays plus independent per-hop drop
-/// probability, scheduled node crashes, and an optional partition window.
-/// All randomness comes from the engine's seeded RNG.
+/// Bounded-delay links, §5's asynchronous setting: a uniform per-hop delay
+/// in `[min, max]`, plus optional independent per-hop drop probability,
+/// scheduled node crashes, and a partition window. All randomness comes
+/// from the engine's seeded RNG; `min == max` draws no delay.
 ///
 /// # Examples
 ///
@@ -363,7 +291,6 @@ impl LinkModel for LossyLink {
     fn flow_params(&self) -> Option<FlowParams> {
         self.capacity.map(|capacity| FlowParams {
             capacity_milli: capacity.saturating_mul(1000),
-            base_delay: 0,
         })
     }
 }
@@ -460,23 +387,8 @@ impl From<ScriptedLink> for Box<dyn LinkModel> {
     }
 }
 
-impl From<DelayModel> for Box<dyn LinkModel> {
-    fn from(delay: DelayModel) -> Self {
-        match delay {
-            DelayModel::Sync => Box::new(SyncLink),
-            DelayModel::Async { min, max } => Box::new(AsyncUniformLink::new(min, max)),
-        }
-    }
-}
-
 impl From<SyncLink> for Box<dyn LinkModel> {
     fn from(link: SyncLink) -> Self {
-        Box::new(link)
-    }
-}
-
-impl From<AsyncUniformLink> for Box<dyn LinkModel> {
-    fn from(link: AsyncUniformLink) -> Self {
         Box::new(link)
     }
 }
@@ -507,7 +419,7 @@ mod tests {
 
     #[test]
     fn async_link_stays_in_bounds() {
-        let link = AsyncUniformLink::new(2, 7);
+        let link = LossyLink::new(2, 7);
         let mut rng = StdRng::seed_from_u64(1);
         for t in 0..500 {
             match link.hop(0, 1, t, &mut rng) {
@@ -586,14 +498,6 @@ mod tests {
             link.hop(2, 3, 15, &mut rng),
             HopOutcome::Deliver { .. }
         ));
-    }
-
-    #[test]
-    fn delay_model_converts_to_link_models() {
-        let sync: Box<dyn LinkModel> = DelayModel::Sync.into();
-        assert_eq!(sync.max_hop_delay(), 1);
-        let asym: Box<dyn LinkModel> = DelayModel::Async { min: 1, max: 5 }.into();
-        assert_eq!(asym.max_hop_delay(), 5);
     }
 
     #[test]

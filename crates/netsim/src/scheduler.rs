@@ -1,26 +1,18 @@
-//! Event-queue backends: the legacy binary heap and the memory-lean
-//! calendar queue.
+//! The engine's event queue: a slab arena of event records plus a
+//! bucketed-wheel calendar queue.
 //!
 //! The engine schedules every future event — protocol deliveries, timers,
-//! ARQ bookkeeping — through one [`Scheduler`]. Two interchangeable
-//! backends implement the same total order `(time, seq)` (FIFO within a
-//! tick, by global push sequence):
-//!
-//! * [`SchedulerKind::Heap`] — the original `BinaryHeap<Reverse<Event>>`
-//!   with full event payloads stored inline in the heap nodes. Every
-//!   push/pop sifts `O(log n)` fat elements; kept as the differential
-//!   baseline.
-//! * [`SchedulerKind::Calendar`] — a slab arena of event records addressed
-//!   by integer [`EventHandle`]s plus a bucketed-wheel calendar queue
-//!   ([`Scheduler::WHEEL_BUCKETS`] one-tick buckets). Push and pop are
-//!   `O(1)` amortized; the heap degenerates to a small overflow pile for
-//!   events scheduled beyond the wheel horizon.
+//! ARQ bookkeeping, flow completions — through one [`Scheduler`]. Events
+//! pop in the total order `(time, seq)`: by time, and FIFO within a tick by
+//! one monotone push sequence. Records live in a free-listed slab addressed
+//! by integer [`EventHandle`]s; the wheel has [`Scheduler::WHEEL_BUCKETS`]
+//! one-tick buckets, so push and pop are `O(1)` amortized, and events
+//! scheduled beyond the wheel horizon wait in an overflow heap.
 //!
 //! # Determinism
 //!
-//! Both backends pop in strictly increasing `(time, seq)` order, where
-//! `seq` is assigned at push time from one monotone counter. For the wheel
-//! this follows from three invariants (see DESIGN.md §11 for the argument):
+//! For the wheel the `(time, seq)` order follows from three invariants
+//! (see DESIGN.md §11 for the argument):
 //!
 //! 1. events are never pushed into the past (`time ≥ cur`), so a bucket
 //!    only ever holds entries of the single absolute time `t` with
@@ -37,23 +29,7 @@ use crate::engine::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which event-queue backend a [`Simulator`](crate::Simulator) runs on.
-///
-/// Both kinds are observationally identical — same seed, same protocol ⇒
-/// byte-identical `CostBook`, metrics, trace, and outcomes — differing only
-/// in speed and memory layout. The default is [`SchedulerKind::Calendar`];
-/// [`SchedulerKind::Heap`] remains for differential testing and as the
-/// perf baseline in `scale_report`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Legacy binary heap storing full events inline (`O(log n)` ops).
-    Heap,
-    /// Slab arena + calendar queue (bucketed wheel, `O(1)` amortized ops).
-    #[default]
-    Calendar,
-}
-
-/// Integer address of an event record in the calendar backend's slab arena.
+/// Integer address of an event record in the scheduler's slab arena.
 ///
 /// Handles are indices into a free-listed `Vec` of slots: allocating an
 /// event never moves existing records, and a popped slot is recycled for
@@ -78,36 +54,10 @@ pub struct PoppedEvent<T> {
     pub payload: T,
 }
 
-/// Inline event record of the heap backend (the legacy layout).
-struct HeapEvent<T> {
-    time: SimTime,
-    seq: u64,
-    node: usize,
-    payload: T,
-}
-
-// Ordering on the (time, seq) key pair only, so `T: Ord` is not required.
-impl<T> PartialEq for HeapEvent<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEvent<T> {}
-impl<T> PartialOrd for HeapEvent<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEvent<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// Arena slot of the calendar backend. `payload` is `Some` while the
-/// handle is live and taken on pop (the slot then returns to the free
-/// list). The seq tiebreak is not stored here: within a bucket it is the
-/// insertion order, and the overflow heap carries it in its key.
+/// Arena slot. `payload` is `Some` while the handle is live and taken on
+/// pop (the slot then returns to the free list). The seq tiebreak is not
+/// stored here: within a bucket it is the insertion order, and the
+/// overflow heap carries it in its key.
 struct Slot<T> {
     time: SimTime,
     node: u32,
@@ -129,9 +79,12 @@ impl Bucket {
     }
 }
 
-/// Calendar-queue backend: slab arena + one-tick bucket wheel + overflow
-/// heap of far-future handles.
-struct CalendarQueue<T> {
+/// The engine's future-event set: push with an auto-assigned global
+/// sequence number, pop in `(time, seq)` order.
+pub struct Scheduler<T> {
+    seq: u64,
+    live: usize,
+    peak_live: usize,
     slots: Vec<Slot<T>>,
     free: Vec<EventHandle>,
     buckets: Vec<Bucket>,
@@ -144,17 +97,49 @@ struct CalendarQueue<T> {
     in_wheel: usize,
 }
 
-impl<T> CalendarQueue<T> {
-    fn new(wheel_buckets: usize) -> Self {
-        debug_assert!(wheel_buckets.is_power_of_two());
-        CalendarQueue {
+impl<T> Default for Scheduler<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> Scheduler<T> {
+    /// Buckets in the calendar wheel (one simulated tick each). Sized to
+    /// cover the implicit-schedule horizon of a 64k-node fleet (§4 start
+    /// times reach a few thousand ticks); later events overflow into a
+    /// heap and migrate in when the window reaches them.
+    pub const WHEEL_BUCKETS: usize = 8192;
+
+    /// Creates an empty scheduler.
+    pub fn new() -> Self {
+        Scheduler {
+            seq: 0,
+            live: 0,
+            peak_live: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            buckets: (0..wheel_buckets).map(|_| Bucket::default()).collect(),
+            buckets: (0..Self::WHEEL_BUCKETS)
+                .map(|_| Bucket::default())
+                .collect(),
             overflow: BinaryHeap::new(),
             cur: 0,
             in_wheel: 0,
         }
+    }
+
+    /// Queued events right now.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no events are queued.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// High-water mark of simultaneously queued events over the whole run.
+    pub fn peak_live(&self) -> usize {
+        self.peak_live
     }
 
     fn horizon(&self) -> SimTime {
@@ -184,8 +169,16 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, node: usize, payload: T) {
+    /// Queues `payload` for `node` at `time`, assigning the next global
+    /// sequence number (the same-tick FIFO tiebreak).
+    pub fn push(&mut self, time: SimTime, node: usize, payload: T) {
         debug_assert!(time >= self.cur, "push into the past breaks the wheel");
+        let seq = self.seq;
+        self.seq += 1;
+        self.live += 1;
+        if self.live > self.peak_live {
+            self.peak_live = self.live;
+        }
         let h = self.alloc(time, node, payload);
         if time < self.horizon() {
             let b = self.bucket_of(time);
@@ -213,13 +206,13 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Time of the next event without committing any cursor movement —
-    /// a pure peek, so `run_until` can stop at a deadline and a later
-    /// `inject` between the deadline and the next queued event stays
-    /// legal (`push` requires `time ≥ cur`, and `cur` only advances on
-    /// [`CalendarQueue::pop`]).
-    fn next_time(&self, live: usize) -> Option<SimTime> {
-        if live == 0 {
+    /// Time of the earliest queued event (`None` when empty) without
+    /// committing any cursor movement — a pure peek, so `run_until` can
+    /// stop at a deadline and a later `inject` between the deadline and
+    /// the next queued event stays legal (`push` requires `time ≥ cur`,
+    /// and `cur` only advances on [`Scheduler::pop`]).
+    pub fn next_time(&self) -> Option<SimTime> {
+        if self.live == 0 {
             return None;
         }
         if self.in_wheel == 0 {
@@ -241,8 +234,9 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    fn pop(&mut self, live: usize) -> Option<PoppedEvent<T>> {
-        let t = self.next_time(live)?;
+    /// Removes and returns the earliest event (`(time, seq)` order).
+    pub fn pop(&mut self) -> Option<PoppedEvent<T>> {
+        let t = self.next_time()?;
         if t != self.cur {
             // Commit the window advance; migrates every overflow handle
             // that now fits (all at times > t — see invariant 2).
@@ -259,6 +253,7 @@ impl<T> CalendarQueue<T> {
             bucket.head = 0;
         }
         self.in_wheel -= 1;
+        self.live -= 1;
         let slot = &mut self.slots[h.index()];
         debug_assert_eq!(slot.time, t, "bucket held a foreign-time handle");
         let payload = slot.payload.take().expect("double pop of event handle"); // simlint: allow(no-panic-in-protocol): arena bookkeeping invariant; a bucket handle is live exactly once
@@ -269,113 +264,6 @@ impl<T> CalendarQueue<T> {
             node,
             payload,
         })
-    }
-}
-
-enum Backend<T> {
-    Heap(BinaryHeap<Reverse<HeapEvent<T>>>),
-    Calendar(CalendarQueue<T>),
-}
-
-/// The engine's future-event set: push with an auto-assigned global
-/// sequence number, pop in `(time, seq)` order.
-///
-/// Construct with [`Scheduler::new`]; the backend is fixed per run (the
-/// engine asserts the queue is empty when switching kinds).
-pub struct Scheduler<T> {
-    seq: u64,
-    live: usize,
-    peak_live: usize,
-    backend: Backend<T>,
-}
-
-impl<T> Scheduler<T> {
-    /// Buckets in the calendar wheel (one simulated tick each). Sized to
-    /// cover the implicit-schedule horizon of a 64k-node fleet (§4 start
-    /// times reach a few thousand ticks); later events overflow into a
-    /// heap and migrate in when the window reaches them.
-    pub const WHEEL_BUCKETS: usize = 8192;
-
-    /// Creates an empty scheduler on the given backend.
-    pub fn new(kind: SchedulerKind) -> Self {
-        let backend = match kind {
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => Backend::Calendar(CalendarQueue::new(Self::WHEEL_BUCKETS)),
-        };
-        Scheduler {
-            seq: 0,
-            live: 0,
-            peak_live: 0,
-            backend,
-        }
-    }
-
-    /// The backend kind in force.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Calendar(_) => SchedulerKind::Calendar,
-        }
-    }
-
-    /// Queued events right now.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// High-water mark of simultaneously queued events over the whole run.
-    pub fn peak_live(&self) -> usize {
-        self.peak_live
-    }
-
-    /// Queues `payload` for `node` at `time`, assigning the next global
-    /// sequence number (the same-tick FIFO tiebreak).
-    pub fn push(&mut self, time: SimTime, node: usize, payload: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.live += 1;
-        if self.live > self.peak_live {
-            self.peak_live = self.live;
-        }
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Reverse(HeapEvent {
-                time,
-                seq,
-                node,
-                payload,
-            })),
-            Backend::Calendar(cal) => cal.push(time, seq, node, payload),
-        }
-    }
-
-    /// Time of the earliest queued event without popping it (`None` when
-    /// empty). May advance internal cursors; never reorders events.
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.peek().map(|Reverse(e)| e.time),
-            Backend::Calendar(cal) => cal.next_time(self.live),
-        }
-    }
-
-    /// Removes and returns the earliest event (`(time, seq)` order).
-    pub fn pop(&mut self) -> Option<PoppedEvent<T>> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|Reverse(e)| PoppedEvent {
-                time: e.time,
-                node: e.node,
-                payload: e.payload,
-            }),
-            Backend::Calendar(cal) => cal.pop(self.live),
-        };
-        if popped.is_some() {
-            self.live -= 1;
-        }
-        popped
     }
 }
 
@@ -393,31 +281,27 @@ mod tests {
 
     #[test]
     fn same_tick_pops_in_push_order() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut s = Scheduler::new(kind);
-            for i in 0..10u32 {
-                s.push(5, i as usize, i);
-            }
-            let order: Vec<u32> = drain(&mut s).into_iter().map(|(_, _, p)| p).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>(), "{kind:?}");
+        let mut s = Scheduler::new();
+        for i in 0..10u32 {
+            s.push(5, i as usize, i);
         }
+        let order: Vec<u32> = drain(&mut s).into_iter().map(|(_, _, p)| p).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn pops_in_time_order_across_wheel_wrap() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut s = Scheduler::new(kind);
-            let b = Scheduler::<u64>::WHEEL_BUCKETS as SimTime;
-            // Times straddling several wheel rotations, pushed out of order.
-            let times = [3 * b + 1, 0, b, 2, 2 * b + 2, 1, b - 1, b + 1, 7];
-            for (i, &t) in times.iter().enumerate() {
-                s.push(t, i, t);
-            }
-            let got: Vec<SimTime> = drain(&mut s).into_iter().map(|(t, _, _)| t).collect();
-            let mut want = times.to_vec();
-            want.sort_unstable();
-            assert_eq!(got, want, "{kind:?}");
+        let mut s = Scheduler::new();
+        let b = Scheduler::<u64>::WHEEL_BUCKETS as SimTime;
+        // Times straddling several wheel rotations, pushed out of order.
+        let times = [3 * b + 1, 0, b, 2, 2 * b + 2, 1, b - 1, b + 1, 7];
+        for (i, &t) in times.iter().enumerate() {
+            s.push(t, i, t);
         }
+        let got: Vec<SimTime> = drain(&mut s).into_iter().map(|(t, _, _)| t).collect();
+        let mut want = times.to_vec();
+        want.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -427,37 +311,33 @@ mod tests {
         // close enough for a direct bucket insert. Seq order must survive.
         let b = Scheduler::<u32>::WHEEL_BUCKETS as SimTime;
         let far = b + 100;
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut s = Scheduler::new(kind);
-            s.push(far, 0, 1); // beyond horizon from cur=0: overflow
-            s.push(200, 0, 0); // pops first; advances cur past 200
-            assert_eq!(s.pop().unwrap().payload, 0, "{kind:?}");
-            // Window now reaches `far`: this goes straight into the bucket.
-            s.push(far, 0, 2);
-            let order: Vec<u32> = drain(&mut s).into_iter().map(|(_, _, p)| p).collect();
-            assert_eq!(order, vec![1, 2], "{kind:?}: migration lost FIFO");
-        }
+        let mut s = Scheduler::new();
+        s.push(far, 0, 1); // beyond horizon from cur=0: overflow
+        s.push(200, 0, 0); // pops first; advances cur past 200
+        assert_eq!(s.pop().unwrap().payload, 0);
+        // Window now reaches `far`: this goes straight into the bucket.
+        s.push(far, 0, 2);
+        let order: Vec<u32> = drain(&mut s).into_iter().map(|(_, _, p)| p).collect();
+        assert_eq!(order, vec![1, 2], "migration lost FIFO");
     }
 
     #[test]
     fn next_time_peeks_without_losing_events() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut s = Scheduler::new(kind);
-            assert_eq!(s.next_time(), None);
-            s.push(9, 1, 'a');
-            s.push(4, 2, 'b');
-            assert_eq!(s.next_time(), Some(4), "{kind:?}");
-            assert_eq!(s.next_time(), Some(4), "{kind:?}: peek must not pop");
-            assert_eq!(s.len(), 2);
-            let e = s.pop().unwrap();
-            assert_eq!((e.time, e.node, e.payload), (4, 2, 'b'));
-            assert_eq!(s.next_time(), Some(9));
-        }
+        let mut s = Scheduler::new();
+        assert_eq!(s.next_time(), None);
+        s.push(9, 1, 'a');
+        s.push(4, 2, 'b');
+        assert_eq!(s.next_time(), Some(4));
+        assert_eq!(s.next_time(), Some(4), "peek must not pop");
+        assert_eq!(s.len(), 2);
+        let e = s.pop().unwrap();
+        assert_eq!((e.time, e.node, e.payload), (4, 2, 'b'));
+        assert_eq!(s.next_time(), Some(9));
     }
 
     #[test]
     fn peak_live_tracks_high_water_mark() {
-        let mut s = Scheduler::new(SchedulerKind::Calendar);
+        let mut s = Scheduler::new();
         for t in 0..100 {
             s.push(t, 0, ());
         }
@@ -471,7 +351,7 @@ mod tests {
 
     #[test]
     fn arena_recycles_slots() {
-        let mut s = Scheduler::new(SchedulerKind::Calendar);
+        let mut s = Scheduler::new();
         // Steady-state churn: the arena should stay at the live size, not
         // grow with total pushes.
         for round in 0..1000u64 {
@@ -479,25 +359,21 @@ mod tests {
             let e = s.pop().unwrap();
             assert_eq!(e.payload, round);
         }
-        let Backend::Calendar(cal) = &s.backend else {
-            unreachable!()
-        };
-        assert!(
-            cal.slots.len() <= 2,
-            "arena grew: {} slots",
-            cal.slots.len()
-        );
+        assert!(s.slots.len() <= 2, "arena grew: {} slots", s.slots.len());
     }
 
-    /// Differential test: both backends must produce the identical pop
-    /// sequence on an adversarial interleaved workload (deterministic LCG;
-    /// includes same-tick bursts, far-future overflow times and
-    /// pop-while-pushing churn).
+    /// Oracle test: the calendar queue pops exactly what a plain binary
+    /// heap keyed on `(time, seq)` pops, on adversarial interleaved
+    /// workloads (deterministic LCG per seed; same-tick bursts, in-window
+    /// and far-future overflow times, pop-while-pushing churn and
+    /// `next_time` peeks).
     #[test]
     fn heap_and_calendar_agree_on_random_workloads() {
-        let run = |kind: SchedulerKind| {
-            let mut s: Scheduler<u64> = Scheduler::new(kind);
-            let mut lcg: u64 = 0x5eed;
+        type Oracle = BinaryHeap<Reverse<(SimTime, u64, usize, u64)>>;
+        for seed in 0..16u64 {
+            let mut s: Scheduler<u64> = Scheduler::new();
+            let mut oracle = Oracle::new();
+            let mut lcg: u64 = 0x5eed ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut next = || {
                 lcg = lcg
                     .wrapping_mul(6364136223846793005)
@@ -505,8 +381,15 @@ mod tests {
                 lcg >> 33
             };
             let mut now: SimTime = 0;
-            let mut out = Vec::new();
             let mut tag = 0u64;
+            let check_pop = |s: &mut Scheduler<u64>, oracle: &mut Oracle| {
+                let want = oracle.peek().map(|&Reverse((t, ..))| t);
+                assert_eq!(s.next_time(), want, "seed {seed}: next_time peek");
+                let got = s.pop().map(|e| (e.time, e.node, e.payload));
+                let want = oracle.pop().map(|Reverse((t, _, node, p))| (t, node, p));
+                assert_eq!(got, want, "seed {seed}: pop order diverged");
+                got
+            };
             for _ in 0..500 {
                 // Burst of pushes at assorted offsets from `now`.
                 for _ in 0..(next() % 8) {
@@ -517,27 +400,21 @@ mod tests {
                         2 => r % Scheduler::<u64>::WHEEL_BUCKETS as u64, // in window
                         _ => 8192 + r % 50_000,                          // overflow
                     };
-                    s.push(now + dt, (r % 64) as usize, tag);
+                    let node = (r % 64) as usize;
+                    s.push(now + dt, node, tag);
+                    oracle.push(Reverse((now + dt, tag, node, tag)));
                     tag += 1;
                 }
                 // Drain a few.
                 for _ in 0..(next() % 6) {
-                    if let Some(e) = s.pop() {
-                        assert!(e.time >= now, "time went backwards");
-                        now = e.time;
-                        out.push((e.time, e.node, e.payload));
+                    if let Some((t, ..)) = check_pop(&mut s, &mut oracle) {
+                        assert!(t >= now, "seed {seed}: time went backwards");
+                        now = t;
                     }
                 }
             }
-            while let Some(e) = s.pop() {
-                out.push((e.time, e.node, e.payload));
-            }
-            out
-        };
-        assert_eq!(
-            run(SchedulerKind::Heap),
-            run(SchedulerKind::Calendar),
-            "backends diverged"
-        );
+            while check_pop(&mut s, &mut oracle).is_some() {}
+            assert!(s.is_empty());
+        }
     }
 }

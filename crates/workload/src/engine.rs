@@ -20,7 +20,7 @@ use crate::qos::QosConfig;
 use elink_core::{run_implicit, ElinkConfig};
 use elink_metric::{Feature, Metric};
 use elink_netsim::{
-    ArqConfig, CostBook, DelayModel, LinkModel, Metrics, SimNetwork, SimTime, Simulator,
+    ArqConfig, CostBook, LinkModel, Metrics, SimNetwork, SimTime, Simulator, SyncLink,
 };
 use elink_query::{Backbone, DistributedIndex};
 use elink_topology::{NodeId, Topology};
@@ -133,14 +133,7 @@ impl WorkloadSim {
         opts: ServeOptions,
     ) -> WorkloadSim {
         Self::build_with_link(
-            topology,
-            features,
-            metric,
-            delta,
-            spec,
-            opts,
-            DelayModel::Sync,
-            None,
+            topology, features, metric, delta, spec, opts, SyncLink, None,
         )
     }
 

@@ -6,11 +6,11 @@ use elink::baselines::{
     hierarchical_clustering, optimal_cluster_count, spanning_forest_clustering,
     CentralizedClustering, CentralizedUpdateSim,
 };
-use elink::core::{validate_delta_clustering, MaintenanceSim};
+use elink::core::{run_explicit, validate_delta_clustering, MaintenanceSim};
 use elink::datasets::{SyntheticDataset, TaoDataset, TaoParams, TerrainDataset};
 use elink::experiments::ScenarioBuilder;
 use elink::metric::{check_metric_axioms, Absolute, Euclidean, Feature, Metric};
-use elink::netsim::DelayModel;
+use elink::netsim::LossyLink;
 use elink::query::{
     brute_force_range, elink_path_query, elink_range_query, flooding_path_query, tag_range_query,
     Backbone, DistributedIndex, TagTree,
@@ -128,10 +128,15 @@ fn synthetic_pipeline_explicit_async_and_tag() {
         Arc::new(Euclidean),
     )
     .delta(delta)
-    .delay(DelayModel::Async { min: 1, max: 6 })
-    .seed(5)
     .build();
-    let outcome = scenario.run_explicit();
+    let outcome = run_explicit(
+        &scenario.network,
+        &features,
+        Arc::new(Euclidean),
+        scenario.config(),
+        LossyLink::new(1, 6),
+        5,
+    );
     validate_delta_clustering(
         &outcome.clustering,
         data.topology(),
