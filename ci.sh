@@ -69,19 +69,10 @@ run_bench_bin sub_report --check --out target/BENCH_sub.json
 
 # The committed reports are the reference outputs: a regenerated one that
 # differs is a behaviour change to explain and commit, not noise.
-# BENCH_sub.json and BENCH_scale.json are compared without their host-timed
-# `wall_ms` fields.
 echo "== committed BENCH_* reports (byte-identical regeneration)"
-for name in chaos contention admission mc; do
+for name in elink workload chaos contention admission scale mc sub; do
   if ! cmp -s "target/BENCH_$name.json" "BENCH_$name.json"; then
     echo "ci.sh: target/BENCH_$name.json differs from the committed BENCH_$name.json" >&2
-    exit 1
-  fi
-done
-strip_wall_ms() { sed -E 's/,"wall_ms":[0-9]+//' "$1"; }
-for name in sub scale; do
-  if ! cmp -s <(strip_wall_ms "target/BENCH_$name.json") <(strip_wall_ms "BENCH_$name.json"); then
-    echo "ci.sh: target/BENCH_$name.json differs from the committed BENCH_$name.json (wall_ms aside)" >&2
     exit 1
   fi
 done

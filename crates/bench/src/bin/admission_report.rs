@@ -5,12 +5,10 @@
 //! admission_report [--check] [--out PATH]
 //! ```
 //!
-//! * `--out PATH` — where to write the report (default
-//!   `BENCH_admission.json`).
-//! * `--check` — run the sweep twice and fail (exit 1) unless the
-//!   documents are byte-identical. The admission thresholds are pure
-//!   integer arithmetic over the flow-table backlog, so same-seed runs
-//!   must replay exactly.
+//! `--check` runs the sweep twice and fails unless the documents are
+//! byte-identical: the admission thresholds are pure integer arithmetic
+//! over the flow-table backlog, so same-seed runs must replay exactly. The
+//! command line is [`elink_bench::driver`]'s.
 //!
 //! Independent of `--check`, the run fails (exit 1) unless the A/B
 //! contract holds past the saturation knee of the cap-64 sweep: admission
@@ -20,80 +18,52 @@
 //! admission-off baseline (see
 //! `elink_bench::admission::admission_violation`).
 
-use elink_bench::admission::{admission_report_json, admission_violation, run_sweep};
+use elink_bench::admission::{
+    admission_report_json, admission_violation, run_sweep, AdmissionPoint,
+};
+use elink_bench::driver::{self, Report};
+
+struct AdmissionSweep(Vec<AdmissionPoint>);
+
+impl Report for AdmissionSweep {
+    const NAME: &'static str = "admission_report";
+    const OUT: &'static str = "BENCH_admission.json";
+
+    fn run() -> Self {
+        AdmissionSweep(run_sweep())
+    }
+
+    fn print(&self) {
+        for p in &self.0 {
+            println!(
+                "gap={:<3} admission={:<5} done={:<4} adm={:<4} deg={:<3} shed={:<3} exact={:<4} served_p50={:<5} served_p99={:<6} goodput={:<4}/ktick queued={}",
+                p.mean_gap,
+                p.admission,
+                p.done,
+                p.admitted,
+                p.degraded,
+                p.shed,
+                p.exact,
+                p.served_p50,
+                p.served_p99,
+                p.goodput_milli,
+                p.queued_ms,
+            );
+        }
+    }
+
+    fn failures(&self) -> Vec<String> {
+        admission_violation(&self.0)
+            .map(|v| format!("admission contract: {v}"))
+            .into_iter()
+            .collect()
+    }
+
+    fn json(&self) -> String {
+        admission_report_json(&self.0)
+    }
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check = false;
-    let mut out_path = String::from("BENCH_admission.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => check = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: admission_report [--check] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let points = run_sweep();
-    for p in &points {
-        println!(
-            "gap={:<3} admission={:<5} done={:<4} adm={:<4} deg={:<3} shed={:<3} exact={:<4} served_p50={:<5} served_p99={:<6} goodput={:<4}/ktick queued={}",
-            p.mean_gap,
-            p.admission,
-            p.done,
-            p.admitted,
-            p.degraded,
-            p.shed,
-            p.exact,
-            p.served_p50,
-            p.served_p99,
-            p.goodput_milli,
-            p.queued_ms,
-        );
-    }
-
-    if let Some(violation) = admission_violation(&points) {
-        eprintln!("ADMISSION FAILURE: {violation}");
-        std::process::exit(1);
-    }
-
-    if check {
-        eprintln!("--check: re-running the sweep to verify determinism...");
-        let again = run_sweep();
-        let a = admission_report_json(&points);
-        let b = admission_report_json(&again);
-        if a != b {
-            eprintln!("DETERMINISM FAILURE: admission sweep differs across same-seed runs");
-            for (la, lb) in a.lines().zip(b.lines()) {
-                if la != lb {
-                    eprintln!("  run 1: {la}");
-                    eprintln!("  run 2: {lb}");
-                }
-            }
-            std::process::exit(1);
-        }
-        eprintln!("--check: documents byte-identical across two runs");
-    }
-
-    let json = admission_report_json(&points);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    driver::main::<AdmissionSweep>();
 }

@@ -1,74 +1,46 @@
-//! Runs the quick benchmark presets and writes `BENCH_elink.json`.
+//! Runs the quick benchmark presets and writes `BENCH_elink.json` (schema
+//! `elink-bench/v2`).
 //!
 //! ```text
 //! bench_report [--check] [--out PATH]
 //! ```
 //!
-//! * `--out PATH` — where to write the report (default `BENCH_elink.json`).
-//! * `--check` — run the whole suite twice and fail (exit 1) unless the
-//!   deterministic views (everything except `wall_ms`) are byte-identical.
-//!   This is the CI smoke gate for the observability layer.
+//! `--check` runs the suite twice and fails unless the documents are
+//! byte-identical: the CI smoke gate for the observability layer. The
+//! command line is [`elink_bench::driver`]'s.
 
-use elink_bench::report::{deterministic_json, report_json, run_benches};
+use elink_bench::driver::{self, Report};
+use elink_bench::report::{report_json, run_benches, BenchResult};
+
+struct Benches(Vec<BenchResult>);
+
+impl Report for Benches {
+    const NAME: &'static str = "bench_report";
+    const OUT: &'static str = "BENCH_elink.json";
+
+    fn run() -> Self {
+        Benches(run_benches())
+    }
+
+    fn print(&self) {
+        for r in &self.0 {
+            println!(
+                "{:<24} n={:<4} sim_time={} messages={} bytes={} phases={}",
+                r.bench,
+                r.n,
+                r.sim_time,
+                r.messages,
+                r.bytes,
+                r.metrics.phases().count()
+            );
+        }
+    }
+
+    fn json(&self) -> String {
+        report_json(&self.0)
+    }
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check = false;
-    let mut out_path = String::from("BENCH_elink.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => check = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_report [--check] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let results = run_benches();
-    for r in &results {
-        let phases = r.metrics.phases().count();
-        println!(
-            "{:<24} n={:<4} wall={}ms sim_time={} messages={} bytes={} phases={}",
-            r.bench, r.n, r.wall_ms, r.sim_time, r.messages, r.bytes, phases
-        );
-    }
-
-    if check {
-        eprintln!("--check: re-running the suite to verify determinism...");
-        let again = run_benches();
-        let a = deterministic_json(&results);
-        let b = deterministic_json(&again);
-        if a != b {
-            eprintln!("DETERMINISM FAILURE: metric fields differ across same-seed runs");
-            for (la, lb) in a.lines().zip(b.lines()) {
-                if la != lb {
-                    eprintln!("  run 1: {la}");
-                    eprintln!("  run 2: {lb}");
-                }
-            }
-            std::process::exit(1);
-        }
-        eprintln!("--check: deterministic views byte-identical across two runs");
-    }
-
-    let json = report_json(&results);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    driver::main::<Benches>();
 }

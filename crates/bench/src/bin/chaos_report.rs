@@ -5,10 +5,10 @@
 //! chaos_report [--check] [--out PATH]
 //! ```
 //!
-//! * `--out PATH` — where to write the report (default `BENCH_chaos.json`).
-//! * `--check` — run the campaign twice and fail (exit 1) unless the
-//!   reports are byte-identical. This is the CI smoke gate for the
-//!   recovery layer: same-seed chaos runs must be fully deterministic.
+//! `--check` runs the campaign twice and fails unless the documents are
+//! byte-identical: the CI smoke gate for the recovery layer, since
+//! same-seed chaos runs must be fully deterministic. The command line is
+//! [`elink_bench::driver`]'s.
 //!
 //! Independent of `--check`, the run fails (exit 1) if any cell breaks
 //! liveness (a surviving initiator's query wedged) or soundness (an answer
@@ -18,6 +18,7 @@
 //! observe a real failover, keep at least one subscription alive, and
 //! report zero push-soundness violations.
 
+use elink_bench::driver::{self, Report};
 use elink_metric::{Absolute, Metric};
 use elink_workload::{default_sub_grid, run_campaign, run_sub_cell, ChaosReport, FaultSpec};
 use std::sync::Arc;
@@ -29,206 +30,147 @@ use std::sync::Arc;
 /// at once) — the fault classes the recovery layer must survive, kept to
 /// six cells so the double-run `--check` stays in CI budget.
 fn grid() -> Vec<FaultSpec> {
+    let cell = |drop_milli, crash_milli, partition, capacity| FaultSpec {
+        drop_milli,
+        crash_milli,
+        partition,
+        capacity,
+    };
     vec![
-        FaultSpec {
-            drop_milli: 0,
-            crash_milli: 0,
-            partition: None,
-            capacity: None,
-        },
-        FaultSpec {
-            drop_milli: 250,
-            crash_milli: 0,
-            partition: None,
-            capacity: None,
-        },
-        FaultSpec {
-            drop_milli: 0,
-            crash_milli: 150,
-            partition: None,
-            capacity: None,
-        },
-        FaultSpec {
-            drop_milli: 250,
-            crash_milli: 150,
-            partition: None,
-            capacity: None,
-        },
-        FaultSpec {
-            drop_milli: 100,
-            crash_milli: 0,
-            partition: Some((400, 900)),
-            capacity: None,
-        },
-        FaultSpec {
-            drop_milli: 100,
-            crash_milli: 150,
-            partition: None,
-            capacity: Some(64),
-        },
+        cell(0, 0, None, None),
+        cell(250, 0, None, None),
+        cell(0, 150, None, None),
+        cell(250, 150, None, None),
+        cell(100, 0, Some((400, 900)), None),
+        cell(100, 150, None, Some(64)),
     ]
 }
 
-fn run_once() -> ChaosReport {
-    let data = elink_datasets::TerrainDataset::generate(192, 6, 0.55, 7);
-    let metric: Arc<dyn Metric> = Arc::new(Absolute);
-    let mut report = run_campaign(
-        data.topology(),
-        &data.features(),
-        &metric,
-        300.0,
-        60,
-        42,
-        &grid(),
-    );
-    report.sub_cells = default_sub_grid()
-        .into_iter()
-        .map(|fault| {
-            run_sub_cell(data.topology(), &data.features(), &metric, 300.0, 42, fault)
-                .expect("campaign fixture offers no isolatable (non-relay) coordinator victim")
-        })
-        .collect();
-    report
+struct Chaos(ChaosReport);
+
+impl Report for Chaos {
+    const NAME: &'static str = "chaos_report";
+    const OUT: &'static str = "BENCH_chaos.json";
+
+    fn run() -> Self {
+        let data = elink_datasets::TerrainDataset::generate(192, 6, 0.55, 7);
+        let metric: Arc<dyn Metric> = Arc::new(Absolute);
+        let mut report = run_campaign(
+            data.topology(),
+            &data.features(),
+            &metric,
+            300.0,
+            60,
+            42,
+            &grid(),
+        );
+        report.sub_cells = default_sub_grid()
+            .into_iter()
+            .map(|fault| {
+                run_sub_cell(data.topology(), &data.features(), &metric, 300.0, 42, fault)
+                    .expect("campaign fixture offers no isolatable (non-relay) coordinator victim")
+            })
+            .collect();
+        Chaos(report)
+    }
+
+    fn print(&self) {
+        let report = &self.0;
+        println!(
+            "chaos n={} queries/cell={} seed={} cells={}",
+            report.n_nodes,
+            report.n_queries,
+            report.seed,
+            report.cells.len()
+        );
+        for c in &report.cells {
+            println!(
+                "  drop={}m crash={}m part={} cap={} | done={}/{} exact={} partial={} cov_mean={}m | adm={} deg={} shed={} queued={} | retx={} timeouts={} failovers={} violations={}",
+                c.fault.drop_milli,
+                c.fault.crash_milli,
+                c.fault.partition.is_some(),
+                c.fault.capacity.unwrap_or(0),
+                c.done,
+                c.expected,
+                c.exact,
+                c.partial,
+                c.coverage_mean_milli,
+                c.admitted,
+                c.degraded,
+                c.shed,
+                c.queued_ms,
+                c.retx,
+                c.timeouts,
+                c.failovers,
+                c.violations
+            );
+        }
+        for c in &report.sub_cells {
+            println!(
+                "  sub drop={}m cap={} crash_at={} leader={} | reg={} adm={} active={} ended={} exact={} subset={} | pushes={} repairs={} resyncs={} gaveup={} failovers={} queued={} violations={}",
+                c.fault.drop_milli,
+                c.fault.capacity.unwrap_or(0),
+                c.crash_at,
+                c.crashed_leader,
+                c.registered,
+                c.admitted,
+                c.active,
+                c.ended,
+                c.exact,
+                c.subset,
+                c.pushes,
+                c.repairs,
+                c.resyncs,
+                c.contrib_gaveup,
+                c.failovers,
+                c.queued_ms,
+                c.violations
+            );
+        }
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let report = &self.0;
+        let mut failures = Vec::new();
+        if !report.all_sound() {
+            failures.push("a cell broke liveness or soundness".to_string());
+        }
+        for c in &report.cells {
+            // Capacity cells are exempt from the loss-invisibility gate: the
+            // load-admission ladder *intends* to degrade/shed under congestion.
+            if c.fault.crash_milli == 0
+                && c.fault.partition.is_none()
+                && c.fault.capacity.is_none()
+                && c.partial > 0
+            {
+                failures.push(format!(
+                    "pure loss (drop={}m) degraded {} answers — ARQ must absorb loss completely",
+                    c.fault.drop_milli, c.partial
+                ));
+            }
+            if c.fault.crash_milli > 0 && c.failovers == 0 {
+                failures.push(format!(
+                    "crash cell (crash={}m) performed no failover",
+                    c.fault.crash_milli
+                ));
+            }
+        }
+        for c in &report.sub_cells {
+            if c.failovers == 0 || c.active == 0 || c.pushes == 0 {
+                failures.push(format!(
+                    "sub cell (drop={}m) broke the failover serving contract (failovers={} active={} pushes={})",
+                    c.fault.drop_milli, c.failovers, c.active, c.pushes
+                ));
+            }
+        }
+        failures
+    }
+
+    fn json(&self) -> String {
+        self.0.deterministic_json()
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check = false;
-    let mut out_path = String::from("BENCH_chaos.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => check = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: chaos_report [--check] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let report = run_once();
-    println!(
-        "chaos n={} queries/cell={} seed={} cells={}",
-        report.n_nodes,
-        report.n_queries,
-        report.seed,
-        report.cells.len()
-    );
-    for c in &report.cells {
-        println!(
-            "  drop={}m crash={}m part={} cap={} | done={}/{} exact={} partial={} cov_mean={}m | adm={} deg={} shed={} queued={} | retx={} timeouts={} failovers={} violations={}",
-            c.fault.drop_milli,
-            c.fault.crash_milli,
-            c.fault.partition.is_some(),
-            c.fault.capacity.unwrap_or(0),
-            c.done,
-            c.expected,
-            c.exact,
-            c.partial,
-            c.coverage_mean_milli,
-            c.admitted,
-            c.degraded,
-            c.shed,
-            c.queued_ms,
-            c.retx,
-            c.timeouts,
-            c.failovers,
-            c.violations
-        );
-    }
-    for c in &report.sub_cells {
-        println!(
-            "  sub drop={}m cap={} crash_at={} leader={} | reg={} adm={} active={} ended={} exact={} subset={} | pushes={} repairs={} resyncs={} gaveup={} failovers={} queued={} violations={}",
-            c.fault.drop_milli,
-            c.fault.capacity.unwrap_or(0),
-            c.crash_at,
-            c.crashed_leader,
-            c.registered,
-            c.admitted,
-            c.active,
-            c.ended,
-            c.exact,
-            c.subset,
-            c.pushes,
-            c.repairs,
-            c.resyncs,
-            c.contrib_gaveup,
-            c.failovers,
-            c.queued_ms,
-            c.violations
-        );
-    }
-
-    if !report.all_sound() {
-        eprintln!("ACCEPTANCE FAILURE: a cell broke liveness or soundness");
-        std::process::exit(1);
-    }
-    for c in &report.cells {
-        // Capacity cells are exempt from the loss-invisibility gate: the
-        // load-admission ladder *intends* to degrade/shed under congestion.
-        if c.fault.crash_milli == 0
-            && c.fault.partition.is_none()
-            && c.fault.capacity.is_none()
-            && c.partial > 0
-        {
-            eprintln!(
-                "ACCEPTANCE FAILURE: pure loss (drop={}m) degraded {} answers — ARQ must absorb loss completely",
-                c.fault.drop_milli, c.partial
-            );
-            std::process::exit(1);
-        }
-        if c.fault.crash_milli > 0 && c.failovers == 0 {
-            eprintln!(
-                "ACCEPTANCE FAILURE: crash cell (crash={}m) performed no failover",
-                c.fault.crash_milli
-            );
-            std::process::exit(1);
-        }
-    }
-    for c in &report.sub_cells {
-        if c.failovers == 0 || c.active == 0 || c.pushes == 0 {
-            eprintln!(
-                "ACCEPTANCE FAILURE: sub cell (drop={}m) broke the failover serving contract (failovers={} active={} pushes={})",
-                c.fault.drop_milli, c.failovers, c.active, c.pushes
-            );
-            std::process::exit(1);
-        }
-    }
-
-    if check {
-        eprintln!("--check: re-running the campaign to verify determinism...");
-        let again = run_once();
-        let a = report.deterministic_json();
-        let b = again.deterministic_json();
-        if a != b {
-            eprintln!("DETERMINISM FAILURE: chaos reports differ across same-seed runs");
-            eprintln!("  run 1: {a}");
-            eprintln!("  run 2: {b}");
-            std::process::exit(1);
-        }
-        eprintln!("--check: reports byte-identical across two runs");
-    }
-
-    let json = report.deterministic_json();
-    if json.matches('{').count() != json.matches('}').count() {
-        eprintln!("MALFORMED REPORT: unbalanced braces in {json}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    driver::main::<Chaos>();
 }

@@ -5,90 +5,58 @@
 //! contention_report [--check] [--out PATH]
 //! ```
 //!
-//! * `--out PATH` — where to write the report (default
-//!   `BENCH_contention.json`).
-//! * `--check` — run the sweep twice and fail (exit 1) unless the
-//!   documents are byte-identical. The report has no wall-clock fields, so
-//!   this is a full-document determinism gate for the flow-level link
-//!   model: every tentative-completion invalidation and reschedule must
-//!   replay exactly.
+//! `--check` runs the sweep twice and fails unless the documents are
+//! byte-identical: a full-document determinism gate for the flow-level
+//! link model, where every tentative-completion invalidation and
+//! reschedule must replay exactly. The command line is
+//! [`elink_bench::driver`]'s.
 //!
 //! Independent of `--check`, the run fails (exit 1) if the queueing knee
 //! is missing — for any capacity, p99 latency must be non-decreasing in
 //! offered load and must grow superlinearly past saturation
 //! (see `elink_bench::contention::knee_violation`).
 
-use elink_bench::contention::{contention_report_json, knee_violation, run_sweep};
+use elink_bench::contention::{contention_report_json, knee_violation, run_sweep, ContentionPoint};
+use elink_bench::driver::{self, Report};
+
+struct Contention(Vec<ContentionPoint>);
+
+impl Report for Contention {
+    const NAME: &'static str = "contention_report";
+    const OUT: &'static str = "BENCH_contention.json";
+
+    fn run() -> Self {
+        Contention(run_sweep())
+    }
+
+    fn print(&self) {
+        for p in &self.0 {
+            println!(
+                "cap={:<3} gap={:<3} offered={:<5.3}/tick done={:<4} p50={:<5} p99={:<6} queued={:<8} busiest_link={}t",
+                p.capacity,
+                p.mean_gap,
+                p.offered_milli as f64 / 1000.0,
+                p.done,
+                p.p50,
+                p.p99,
+                p.queued_ms,
+                p.link_busy_peak,
+            );
+        }
+    }
+
+    fn failures(&self) -> Vec<String> {
+        knee_violation(&self.0)
+            .map(|v| format!("queueing knee: {v}"))
+            .into_iter()
+            .collect()
+    }
+
+    fn json(&self) -> String {
+        contention_report_json(&self.0)
+    }
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check = false;
-    let mut out_path = String::from("BENCH_contention.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => check = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: contention_report [--check] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let points = run_sweep();
-    for p in &points {
-        println!(
-            "cap={:<3} gap={:<3} offered={:<5.3}/tick done={:<4} p50={:<5} p99={:<6} queued={:<8} busiest_link={}t",
-            p.capacity,
-            p.mean_gap,
-            p.offered_milli as f64 / 1000.0,
-            p.done,
-            p.p50,
-            p.p99,
-            p.queued_ms,
-            p.link_busy_peak,
-        );
-    }
-
-    if let Some(violation) = knee_violation(&points) {
-        eprintln!("KNEE FAILURE: {violation}");
-        std::process::exit(1);
-    }
-
-    if check {
-        eprintln!("--check: re-running the sweep to verify determinism...");
-        let again = run_sweep();
-        let a = contention_report_json(&points);
-        let b = contention_report_json(&again);
-        if a != b {
-            eprintln!("DETERMINISM FAILURE: contention sweep differs across same-seed runs");
-            for (la, lb) in a.lines().zip(b.lines()) {
-                if la != lb {
-                    eprintln!("  run 1: {la}");
-                    eprintln!("  run 2: {lb}");
-                }
-            }
-            std::process::exit(1);
-        }
-        eprintln!("--check: documents byte-identical across two runs");
-    }
-
-    let json = contention_report_json(&points);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    driver::main::<Contention>();
 }

@@ -5,10 +5,9 @@
 //! mc_report [--check] [--out PATH]
 //! ```
 //!
-//! * `--out PATH` — where to write the report (default `BENCH_mc.json`).
-//! * `--check` — run the whole suite twice and fail (exit 1) unless the
-//!   deterministic reports are byte-identical: exploration must visit the
-//!   same states in the same order on every run.
+//! `--check` runs the whole suite twice and fails unless the documents
+//! are byte-identical: exploration must visit the same states in the same
+//! order on every run. The command line is [`elink_bench::driver`]'s.
 //!
 //! Independent of `--check`, the run fails (exit 1) when any cell:
 //!
@@ -18,7 +17,7 @@
 //! * fails to explore exhaustively within its budgets;
 //! * breaches the hard explored-state ceiling (a state-space regression:
 //!   canonicalization got weaker or the protocols grew nondeterminism);
-//! * collectively breaches the wall-time ceiling.
+//! * collectively breaches the wall-time ceiling (checked per pass).
 //!
 //! The suite is the small-topology catalog from `elink-mc`: 3-node
 //! explicit-mode growth (fault-free, then one message drop — expected to
@@ -28,6 +27,7 @@
 
 use std::time::Instant;
 
+use elink_bench::driver::{self, Report};
 use elink_mc::scenarios::{elink_growth, serving};
 use elink_mc::{CheckOutcome, ExploreReport, FaultBudget, McConfig, Strategy};
 
@@ -132,152 +132,119 @@ fn run_suite() -> Vec<CellResult> {
     cells
 }
 
-/// Deterministic report JSON: stable key order, no floats, no timing.
-fn deterministic_json(cells: &[CellResult]) -> String {
-    let mut out = String::from("{\"schema\":\"elink-mc/v1\",\"cells\":[");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"explored\":{},\"pruned\":{},\"quiescent\":{},\"max_depth\":{},\"exhaustive\":{},\"violation\":{},\"expect_violation\":{},\"replay_reproduced\":{}}}",
-            c.name,
-            c.explored,
-            c.pruned,
-            c.quiescent,
-            c.max_depth,
-            c.exhaustive,
-            match &c.violation {
-                Some(p) => format!("\"{p}\""),
-                None => "null".to_string(),
-            },
-            c.expect_violation,
-            match c.replay_reproduced {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            },
-        ));
-    }
-    out.push_str("]}");
-    out
+/// One pass of the suite: its cells and how long the pass took.
+struct McReport {
+    cells: Vec<CellResult>,
+    elapsed_secs: u64,
 }
 
-/// Applies the gate to one pass; returns the failure messages.
-fn gate(cells: &[CellResult], elapsed_secs: u64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for c in cells {
-        if !c.exhaustive {
-            failures.push(format!("{}: exploration was not exhaustive", c.name));
+impl Report for McReport {
+    const NAME: &'static str = "mc_report";
+    const OUT: &'static str = "BENCH_mc.json";
+
+    fn run() -> Self {
+        let started = Instant::now();
+        let cells = run_suite();
+        McReport {
+            cells,
+            elapsed_secs: started.elapsed().as_secs(),
         }
-        if c.explored > STATE_CEILING {
-            failures.push(format!(
-                "{}: explored {} states, ceiling is {STATE_CEILING}",
-                c.name, c.explored
-            ));
+    }
+
+    fn print(&self) {
+        for c in &self.cells {
+            println!(
+                "  {:<26} explored={:<6} pruned={:<5} quiescent={:<4} depth={:<3} exhaustive={} violation={}{}",
+                c.name,
+                c.explored,
+                c.pruned,
+                c.quiescent,
+                c.max_depth,
+                c.exhaustive,
+                c.violation.as_deref().unwrap_or("none"),
+                match c.replay_reproduced {
+                    Some(true) => " (replayed)",
+                    Some(false) => " (REPLAY FAILED)",
+                    None => "",
+                },
+            );
         }
-        match (&c.violation, c.expect_violation) {
-            (Some(p), false) => {
-                failures.push(format!("{}: unexpected violation of '{p}'", c.name));
+    }
+
+    /// The gate of this pass.
+    fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        for c in &self.cells {
+            if !c.exhaustive {
+                failures.push(format!("{}: exploration was not exhaustive", c.name));
             }
-            (None, true) => {
+            if c.explored > STATE_CEILING {
                 failures.push(format!(
-                    "{}: expected a violation (known-bad config) but found none",
-                    c.name
+                    "{}: explored {} states, ceiling is {STATE_CEILING}",
+                    c.name, c.explored
                 ));
             }
-            (Some(_), true) => {
-                if c.replay_reproduced != Some(true) {
+            match (&c.violation, c.expect_violation) {
+                (Some(p), false) => {
+                    failures.push(format!("{}: unexpected violation of '{p}'", c.name));
+                }
+                (None, true) => {
                     failures.push(format!(
-                        "{}: counterexample did not reproduce under the engine",
+                        "{}: expected a violation (known-bad config) but found none",
                         c.name
                     ));
                 }
+                (Some(_), true) => {
+                    if c.replay_reproduced != Some(true) {
+                        failures.push(format!(
+                            "{}: counterexample did not reproduce under the engine",
+                            c.name
+                        ));
+                    }
+                }
+                (None, false) => {}
             }
-            (None, false) => {}
         }
+        if self.elapsed_secs > WALL_CEILING_SECS {
+            failures.push(format!(
+                "suite took {}s, wall ceiling is {WALL_CEILING_SECS}s",
+                self.elapsed_secs
+            ));
+        }
+        failures
     }
-    if elapsed_secs > WALL_CEILING_SECS {
-        failures.push(format!(
-            "suite took {elapsed_secs}s, wall ceiling is {WALL_CEILING_SECS}s"
-        ));
+
+    /// Stable key order, no floats, no timing.
+    fn json(&self) -> String {
+        let mut out = String::from("{\"schema\":\"elink-mc/v1\",\"cells\":[");
+        for (i, c) in self.cells.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"name\":\"{}\",\"explored\":{},\"pruned\":{},\"quiescent\":{},\"max_depth\":{},\"exhaustive\":{},\"violation\":{},\"expect_violation\":{},\"replay_reproduced\":{}}}",
+                c.name,
+                c.explored,
+                c.pruned,
+                c.quiescent,
+                c.max_depth,
+                c.exhaustive,
+                match &c.violation {
+                    Some(p) => format!("\"{p}\""),
+                    None => "null".to_string(),
+                },
+                c.expect_violation,
+                match c.replay_reproduced {
+                    Some(b) => b.to_string(),
+                    None => "null".to_string(),
+                },
+            ));
+        }
+        out.push_str("]}");
+        out
     }
-    failures
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check = false;
-    let mut out_path = String::from("BENCH_mc.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => check = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: mc_report [--check] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let started = Instant::now();
-    let cells = run_suite();
-    let elapsed = started.elapsed().as_secs();
-    for c in &cells {
-        println!(
-            "  {:<26} explored={:<6} pruned={:<5} quiescent={:<4} depth={:<3} exhaustive={} violation={}{}",
-            c.name,
-            c.explored,
-            c.pruned,
-            c.quiescent,
-            c.max_depth,
-            c.exhaustive,
-            c.violation.as_deref().unwrap_or("none"),
-            match c.replay_reproduced {
-                Some(true) => " (replayed)",
-                Some(false) => " (REPLAY FAILED)",
-                None => "",
-            },
-        );
-    }
-
-    let failures = gate(&cells, elapsed);
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("ACCEPTANCE FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
-
-    if check {
-        eprintln!("--check: re-running the suite to verify determinism...");
-        let again = run_suite();
-        let a = deterministic_json(&cells);
-        let b = deterministic_json(&again);
-        if a != b {
-            eprintln!("DETERMINISM FAILURE: mc reports differ across runs");
-            eprintln!("  run 1: {a}");
-            eprintln!("  run 2: {b}");
-            std::process::exit(1);
-        }
-        eprintln!("--check: reports byte-identical across two runs");
-    }
-
-    let json = deterministic_json(&cells);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    driver::main::<McReport>();
 }

@@ -1,114 +1,79 @@
 //! Runs the standing-query serving bench and writes `BENCH_sub.json`
-//! (schema `elink-sub/v1`).
+//! (schema `elink-sub/v2`).
 //!
 //! ```text
 //! sub_report [--check] [--out PATH]
 //! ```
 //!
-//! * `--out PATH` — where to write the report (default `BENCH_sub.json`).
-//! * `--check` — run the bench twice and fail (exit 1) unless the
-//!   deterministic views (everything except `wall_ms`) are byte-identical.
-//!   This is the CI smoke gate for the subscription engine.
+//! `--check` runs the bench twice and fails unless the documents are
+//! byte-identical: the CI smoke gate for the subscription engine. The
+//! command line is [`elink_bench::driver`]'s.
 //!
 //! The bench compares the incremental push pipeline against per-update
-//! one-shot re-query over the same deployment and churn stream; the ISSUE
-//! acceptance floor is `ratio_milli >= 2000` (at least 2× fewer serving
-//! messages per update).
+//! one-shot re-query over the same deployment and churn stream. The run
+//! fails unless every subscription survives and `ratio_milli >= 2000` (at
+//! least 2× fewer serving messages per update).
 
-use elink_bench::subbench;
+use elink_bench::driver::{self, Report};
+use elink_bench::subbench::{self, SubReport};
+
+struct Sub(SubReport);
+
+impl Report for Sub {
+    const NAME: &'static str = "sub_report";
+    const OUT: &'static str = "BENCH_sub.json";
+
+    fn run() -> Self {
+        Sub(subbench::run_once(1))
+    }
+
+    fn print(&self) {
+        let r = &self.0;
+        println!(
+            "sub n={} clusters={} subscribers={} updates={}",
+            r.n_nodes, r.n_clusters, r.n_subscribers, r.n_updates
+        );
+        println!(
+            "  pushes={} repairs={} contribs={} | push latency p50={} p90={} p99={} max={}",
+            r.pushes, r.repairs, r.contribs, r.push_p50, r.push_p90, r.push_p99, r.push_max
+        );
+        println!(
+            "  serving msgs: push={} requery={} | per update: push={}.{:03} requery={}.{:03} | ratio={}.{:03}x",
+            r.push_msgs,
+            r.requery_msgs,
+            r.push_per_update_milli / 1000,
+            r.push_per_update_milli % 1000,
+            r.requery_per_update_milli / 1000,
+            r.requery_per_update_milli % 1000,
+            r.ratio_milli / 1000,
+            r.ratio_milli % 1000
+        );
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let r = &self.0;
+        let mut failures = Vec::new();
+        if r.active_subs < r.n_subscribers {
+            failures.push(format!(
+                "only {}/{} subscriptions survived a fault-free run",
+                r.active_subs, r.n_subscribers
+            ));
+        }
+        if r.ratio_milli < 2000 {
+            failures.push(format!(
+                "push/requery ratio {}.{:03}x below the 2x floor",
+                r.ratio_milli / 1000,
+                r.ratio_milli % 1000
+            ));
+        }
+        failures
+    }
+
+    fn json(&self) -> String {
+        self.0.to_json()
+    }
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check = false;
-    let mut out_path = String::from("BENCH_sub.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => check = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: sub_report [--check] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let report = subbench::run_once(1);
-    println!(
-        "sub n={} clusters={} subscribers={} updates={} wall={}ms",
-        report.n_nodes, report.n_clusters, report.n_subscribers, report.n_updates, report.wall_ms
-    );
-    println!(
-        "  pushes={} repairs={} contribs={} | push latency p50={} p90={} p99={} max={}",
-        report.pushes,
-        report.repairs,
-        report.contribs,
-        report.push_p50,
-        report.push_p90,
-        report.push_p99,
-        report.push_max
-    );
-    println!(
-        "  serving msgs: push={} requery={} | per update: push={}.{:03} requery={}.{:03} | ratio={}.{:03}x",
-        report.push_msgs,
-        report.requery_msgs,
-        report.push_per_update_milli / 1000,
-        report.push_per_update_milli % 1000,
-        report.requery_per_update_milli / 1000,
-        report.requery_per_update_milli % 1000,
-        report.ratio_milli / 1000,
-        report.ratio_milli % 1000
-    );
-
-    if report.active_subs < report.n_subscribers {
-        eprintln!(
-            "ACCEPTANCE FAILURE: only {}/{} subscriptions survived a fault-free run",
-            report.active_subs, report.n_subscribers
-        );
-        std::process::exit(1);
-    }
-    if report.ratio_milli < 2000 {
-        eprintln!(
-            "ACCEPTANCE FAILURE: push/requery ratio {}.{:03}x below the 2x floor",
-            report.ratio_milli / 1000,
-            report.ratio_milli % 1000
-        );
-        std::process::exit(1);
-    }
-
-    if check {
-        eprintln!("--check: re-running the bench to verify determinism...");
-        let again = subbench::run_once(1);
-        let a = report.deterministic_json();
-        let b = again.deterministic_json();
-        if a != b {
-            eprintln!("DETERMINISM FAILURE: deterministic views differ across same-seed runs");
-            eprintln!("  run 1: {a}");
-            eprintln!("  run 2: {b}");
-            std::process::exit(1);
-        }
-        eprintln!("--check: deterministic views byte-identical across two runs");
-    }
-
-    let json = report.to_json();
-    if json.matches('{').count() != json.matches('}').count() {
-        eprintln!("MALFORMED REPORT: unbalanced braces in {json}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    driver::main::<Sub>();
 }

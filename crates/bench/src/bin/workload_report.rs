@@ -1,150 +1,102 @@
 //! Runs the concurrent query-serving workload preset and writes
-//! `BENCH_workload.json` (schema `elink-workload/v1`).
+//! `BENCH_workload.json` (schema `elink-workload/v2`).
 //!
 //! ```text
 //! workload_report [--check] [--out PATH]
 //! ```
 //!
-//! * `--out PATH` — where to write the report (default
-//!   `BENCH_workload.json`).
-//! * `--check` — run the workload twice and fail (exit 1) unless the
-//!   deterministic views (everything except `wall_ms`) are byte-identical.
-//!   This is the CI smoke gate for the serving layer.
+//! `--check` runs the workload twice and fails unless the documents are
+//! byte-identical: the CI smoke gate for the serving layer. The command
+//! line is [`elink_bench::driver`]'s.
 //!
 //! The preset drives a mixed range/path stream of 120 queries against a
-//! 1024-node terrain deployment with background feature updates — the
-//! ISSUE acceptance floor (≥100 queries, 1024 nodes, non-zero cache
-//! hit-rate).
+//! 1024-node terrain deployment with background feature updates. The run
+//! fails unless at least 100 queries complete and the cache hit-rate is
+//! non-zero.
 
+use elink_bench::driver::{self, Report};
 use elink_metric::Absolute;
 use elink_workload::{ServeOptions, SloReport, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// The benchmark preset: 1024 nodes, 120 mixed queries, open-loop
-/// arrivals, background updates.
-fn preset() -> (WorkloadSpec, f64) {
-    let mut spec = WorkloadSpec::quick(42);
-    spec.n_queries = 120;
-    spec.n_updates = 40;
-    (spec, 300.0)
-}
+struct Workload(SloReport);
 
-fn run_once() -> SloReport {
-    let (spec, delta) = preset();
-    let data = elink_datasets::TerrainDataset::generate(1024, 6, 0.55, 7);
-    let start = Instant::now();
-    let sim = WorkloadSim::build(
-        data.topology().clone(),
-        data.features(),
-        Arc::new(Absolute),
-        delta,
-        &spec,
-        ServeOptions::for_delta(delta),
-    );
-    let run = sim.run_concurrent();
-    let wall_ms = start.elapsed().as_millis() as u64;
-    SloReport::from_run(&run, wall_ms)
+impl Report for Workload {
+    const NAME: &'static str = "workload_report";
+    const OUT: &'static str = "BENCH_workload.json";
+
+    /// The benchmark preset: 1024 nodes, 120 mixed queries, open-loop
+    /// arrivals, background updates.
+    fn run() -> Self {
+        let mut spec = WorkloadSpec::quick(42);
+        spec.n_queries = 120;
+        spec.n_updates = 40;
+        let delta = 300.0;
+        let data = elink_datasets::TerrainDataset::generate(1024, 6, 0.55, 7);
+        let sim = WorkloadSim::build(
+            data.topology().clone(),
+            data.features(),
+            Arc::new(Absolute),
+            delta,
+            &spec,
+            ServeOptions::for_delta(delta),
+        );
+        Workload(SloReport::from_run(&sim.run_concurrent()))
+    }
+
+    fn print(&self) {
+        let r = &self.0;
+        println!(
+            "workload n={} clusters={} queries={}/{} sim_ticks={}",
+            r.n_nodes, r.n_clusters, r.done, r.submitted, r.sim_ticks
+        );
+        println!(
+            "  latency p50={} p90={} p99={} max={} | throughput={}.{:03}/tick",
+            r.latency.p50,
+            r.latency.p90,
+            r.latency.p99,
+            r.latency.max,
+            r.throughput_milli / 1000,
+            r.throughput_milli % 1000
+        );
+        println!(
+            "  cache hits={} misses={} hit_rate={}.{:03} evictions={} invalidations={}",
+            r.cache_hits,
+            r.cache_misses,
+            r.hit_rate_milli / 1000,
+            r.hit_rate_milli % 1000,
+            r.cache_evictions,
+            r.invalidations
+        );
+        println!(
+            "  batching riders={} | msgs/query={}.{:03} total_msgs={} attributed_cost={}",
+            r.batch_riders,
+            r.msgs_per_query_milli / 1000,
+            r.msgs_per_query_milli % 1000,
+            r.total_msgs,
+            r.attributed_cost
+        );
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if self.0.done < 100 {
+            failures.push(format!(
+                "only {} queries completed (floor: 100)",
+                self.0.done
+            ));
+        }
+        if self.0.cache_hits == 0 {
+            failures.push("cache hit-rate is zero".to_string());
+        }
+        failures
+    }
+
+    fn json(&self) -> String {
+        self.0.to_json()
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check = false;
-    let mut out_path = String::from("BENCH_workload.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => check = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("--out requires a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: workload_report [--check] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let report = run_once();
-    println!(
-        "workload n={} clusters={} queries={}/{} wall={}ms sim_ticks={}",
-        report.n_nodes,
-        report.n_clusters,
-        report.done,
-        report.submitted,
-        report.wall_ms,
-        report.sim_ticks
-    );
-    println!(
-        "  latency p50={} p90={} p99={} max={} | throughput={}.{:03}/tick",
-        report.latency.p50,
-        report.latency.p90,
-        report.latency.p99,
-        report.latency.max,
-        report.throughput_milli / 1000,
-        report.throughput_milli % 1000
-    );
-    println!(
-        "  cache hits={} misses={} hit_rate={}.{:03} evictions={} invalidations={}",
-        report.cache_hits,
-        report.cache_misses,
-        report.hit_rate_milli / 1000,
-        report.hit_rate_milli % 1000,
-        report.cache_evictions,
-        report.invalidations
-    );
-    println!(
-        "  batching riders={} | msgs/query={}.{:03} total_msgs={} attributed_cost={}",
-        report.batch_riders,
-        report.msgs_per_query_milli / 1000,
-        report.msgs_per_query_milli % 1000,
-        report.total_msgs,
-        report.attributed_cost
-    );
-
-    if report.done < 100 {
-        eprintln!(
-            "ACCEPTANCE FAILURE: only {} queries completed (floor: 100)",
-            report.done
-        );
-        std::process::exit(1);
-    }
-    if report.cache_hits == 0 {
-        eprintln!("ACCEPTANCE FAILURE: cache hit-rate is zero");
-        std::process::exit(1);
-    }
-
-    if check {
-        eprintln!("--check: re-running the workload to verify determinism...");
-        let again = run_once();
-        let a = report.deterministic_json();
-        let b = again.deterministic_json();
-        if a != b {
-            eprintln!("DETERMINISM FAILURE: deterministic views differ across same-seed runs");
-            eprintln!("  run 1: {a}");
-            eprintln!("  run 2: {b}");
-            std::process::exit(1);
-        }
-        eprintln!("--check: deterministic views byte-identical across two runs");
-    }
-
-    let json = report.to_json();
-    if json.matches('{').count() != json.matches('}').count() {
-        eprintln!("MALFORMED REPORT: unbalanced braces in {json}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    driver::main::<Workload>();
 }

@@ -97,9 +97,8 @@ pub fn run_point(
         None,
     );
     let run = sim.run_concurrent();
-    // Reuse the SLO folding for the percentile math; wall-clock is not
-    // part of this report at all.
-    let slo = SloReport::from_run(&run, 0);
+    // Reuse the SLO folding for the percentile math.
+    let slo = SloReport::from_run(&run);
     ContentionPoint {
         capacity,
         mean_gap,

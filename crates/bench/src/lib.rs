@@ -2,17 +2,23 @@
 //! files. Host wall time is measured by the standalone benchmark package
 //! in `benchmark/` at the repository root.
 //!
+//! Every `*_report` binary runs through [`driver`]: one command line
+//! (`[--check] [--out PATH]`), one acceptance gate, one determinism rerun
+//! and one JSON document per report.
+//!
 //! The [`report`] module backs two dev binaries:
 //!
 //! * `bench_report` — runs quick experiment presets and writes
-//!   `BENCH_elink.json` (`--check` verifies same-seed determinism);
+//!   `BENCH_elink.json`;
 //! * `trace_summary` — renders a [`elink_netsim::JsonlTrace`] event log as
 //!   per-node send/deliver/drop tables.
 //!
 //! The [`scale`] module backs `scale_report`, the 1k→64k fleet-size sweep
 //! behind `BENCH_scale.json`: msgs/node and bytes/node curves against the
-//! paper's O(N) claim, plus wall-clock for both scheduler backends (the
-//! calendar-queue speedup scoreboard).
+//! paper's O(N) claim.
+//!
+//! The [`subbench`] module backs `sub_report`, the standing-query
+//! push-vs-requery comparison behind `BENCH_sub.json`.
 //!
 //! The [`contention`] module backs `contention_report`, the offered-load ×
 //! capacity sweep behind `BENCH_contention.json`: the 1k-node serving
@@ -33,6 +39,9 @@
 pub mod admission;
 /// The offered-load × capacity contention sweep behind `BENCH_contention.json`.
 pub mod contention;
+/// The shared command line, gate, determinism rerun and writer of every
+/// `*_report` binary.
+pub mod driver;
 /// Quick experiment presets behind `BENCH_elink.json` and `trace_summary`.
 pub mod report;
 /// The 1k→64k fleet-size scaling bench behind `BENCH_scale.json`.

@@ -2,18 +2,14 @@
 //!
 //! [`run_benches`](crate::report::run_benches) executes quick presets of the paper experiments
 //! (fig08/fig09/fig11) plus a substrate microbench, each returning a
-//! [`BenchResult`](crate::report::BenchResult) with wall-clock, simulated time, message totals and the
+//! [`BenchResult`](crate::report::BenchResult) with simulated time, message totals and the
 //! per-phase breakdown from the [`elink_netsim::metrics`] registry.
 //!
-//! Two JSON views exist on purpose:
-//!
-//! * [`report_json`](crate::report::report_json) — the full report written to `BENCH_elink.json`,
-//!   including `wall_ms`;
-//! * [`deterministic_json`](crate::report::deterministic_json) — the same report with every wall-clock field
-//!   removed. Same-seed runs must produce **byte-identical** deterministic
-//!   views (`bench_report --check` and a unit test both enforce this);
-//!   wall-clock is reported for trend tracking but never part of the
-//!   determinism contract.
+//! [`report_json`](crate::report::report_json) renders them as the
+//! `BENCH_elink.json` document (schema `elink-bench/v2`). Every field is
+//! simulated, so same-seed runs must produce **byte-identical** documents
+//! (`bench_report --check` and a unit test both enforce this). Host time
+//! is measured by the benchmark package, with repeated trials.
 //!
 //! Byte accounting: the §8.2 cost model counts message *scalars*; the
 //! `bytes` field prices each scalar at 8 bytes (one `f64`), so
@@ -25,7 +21,6 @@ use elink_datasets::{TaoDataset, TaoParams, TerrainDataset};
 use elink_metric::{DistanceMatrix, Feature, Metric};
 use elink_netsim::{Ctx, Metrics, Protocol, SimNetwork, Simulator, SyncLink};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One benchmark's measurements.
 #[derive(Debug, Clone)]
@@ -34,9 +29,6 @@ pub struct BenchResult {
     pub bench: &'static str,
     /// Network size (nodes).
     pub n: usize,
-    /// Host wall-clock for the measured section, in milliseconds. The ONLY
-    /// nondeterministic field; excluded from [`deterministic_json`].
-    pub wall_ms: u64,
     /// Simulated time at quiescence (ticks).
     pub sim_time: u64,
     /// Total link-level transmissions (§8.2 packets).
@@ -72,16 +64,10 @@ fn delta_quantile(features: &[Feature], metric: &dyn Metric, q: f64) -> f64 {
     ds[((ds.len() - 1) as f64 * q.clamp(0.0, 1.0)) as usize].max(1e-12)
 }
 
-fn outcome_result(
-    bench: &'static str,
-    n: usize,
-    wall_ms: u64,
-    outcome: ElinkOutcome,
-) -> BenchResult {
+fn outcome_result(bench: &'static str, n: usize, outcome: ElinkOutcome) -> BenchResult {
     BenchResult {
         bench,
         n,
-        wall_ms,
         sim_time: outcome.elapsed,
         messages: outcome.costs.total_packets(),
         bytes: 8 * outcome.costs.total_cost(),
@@ -96,10 +82,8 @@ fn bench_fig08_implicit() -> BenchResult {
     let metric: Arc<dyn Metric> = Arc::new(data.metric().clone());
     let delta = delta_quantile(&features, metric.as_ref(), 0.6);
     let network = SimNetwork::new(data.topology().clone());
-    let start = Instant::now();
     let outcome = run_implicit(&network, &features, metric, ElinkConfig::for_delta(delta));
-    let wall = start.elapsed().as_millis() as u64;
-    outcome_result("fig08_tao_implicit", features.len(), wall, outcome)
+    outcome_result("fig08_tao_implicit", features.len(), outcome)
 }
 
 /// fig08 quick preset, explicit mode (synchronization messages included).
@@ -109,7 +93,6 @@ fn bench_fig08_explicit() -> BenchResult {
     let metric: Arc<dyn Metric> = Arc::new(data.metric().clone());
     let delta = delta_quantile(&features, metric.as_ref(), 0.6);
     let network = SimNetwork::new(data.topology().clone());
-    let start = Instant::now();
     let outcome = run_explicit(
         &network,
         &features,
@@ -118,8 +101,7 @@ fn bench_fig08_explicit() -> BenchResult {
         SyncLink,
         0,
     );
-    let wall = start.elapsed().as_millis() as u64;
-    outcome_result("fig08_tao_explicit", features.len(), wall, outcome)
+    outcome_result("fig08_tao_explicit", features.len(), outcome)
 }
 
 /// fig09 quick preset: 150-sensor terrain, absolute δ = 500 m.
@@ -128,10 +110,8 @@ fn bench_fig09_implicit() -> BenchResult {
     let features = data.features();
     let metric: Arc<dyn Metric> = Arc::new(data.metric());
     let network = SimNetwork::new(data.topology().clone());
-    let start = Instant::now();
     let outcome = run_implicit(&network, &features, metric, ElinkConfig::for_delta(500.0));
-    let wall = start.elapsed().as_millis() as u64;
-    outcome_result("fig09_terrain_implicit", features.len(), wall, outcome)
+    outcome_result("fig09_terrain_implicit", features.len(), outcome)
 }
 
 /// fig11 quick preset: cluster the Tao network, then stream the evaluation
@@ -157,7 +137,6 @@ fn bench_fig11_maintenance() -> BenchResult {
         delta,
         slack,
     );
-    let start = Instant::now();
     let mut sim = Simulator::new(network, SyncLink, 0, nodes);
     sim.run_to_completion(); // drain (empty) start events
     let mut models = data.train_models();
@@ -170,12 +149,10 @@ fn bench_fig11_maintenance() -> BenchResult {
             sim.run_to_completion();
         }
     }
-    let wall = start.elapsed().as_millis() as u64;
     let n = sim.nodes().len();
     BenchResult {
         bench: "fig11_tao_maintenance",
         n,
-        wall_ms: wall,
         sim_time: sim.now(),
         messages: sim.costs().total_packets(),
         bytes: 8 * sim.costs().total_cost(),
@@ -201,14 +178,11 @@ fn bench_substrate_unicast() -> BenchResult {
     let n = topo.n();
     let network = SimNetwork::new(topo);
     let nodes: Vec<Storm> = (0..n).map(|_| Storm { n }).collect();
-    let start = Instant::now();
     let mut sim = Simulator::new(network, SyncLink, 0, nodes);
     let elapsed = sim.run_to_completion();
-    let wall = start.elapsed().as_millis() as u64;
     BenchResult {
         bench: "substrate_unicast_storm",
         n,
-        wall_ms: wall,
         sim_time: elapsed,
         messages: sim.costs().total_packets(),
         bytes: 8 * sim.costs().total_cost(),
@@ -230,16 +204,11 @@ pub fn run_benches() -> Vec<BenchResult> {
 /// JSON-escapes nothing: every key/value we emit is a known identifier or a
 /// number, so plain formatting is safe. Phases render as
 /// `{"entries":..,"first_enter":..,"last_exit":..,"span":..}`.
-fn result_json(r: &BenchResult, include_wall: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"bench\":\"{}\",\"n\":{}", r.bench, r.n));
-    if include_wall {
-        out.push_str(&format!(",\"wall_ms\":{}", r.wall_ms));
-    }
-    out.push_str(&format!(
-        ",\"sim_time\":{},\"messages\":{},\"bytes\":{}",
-        r.sim_time, r.messages, r.bytes
-    ));
+fn result_json(r: &BenchResult) -> String {
+    let mut out = format!(
+        "{{\"bench\":\"{}\",\"n\":{},\"sim_time\":{},\"messages\":{},\"bytes\":{}",
+        r.bench, r.n, r.sim_time, r.messages, r.bytes
+    );
     out.push_str(",\"phases\":{");
     let mut first = true;
     for (name, p) in r.metrics.phases() {
@@ -260,27 +229,14 @@ fn result_json(r: &BenchResult, include_wall: bool) -> String {
     out
 }
 
-fn report(results: &[BenchResult], include_wall: bool) -> String {
-    let mut out = String::from("{\"schema\":\"elink-bench/v1\",\"results\":[\n");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&result_json(r, include_wall));
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// The full `BENCH_elink.json` payload (wall-clock included).
+/// The `BENCH_elink.json` document. Two same-seed runs must agree
+/// byte-for-byte.
 pub fn report_json(results: &[BenchResult]) -> String {
-    report(results, true)
-}
-
-/// The determinism view: identical to [`report_json`] minus every
-/// `wall_ms` field. Two same-seed runs must agree byte-for-byte.
-pub fn deterministic_json(results: &[BenchResult]) -> String {
-    report(results, false)
+    let rows: Vec<String> = results.iter().map(result_json).collect();
+    format!(
+        "{{\"schema\":\"elink-bench/v2\",\"results\":[\n{}\n]}}\n",
+        rows.join(",\n")
+    )
 }
 
 #[cfg(test)]
@@ -309,11 +265,10 @@ mod tests {
 
     #[test]
     fn deterministic_view_is_byte_identical_across_same_seed_runs() {
-        // The satellite determinism test: every metric field of the report
-        // except wall_ms must be reproducible bit-for-bit.
+        // Every field of the report must be reproducible bit-for-bit.
         let a = vec![bench_fig08_implicit(), bench_substrate_unicast()];
         let b = vec![bench_fig08_implicit(), bench_substrate_unicast()];
-        assert_eq!(deterministic_json(&a), deterministic_json(&b));
+        assert_eq!(report_json(&a), report_json(&b));
     }
 
     #[test]
@@ -321,10 +276,9 @@ mod tests {
         let r = bench_substrate_unicast();
         let json = report_json(std::slice::from_ref(&r));
         for key in [
-            "\"schema\":\"elink-bench/v1\"",
+            "\"schema\":\"elink-bench/v2\"",
             "\"bench\":\"substrate_unicast_storm\"",
             "\"n\":64",
-            "\"wall_ms\":",
             "\"sim_time\":",
             "\"messages\":",
             "\"bytes\":",
@@ -332,6 +286,6 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!(!deterministic_json(std::slice::from_ref(&r)).contains("wall_ms"));
+        assert!(!json.contains("wall_ms"), "host time in {json}");
     }
 }

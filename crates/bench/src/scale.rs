@@ -3,9 +3,9 @@
 //! The paper's central claim is O(N)-message clustering (Theorem 3); this
 //! bench puts the reproduction's msgs/node curve next to it at fleet sizes
 //! up to 64k nodes — the "Fundamentals of Large Sensor Networks" regime.
-//! Each size runs once; `wall_ms` is a single host-time reading, so it is
-//! a sanity figure, not a benchmark (the repo benchmark under `benchmark/`
-//! measures `growth-64k` with repeated trials).
+//! Each size runs once and every reported field is simulated; host time is
+//! measured by the repo benchmark under `benchmark/`, whose `growth-64k`
+//! workload repeats trials.
 //!
 //! Fleets are unit-spacing grids (`O(n)` construction) with a smooth
 //! two-frequency feature field, clustered by implicit-mode ELink over a
@@ -19,7 +19,6 @@ use elink_metric::{Absolute, Feature};
 use elink_netsim::SimNetwork;
 use elink_topology::Topology;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Grid sides of the full preset: 1k, 4k, 16k and 64k nodes.
 pub const FULL_SIDES: [usize; 4] = [32, 64, 128, 256];
@@ -43,8 +42,6 @@ pub struct ScalePoint {
     pub bytes_per_node: f64,
     /// High-water mark of simultaneously live scheduler events.
     pub peak_live_events: usize,
-    /// Wall-clock of the run, in milliseconds.
-    pub wall_ms: u64,
 }
 
 /// The smooth synthetic feature field: two incommensurate spatial
@@ -77,14 +74,12 @@ pub fn run_point(side: usize) -> ScalePoint {
     let features = grid_features(side);
     let network = SimNetwork::new(topology);
 
-    let start = Instant::now();
     let outcome = run_implicit(
         &network,
         &features,
         Arc::new(Absolute),
         ElinkConfig::for_delta(SCALE_DELTA),
     );
-    let wall_ms = start.elapsed().as_millis() as u64;
     assert!(
         !network.routing_built(),
         "broadcast-only run materialized the O(n²) routing table"
@@ -101,7 +96,6 @@ pub fn run_point(side: usize) -> ScalePoint {
         msgs_per_node: messages as f64 / n as f64,
         bytes_per_node: bytes as f64 / n as f64,
         peak_live_events: outcome.peak_live_events,
-        wall_ms,
     }
 }
 
@@ -110,44 +104,31 @@ pub fn run_scale(sides: &[usize]) -> Vec<ScalePoint> {
     sides.iter().map(|&side| run_point(side)).collect()
 }
 
-fn point_json(p: &ScalePoint, include_wall: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"n\":{},\"clusters\":{},\"sim_time\":{},\"messages\":{},\"bytes\":{}",
-        p.n, p.clusters, p.sim_time, p.messages, p.bytes
-    ));
-    out.push_str(&format!(
-        ",\"msgs_per_node\":{:.3},\"bytes_per_node\":{:.3},\"peak_live_events\":{}",
-        p.msgs_per_node, p.bytes_per_node, p.peak_live_events
-    ));
-    if include_wall {
-        out.push_str(&format!(",\"wall_ms\":{}", p.wall_ms));
-    }
-    out.push('}');
-    out
+fn point_json(p: &ScalePoint) -> String {
+    format!(
+        concat!(
+            "{{\"n\":{},\"clusters\":{},\"sim_time\":{},\"messages\":{},\"bytes\":{},",
+            "\"msgs_per_node\":{:.3},\"bytes_per_node\":{:.3},\"peak_live_events\":{}}}"
+        ),
+        p.n,
+        p.clusters,
+        p.sim_time,
+        p.messages,
+        p.bytes,
+        p.msgs_per_node,
+        p.bytes_per_node,
+        p.peak_live_events
+    )
 }
 
-fn report(points: &[ScalePoint], include_wall: bool) -> String {
-    let mut out = String::from("{\"schema\":\"elink-scale/v2\",\"results\":[\n");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&point_json(p, include_wall));
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// The full `BENCH_scale.json` payload (wall-clock included).
+/// The `BENCH_scale.json` document. Two same-seed runs must agree
+/// byte-for-byte.
 pub fn scale_report_json(points: &[ScalePoint]) -> String {
-    report(points, true)
-}
-
-/// The determinism view: identical minus every wall-clock-derived field.
-/// Two same-seed runs must agree byte-for-byte.
-pub fn scale_deterministic_json(points: &[ScalePoint]) -> String {
-    report(points, false)
+    let rows: Vec<String> = points.iter().map(point_json).collect();
+    format!(
+        "{{\"schema\":\"elink-scale/v3\",\"results\":[\n{}\n]}}\n",
+        rows.join(",\n")
+    )
 }
 
 #[cfg(test)]
@@ -175,16 +156,15 @@ mod tests {
     fn deterministic_view_is_reproducible_and_wall_free() {
         let a = run_scale(&[8, 16]);
         let b = run_scale(&[8, 16]);
-        assert_eq!(scale_deterministic_json(&a), scale_deterministic_json(&b));
-        assert!(!scale_deterministic_json(&a).contains("wall_ms"));
-        let full = scale_report_json(&a);
+        let json = scale_report_json(&a);
+        assert_eq!(json, scale_report_json(&b));
+        assert!(!json.contains("wall_ms"));
         for key in [
-            "\"schema\":\"elink-scale/v2\"",
+            "\"schema\":\"elink-scale/v3\"",
             "\"msgs_per_node\":",
             "\"peak_live_events\":",
-            "\"wall_ms\":",
         ] {
-            assert!(full.contains(key), "missing {key}");
+            assert!(json.contains(key), "missing {key}");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! The standing-query serving bench behind `BENCH_sub.json` (schema
-//! `elink-sub/v1`).
+//! `elink-sub/v2`).
 //!
 //! Three runs share one deployment preset (same topology, features, seed
 //! and update stream):
@@ -24,8 +24,8 @@ use elink_metric::{Absolute, Metric};
 use elink_workload::{expected_matches, ServeOptions, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
 
-/// Everything `sub_report` prints and serializes. All fields except
-/// `wall_ms` are deterministic for a fixed preset.
+/// Everything `sub_report` prints and serializes. Every field is
+/// deterministic for a fixed preset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubReport {
     /// Nodes in the deployment.
@@ -62,8 +62,6 @@ pub struct SubReport {
     pub requery_per_update_milli: u64,
     /// `requery_msgs / push_msgs` in milli — the acceptance ratio.
     pub ratio_milli: u64,
-    /// Host wall-clock of the three runs (excluded from determinism).
-    pub wall_ms: u64,
 }
 
 /// The bench preset: a 256-node terrain deployment, 8 subscribers over the
@@ -102,7 +100,6 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 
 /// Runs the three-way comparison for one preset scale.
 pub fn run_once(scale: u32) -> SubReport {
-    let start = std::time::Instant::now();
     let (spec, delta, n_nodes) = preset(scale);
     let metric: Arc<dyn Metric> = Arc::new(Absolute);
 
@@ -223,22 +220,21 @@ pub fn run_once(scale: u32) -> SubReport {
         push_per_update_milli: push_msgs * 1000 / n_updates.max(1),
         requery_per_update_milli: requery_msgs * 1000 / n_updates.max(1),
         ratio_milli: requery_msgs * 1000 / push_msgs.max(1),
-        wall_ms: start.elapsed().as_millis() as u64,
     }
 }
 
 impl SubReport {
-    /// Full JSON document (schema `elink-sub/v1`).
+    /// The JSON document (schema `elink-sub/v2`).
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"schema\":\"elink-sub/v1\",\"n_nodes\":{},\"n_clusters\":{},",
+                "{{\"schema\":\"elink-sub/v2\",\"n_nodes\":{},\"n_clusters\":{},",
                 "\"n_subscribers\":{},\"n_updates\":{},\"active_subs\":{},",
                 "\"pushes\":{},\"repairs\":{},\"contribs\":{},",
                 "\"push_latency\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},",
                 "\"push_msgs\":{},\"requery_msgs\":{},",
                 "\"push_per_update_milli\":{},\"requery_per_update_milli\":{},",
-                "\"ratio_milli\":{},\"wall_ms\":{}}}"
+                "\"ratio_milli\":{}}}"
             ),
             self.n_nodes,
             self.n_clusters,
@@ -256,19 +252,8 @@ impl SubReport {
             self.requery_msgs,
             self.push_per_update_milli,
             self.requery_per_update_milli,
-            self.ratio_milli,
-            self.wall_ms
+            self.ratio_milli
         )
-    }
-
-    /// The deterministic view used by `--check`: everything but `wall_ms`.
-    pub fn deterministic_json(&self) -> String {
-        let mut j = self.to_json();
-        if let Some(pos) = j.rfind(",\"wall_ms\"") {
-            j.truncate(pos);
-            j.push('}');
-        }
-        j
     }
 }
 
@@ -280,7 +265,7 @@ mod tests {
     fn mini_preset_is_deterministic_and_beats_requery() {
         let a = run_once(4);
         let b = run_once(4);
-        assert_eq!(a.deterministic_json(), b.deterministic_json());
+        assert_eq!(a.to_json(), b.to_json());
         assert!(a.pushes > 0, "no pushes delivered");
         assert!(a.repairs > 0, "no incremental repairs ran");
         assert!(
@@ -294,9 +279,9 @@ mod tests {
     fn report_is_schema_tagged_and_balanced() {
         let r = run_once(4);
         let j = r.to_json();
-        assert!(j.starts_with("{\"schema\":\"elink-sub/v1\""));
+        assert!(j.starts_with("{\"schema\":\"elink-sub/v2\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(r.deterministic_json().ends_with('}'));
-        assert!(!r.deterministic_json().contains("wall_ms"));
+        assert!(j.ends_with('}'));
+        assert!(!j.contains("wall_ms"));
     }
 }

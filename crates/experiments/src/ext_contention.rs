@@ -105,7 +105,7 @@ pub fn sweep(params: &Params) -> Vec<Cell> {
                 None,
             );
             let run = sim.run_concurrent();
-            let slo = SloReport::from_run(&run, 0);
+            let slo = SloReport::from_run(&run);
             cells.push(Cell {
                 capacity,
                 mean_gap,

@@ -31,8 +31,6 @@ use std::sync::Arc;
 pub struct ServeOptions {
     /// Enable routing-node result caches.
     pub cache_enabled: bool,
-    /// Batch window at cluster roots (ticks).
-    pub batch_window: SimTime,
     /// Maintenance slack Δ handed to the §6 absorption rule.
     pub slack: f64,
     /// Arm the failure-recovery layer: per-query deadlines with partial
@@ -50,12 +48,11 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults for a clustering threshold δ: caches on, zero batch window
-    /// (same-tick coalescing only), Δ = δ/4, recovery off, default QoS.
+    /// Defaults for a clustering threshold δ: caches on, Δ = δ/4, recovery
+    /// off, default QoS.
     pub fn for_delta(delta: f64) -> ServeOptions {
         ServeOptions {
             cache_enabled: true,
-            batch_window: 0,
             slack: delta / 4.0,
             recovery: false,
             qos: QosConfig::default(),
@@ -219,7 +216,6 @@ impl WorkloadSim {
             delta,
             slack: opts.slack,
             cache_enabled: opts.cache_enabled,
-            batch_window: opts.batch_window,
             recovery: opts.recovery,
             cluster_of,
             leaders,

@@ -6,9 +6,9 @@
 //! This module is *pure policy*: deterministic integer arithmetic over
 //! state the protocol hands it, no messaging and no side effects. The
 //! mechanics (who sends what when a subscription is shed, evicted, or
-//! degraded) live in [`crate::subscribe`] and `protocol.rs`; keeping the
-//! policy separate makes every decision unit-testable and keeps the
-//! protocol handlers free of tuning arithmetic.
+//! degraded) live in [`crate::subscribe`] and [`crate::protocol`];
+//! keeping the policy separate makes every decision unit-testable and
+//! keeps the protocol handlers free of tuning arithmetic.
 //!
 //! # Admission ladder
 //!

@@ -1,16 +1,16 @@
 //! SLO reporting: folds a [`WorkloadRun`] into
-//! the machine-readable `elink-workload/v1` document emitted by the
+//! the machine-readable `elink-workload/v2` document emitted by the
 //! `workload_report` bench binary.
 //!
-//! Every field except `wall_ms` is derived from deterministic simulator
-//! state; ratios are reported in integer milli-units so the document is
-//! byte-stable across runs of the same seed (the `--check` contract).
+//! Every field is derived from deterministic simulator state; ratios are
+//! reported in integer milli-units so the document is byte-stable across
+//! runs of the same seed (the `--check` contract).
 
 use crate::engine::WorkloadRun;
 use elink_netsim::SimTime;
 
 /// Schema identifier of the emitted document.
-pub const SCHEMA: &str = "elink-workload/v1";
+pub const SCHEMA: &str = "elink-workload/v2";
 
 /// Latency percentiles over completed queries (ticks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +72,6 @@ pub struct SloReport {
     pub updates_absorbed: u64,
     /// Slack-exceeding updates that re-anchored and invalidated.
     pub updates_sync: u64,
-    /// Wall-clock milliseconds (excluded from the deterministic view).
-    pub wall_ms: u64,
 }
 
 fn percentile(sorted: &[u64], p: u64) -> u64 {
@@ -85,9 +83,8 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 }
 
 impl SloReport {
-    /// Summarizes a finished run. `wall_ms` is measured by the caller (the
-    /// only nondeterministic field).
-    pub fn from_run(run: &WorkloadRun, wall_ms: u64) -> SloReport {
+    /// Summarizes a finished run.
+    pub fn from_run(run: &WorkloadRun) -> SloReport {
         let mut lats: Vec<u64> = run
             .completed
             .iter()
@@ -136,22 +133,12 @@ impl SloReport {
             updates_recv: m.counter("wl.update.recv"),
             updates_absorbed: m.counter("wl.update.absorbed"),
             updates_sync: m.counter("wl.update.sync"),
-            wall_ms,
         }
     }
 
-    /// The full JSON document (single line, stable key order).
-    pub fn to_json(&self) -> String {
-        let mut s = self.deterministic_json();
-        let closing = s.pop();
-        debug_assert_eq!(closing, Some('}'));
-        s.push_str(&format!(",\"wall_ms\":{}}}", self.wall_ms));
-        s
-    }
-
-    /// The deterministic view: everything except `wall_ms`. Two runs of the
+    /// The JSON document (single line, stable key order). Two runs of the
     /// same seed must produce byte-identical output.
-    pub fn deterministic_json(&self) -> String {
+    pub fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\"schema\":\"{schema}\",",
@@ -211,9 +198,8 @@ mod tests {
         assert_eq!(percentile(&[], 50), 0);
     }
 
-    /// `to_json` splices `wall_ms` into the deterministic view by string
-    /// surgery; the result must stay balanced JSON in every build profile
-    /// (a `pop()` hidden inside `debug_assert!` once broke release builds).
+    /// The document must stay balanced, schema-tagged JSON with no host
+    /// time in it.
     #[test]
     fn to_json_stays_brace_balanced() {
         let report = SloReport {
@@ -244,20 +230,13 @@ mod tests {
             updates_recv: 0,
             updates_absorbed: 0,
             updates_sync: 0,
-            wall_ms: 7,
         };
         let json = report.to_json();
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes, "unbalanced braces in {json}");
-        assert!(json.ends_with(",\"wall_ms\":7}"));
-        assert!(
-            !json.contains("}},\"wall_ms\""),
-            "root brace not spliced out"
-        );
-        // The deterministic view is the same document minus the wall_ms tail.
-        let det = report.deterministic_json();
-        assert_eq!(det.matches('{').count(), det.matches('}').count());
-        assert!(json.starts_with(det.trim_end_matches('}')));
+        assert!(json.starts_with("{\"schema\":\"elink-workload/v2\","));
+        assert!(json.ends_with("\"sync\":0}}"));
+        assert!(!json.contains("wall_ms"));
     }
 }

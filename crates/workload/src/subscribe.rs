@@ -32,7 +32,8 @@
 //!
 //! Everything here is deterministic integer/[`NodeSet`] bookkeeping with
 //! no messaging; the IO glue (sends, timers, repair descents) lives in
-//! `protocol.rs` so this module stays unit-testable in isolation.
+//! the protocol's `subs` handlers so this module stays unit-testable in
+//! isolation.
 
 use crate::nodeset::NodeSet;
 use crate::qos::AdaptiveWindow;
@@ -344,6 +345,15 @@ impl SubEntry {
         Some(push)
     }
 
+    /// Restarts the push stream from a snapshot (a re-registration or a
+    /// resync request at `now`).
+    pub fn restart(&mut self, now: SimTime) {
+        self.acked = None;
+        self.sent = None;
+        self.retries = 0;
+        self.last_active = now;
+    }
+
     /// Confirms delivery of `version`: the sent view becomes the acked
     /// base for future deltas. Stale acks are ignored.
     pub fn confirm(&mut self, version: u64) -> bool {
@@ -462,6 +472,15 @@ impl SubState {
         self.table
             .iter()
             .map(|(&sid, e)| (sid, e.last_active, e.pushes))
+    }
+
+    /// Client role: the coordinator ended subscription `sid` for `reason`
+    /// (an [`end_reason`] code).
+    pub fn end_client(&mut self, sid: u64, reason: u8) {
+        if let Some(c) = self.client.get_mut(&sid) {
+            c.active = false;
+            c.end_reason = reason;
+        }
     }
 
     /// Whether any table entry for `template` is admitted non-degraded
