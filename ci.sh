@@ -24,6 +24,11 @@ cargo test -q --workspace
 echo "== cargo test --release -p elink-workload (serving suites without debug assertions)"
 cargo test --release -q -p elink-workload
 
+# The scheduler's arena and cancellation invariants, the growth protocol's
+# and the model checker's are debug_assert!s too (~45 s build on 2 cores).
+echo "== cargo test --release -p elink-netsim -p elink-core -p elink-mc (without debug assertions)"
+cargo test --release -q -p elink-netsim -p elink-core -p elink-mc
+
 # The --check smokes below need release binaries: debug builds are ~10x
 # slower and `cargo run --release -q` would silently rebuild half the
 # workspace with no indication of why CI stalled. Build once, loudly, then

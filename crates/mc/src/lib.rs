@@ -4,8 +4,9 @@
 //! implementations (core elink, maintenance, workload serving) through a
 //! virtual network instead of the event queue: the engine's capture seam
 //! ([`Simulator::capture_dispatch`](elink_netsim::Simulator::capture_dispatch))
-//! returns what a handler *would* have enqueued, and [`McSystem`] owns the
-//! resulting in-flight event multiset. DFS/BFS exploration then branches
+//! returns what a handler *would* have enqueued (and which earlier events
+//! it cancelled), and [`McSystem`] owns the resulting in-flight event
+//! multiset. DFS/BFS exploration then branches
 //! over delivery orderings and fault-injection points (drop, duplicate,
 //! crash-before/after-handler), pruning by FNV fingerprints over
 //! canonicalized node + network state, under bounded depth/state budgets.

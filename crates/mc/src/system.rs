@@ -36,7 +36,9 @@ use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::fmt::Write as _;
 
-use elink_netsim::{fnv1a, Canonicalize, FlowsSnapshot, McEvent, Protocol, SimTime, Simulator};
+use elink_netsim::{
+    fnv1a, Canonicalize, EventHandle, FlowsSnapshot, McEvent, Protocol, SimTime, Simulator,
+};
 
 /// How many faults of each class the explorer may inject along one path.
 #[derive(Debug, Clone, Copy, Default)]
@@ -377,7 +379,9 @@ where
             let p = pending.remove(i);
             dispatched += 1;
             assert!(dispatched <= max_dispatches, "FIFO schedule livelock?");
-            for ev in self.sim.capture_dispatch(p.ev.time(), &p.ev) {
+            let harvest = self.sim.capture_dispatch(p.ev.time(), &p.ev);
+            drop_cancelled(&mut pending, &harvest.cancelled);
+            for ev in harvest.events {
                 pending.push(Pending {
                     ev,
                     meta: PendingMeta {
@@ -661,7 +665,11 @@ where
         // contention snapshot before the dispatch mutates the flow table,
         // then capture the successor's snapshot after.
         self.sim.flows_restore(&ns.flows);
-        let harvested = self.sim.capture_dispatch(at, &p.ev);
+        let harvest = self.sim.capture_dispatch(at, &p.ev);
+        // A cancelled event leaves the pending set as it leaves the
+        // engine's queue: never dispatched, never counted (the replay's
+        // engine cancels it itself, so it needs no fate).
+        drop_cancelled(&mut ns.pending, &harvest.cancelled);
         ns.nodes.clone_from_slice(self.sim.nodes());
         ns.flows = self.sim.flows_snapshot();
         ns.now = at;
@@ -672,7 +680,7 @@ where
                 at,
             });
         }
-        for ev in harvested {
+        for ev in harvest.events {
             let to_crashed = ns.crashed.contains(&ev.node());
             // A message routed through an already-crashed relay is swallowed
             // there: it reaches route position i at tick at+i ≥ at+1, and
@@ -823,5 +831,79 @@ where
         // can price or invalidate future transfers differently.
         out.push_str(&s.flows.describe(s.now));
         fnv1a(out.as_bytes())
+    }
+}
+
+/// Removes the pending events a dispatch cancelled.
+fn drop_cancelled<M>(pending: &mut Vec<Pending<M>>, cancelled: &[EventHandle]) {
+    if !cancelled.is_empty() {
+        pending.retain(|p| p.ev.handle().is_none_or(|h| !cancelled.contains(&h)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenarios::serving;
+    use elink_workload::protocol::ServeMsg;
+    use elink_workload::ServeNode;
+
+    /// A cancel under the capture seam reaches the checker: the dispatch
+    /// that completes an echo also takes that echo's `Deadline::Echo` timer
+    /// out of the pending set, so exploration and replay see the timers
+    /// the engine's queue holds.
+    #[test]
+    fn completing_an_echo_removes_its_deadline_from_the_pending_set() {
+        let scenario = serving::four_node();
+        let config = McConfig::fault_free(scenario.delay_bound);
+        let mut sys = scenario.system();
+        // The serving timer id of `Deadline::Echo(1)`: query 1's echo.
+        let echo_id = format!(" id{}", (1u64 << 44) | 1);
+        let echo_deadlines = |s: &McState<ServeNode>| -> Vec<(usize, u64)> {
+            s.pending
+                .iter()
+                .filter(|p| p.ev.is_timer() && p.ev.describe(0).ends_with(&echo_id))
+                .map(|p| (p.ev.node(), p.meta.seq))
+                .collect()
+        };
+        let mut s = sys.init_state();
+        let mut cancelled = Vec::new();
+        while !s.quiescent() {
+            let tr = sys.transitions(&s, &config)[0];
+            let node = sys.pending_by_seq(&s, tr.seq).ev.node();
+            let armed = echo_deadlines(&s);
+            assert!(
+                armed.iter().all(|&(_, seq)| seq != tr.seq),
+                "an echo deadline fired on a fault-free run"
+            );
+            let ns = sys.apply(&s, tr);
+            let still = echo_deadlines(&ns);
+            for (owner, seq) in armed {
+                if still.iter().any(|&(_, q)| q == seq) {
+                    continue;
+                }
+                // Its echo finished here: a BackAgg towards the coordinator,
+                // or, at the coordinator, the answer.
+                assert_eq!(owner, node, "a node cancelled another's deadline");
+                let back_agg = ns.pending.iter().any(|p| {
+                    p.meta.seq >= s.next_seq
+                        && p.ev.origin() == Some(node)
+                        && matches!(p.ev.message(), Some(ServeMsg::BackAgg { qid: 1, .. }))
+                });
+                let answered = ns.nodes[node].completed().len() > s.nodes[node].completed().len();
+                assert!(
+                    back_agg || answered,
+                    "deadline cancelled before its echo finished"
+                );
+                cancelled.push(owner);
+            }
+            s = ns;
+        }
+        // The peer root answers its cluster at once, so its echo arms and
+        // cancels its deadline within one dispatch, which never reaches the
+        // pending set. The coordinator's spans dispatches: the BackAgg that
+        // completes its echo removes it.
+        assert_eq!(cancelled, vec![0]);
+        assert_eq!(s.nodes[0].completed().len(), 1);
     }
 }

@@ -73,7 +73,7 @@ fn run_growth_collecting_phase1() -> (Simulator<ElinkNode>, Vec<McEvent<ElinkMsg
         if matches!(ev.message(), Some(ElinkMsg::Phase1 { .. })) {
             phase1.push(ev.clone());
         }
-        for out in sim.capture_dispatch(ev.time(), &ev) {
+        for out in sim.capture_dispatch(ev.time(), &ev).events {
             queue.push((seq, out));
             seq += 1;
         }
@@ -112,7 +112,7 @@ fn duplicate_phase1_after_completion_is_absorbed() {
         .map(ElinkNode::unsettled_subtrees)
         .collect();
     for ev in &phase1 {
-        let harvested = sim.capture_dispatch(end + 1, ev);
+        let harvested = sim.capture_dispatch(end + 1, ev).events;
         assert!(
             harvested.is_empty(),
             "redelivered Phase1 must be absorbed, emitted {} event(s)",
@@ -141,9 +141,9 @@ fn acks_for_unknown_roots_are_recorded_and_dropped() {
     // Node 2 (feature 100) never joined cluster 0; both ack classes must
     // hit their unknown-root site without emitting anything.
     let ack1 = McEvent::external(end + 1, 2, ElinkMsg::Ack1 { root: 0 });
-    assert!(sim.capture_dispatch(end + 1, &ack1).is_empty());
+    assert!(sim.capture_dispatch(end + 1, &ack1).events.is_empty());
     let ack2 = McEvent::external(end + 2, 2, ElinkMsg::Ack2 { root: 0 });
-    assert!(sim.capture_dispatch(end + 2, &ack2).is_empty());
+    assert!(sim.capture_dispatch(end + 2, &ack2).events.is_empty());
     let strays = &sim.nodes()[2].stray_drops;
     assert!(
         strays.contains(&stray::SITE_ACK1_UNKNOWN_ROOT),

@@ -22,7 +22,7 @@ use crate::flow::{FlowFired, FlowResched, FlowTable, LinkUtil};
 use crate::link::{HopOutcome, LinkModel};
 use crate::metrics::Metrics;
 use crate::reliable::{ArqConfig, KIND_ACK, KIND_RETX};
-use crate::scheduler::{PoppedEvent, Scheduler};
+use crate::scheduler::{EventHandle, PoppedEvent, Scheduler};
 use crate::stats::{CostBook, MessageStats};
 use crate::trace::{DropReason, TraceEvent, TraceSink};
 use elink_topology::{RoutingTable, Topology};
@@ -199,6 +199,10 @@ pub struct McEvent<M> {
     time: SimTime,
     node: usize,
     kind: EventKind<M>,
+    /// The handle the capture seam minted for the event (`None` for
+    /// [`McEvent::external`]); a later [`Captured::cancelled`] entry names
+    /// it.
+    handle: Option<EventHandle>,
 }
 
 impl<M: Clone> Clone for McEvent<M> {
@@ -207,6 +211,7 @@ impl<M: Clone> Clone for McEvent<M> {
             time: self.time,
             node: self.node,
             kind: self.kind.clone(),
+            handle: self.handle,
         }
     }
 }
@@ -215,6 +220,12 @@ impl<M> McEvent<M> {
     /// Earliest tick this event can fire.
     pub fn time(&self) -> SimTime {
         self.time
+    }
+
+    /// The handle a later [`Captured::cancelled`] names this event by
+    /// (`None` for [`McEvent::external`], which nothing can cancel).
+    pub fn handle(&self) -> Option<EventHandle> {
+        self.handle
     }
 
     /// The node the event is addressed to.
@@ -282,9 +293,36 @@ impl<M> McEvent<M> {
                 msg,
                 query: None,
             },
+            handle: None,
         }
     }
 }
+
+/// What one dispatch under the capture seam did to the future-event set:
+/// the events its handler enqueued, and the handles of events captured by
+/// *earlier* dispatches that it cancelled (an event enqueued and cancelled
+/// within the same dispatch never leaves the engine). A checker removes
+/// each cancelled event from its pending set, exactly as the engine's
+/// queue would drop it.
+pub struct Captured<M> {
+    /// Events the handler enqueued, in push order.
+    pub events: Vec<McEvent<M>>,
+    /// Earlier-captured events the handler cancelled.
+    pub cancelled: Vec<EventHandle>,
+}
+
+impl<M> Default for Captured<M> {
+    fn default() -> Self {
+        Captured {
+            events: Vec::new(),
+            cancelled: Vec::new(),
+        }
+    }
+}
+
+/// A timer armed by [`Ctx::set_timer`], for [`Ctx::cancel_timer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerHandle(EventHandle);
 
 impl<M: std::fmt::Debug> McEvent<M> {
     /// Canonical description of the event with times expressed relative to
@@ -377,6 +415,9 @@ struct LinkXfer<M> {
     scalars: u64,
     query: Option<QueryId>,
     attempt: u32,
+    /// The armed retransmission timeout, cancelled when the ack removes
+    /// the transfer.
+    rto: Option<EventHandle>,
 }
 
 /// Engine-side state of the ARQ sublayer (present when
@@ -455,13 +496,12 @@ impl<M> ArqState<M> {
             .filter(|x| x.seq == seq && x.holder == holder)
     }
 
-    /// Clears the transfer if the slot still holds it (stale events are
-    /// no-ops, matching the old map's `remove(&(seq, holder))`).
-    fn remove(&mut self, h: u32, seq: u64, holder: usize) {
-        if self.get(h, seq, holder).is_some() {
-            self.pending[h as usize] = None;
-            self.free.push(h);
-        }
+    /// Clears and returns the transfer if the slot still holds it (stale
+    /// events are no-ops, matching the old map's `remove(&(seq, holder))`).
+    fn remove(&mut self, h: u32, seq: u64, holder: usize) -> Option<LinkXfer<M>> {
+        self.get(h, seq, holder)?;
+        self.free.push(h);
+        self.pending[h as usize].take()
     }
 }
 
@@ -486,10 +526,14 @@ struct Core<M> {
     /// reuse its capacity instead of allocating.
     flow_resched: Vec<FlowResched>,
     /// When present, [`Core::push`] appends to this buffer instead of the
-    /// event queue — the model checker's capture seam. Everything else
-    /// (billing, tracing, link decisions) runs unchanged, so a captured
-    /// dispatch is bit-for-bit the engine's own dispatch.
-    capture: Option<Vec<McEvent<M>>>,
+    /// event queue, and [`Core::cancel`] records there — the model
+    /// checker's capture seam. Everything else (billing, tracing, link
+    /// decisions) runs unchanged, so a captured dispatch is bit-for-bit the
+    /// engine's own dispatch.
+    capture: Option<Captured<M>>,
+    /// Events captured so far: mints each captured event's handle, unique
+    /// over the simulator's life.
+    captured: u64,
     /// Nodes forced dead for liveness queries regardless of the link
     /// model. The model checker's capture link is pristine — crash state
     /// lives in the explored path, not in link crash windows — so the
@@ -501,12 +545,36 @@ struct Core<M> {
 }
 
 impl<M> Core<M> {
-    fn push(&mut self, time: SimTime, node: usize, kind: EventKind<M>) {
-        if let Some(buf) = &mut self.capture {
-            buf.push(McEvent { time, node, kind });
+    fn push(&mut self, time: SimTime, node: usize, kind: EventKind<M>) -> EventHandle {
+        let Some(buf) = &mut self.capture else {
+            return self.queue.push(time, node, kind);
+        };
+        let handle = EventHandle::captured(self.captured);
+        self.captured += 1;
+        buf.events.push(McEvent {
+            time,
+            node,
+            kind,
+            handle: Some(handle),
+        });
+        handle
+    }
+
+    /// Cancels a queued event: it is never dispatched and never counted.
+    /// Under the capture seam, an event captured by this dispatch is
+    /// dropped from the buffer, and an earlier one is reported to the
+    /// checker in [`Captured::cancelled`].
+    fn cancel(&mut self, handle: EventHandle) {
+        let Some(buf) = &mut self.capture else {
+            self.queue.cancel(handle);
             return;
+        };
+        match buf.events.iter().position(|e| e.handle == Some(handle)) {
+            Some(i) => {
+                buf.events.remove(i);
+            }
+            None => buf.cancelled.push(handle),
         }
-        self.queue.push(time, node, kind);
     }
 
     fn trace(&mut self, event: TraceEvent) {
@@ -771,6 +839,7 @@ impl<M: Clone> Core<M> {
             scalars,
             query,
             attempt: 0,
+            rto: None,
         });
         self.arq_attempt(xfer, seq, holder);
     }
@@ -778,7 +847,8 @@ impl<M: Clone> Core<M> {
     /// One transmission attempt of an active link transfer: bills the radio
     /// (original kind on the first attempt, `net.retx` afterwards), rolls
     /// the link dice, and arms the next retransmission timeout with seeded
-    /// backoff jitter.
+    /// backoff jitter, keeping its handle in the transfer for the ack to
+    /// cancel.
     fn arq_attempt(&mut self, xfer: u32, seq: u64, holder: usize) {
         let Some(arq) = &self.arq else { return };
         let config = arq.config;
@@ -823,7 +893,7 @@ impl<M: Clone> Core<M> {
         if config.jitter_max > 0 {
             rto += self.rng.gen_range(0..=config.jitter_max);
         }
-        self.push(
+        let timeout = self.push(
             now + rto,
             holder,
             EventKind::ArqRetx {
@@ -832,6 +902,9 @@ impl<M: Clone> Core<M> {
                 scheduled: now,
             },
         );
+        if let Some(x) = self.arq.as_mut().and_then(|a| a.get_mut(xfer, seq, holder)) {
+            x.rto = Some(timeout);
+        }
     }
 
     /// Transmits a link-level ack `from → to` for `seq` (clearing slab slot
@@ -1110,15 +1183,28 @@ impl<'a, M: Clone> Ctx<'a, M> {
         self.core.network.routing().hops(self.node, dst)
     }
 
-    /// Schedules `on_timer(id)` for this node after `delay` ticks. The timer
-    /// is lost if the node is down when it would fire, and also if the node
-    /// crashed at any point between now and the firing time — a reboot
-    /// clears pending timers along with the rest of volatile state.
-    pub fn set_timer(&mut self, delay: SimTime, id: u64) {
+    /// Schedules `on_timer(id)` for this node after `delay` ticks and
+    /// returns the handle [`Ctx::cancel_timer`] takes. The timer is lost if
+    /// the node is down when it would fire, and also if the node crashed at
+    /// any point between now and the firing time — a reboot clears pending
+    /// timers along with the rest of volatile state.
+    pub fn set_timer(&mut self, delay: SimTime, id: u64) -> TimerHandle {
         let now = self.core.now;
         let node = self.node;
-        self.core
-            .push(now + delay, node, EventKind::Timer { id, scheduled: now });
+        TimerHandle(
+            self.core
+                .push(now + delay, node, EventKind::Timer { id, scheduled: now }),
+        )
+    }
+
+    /// Cancels a timer armed by [`Ctx::set_timer`]: it never fires, and it
+    /// is neither traced nor counted in [`Simulator::events_processed`]. A
+    /// timer that already fired, was cleared by a crash or was cancelled
+    /// before is left as it is. Under the model checker's capture seam the
+    /// cancel reaches the checker's pending set instead (see
+    /// [`Captured::cancelled`]).
+    pub fn cancel_timer(&mut self, timer: TimerHandle) {
+        self.core.cancel(timer.0);
     }
 
     /// Records an out-of-band charge against the cost book — used by
@@ -1215,6 +1301,7 @@ impl<P: Protocol> Simulator<P> {
                 flows,
                 flow_resched: Vec::new(),
                 capture: None,
+                captured: 0,
                 dead_override: BTreeSet::new(),
             },
             started: false,
@@ -1241,8 +1328,10 @@ impl<P: Protocol> Simulator<P> {
         });
     }
 
-    /// High-water mark of simultaneously queued events over the run — the
-    /// arena footprint the scaling bench reports as `peak_live_events`.
+    /// High-water mark of simultaneously live (queued, uncancelled) events
+    /// over the run, which the scaling bench reports as `peak_live_events`.
+    /// It is the event arena's footprint, except that a cancelled wheel
+    /// event keeps its slot until the wheel reaches its tick.
     pub fn peak_live_events(&self) -> usize {
         self.core.queue.peak_live()
     }
@@ -1436,8 +1525,13 @@ impl<P: Protocol> Simulator<P> {
                 }
             }
             EventKind::ArqAck { seq, xfer } => {
-                if let Some(arq) = &mut self.core.arq {
-                    arq.remove(xfer, seq, node);
+                let acked = self
+                    .core
+                    .arq
+                    .as_mut()
+                    .and_then(|a| a.remove(xfer, seq, node));
+                if let Some(timeout) = acked.and_then(|x| x.rto) {
+                    self.core.cancel(timeout);
                 }
             }
             EventKind::FlowDone { .. } => {
@@ -1636,18 +1730,21 @@ impl<P: Protocol> Simulator<P> {
             "capture_boot on an already-started simulator"
         );
         self.started = true;
-        self.core.capture = Some(Vec::new());
+        self.core.capture = Some(Captured::default());
         for node in 0..self.nodes.len() {
             self.dispatch_event(0, node, EventKind::Start);
         }
-        self.core.capture.take().unwrap_or_default()
+        // Boot cancels only events of its own dispatch, never reported.
+        self.core.capture.take().unwrap_or_default().events
     }
 
     /// Dispatches one captured event at tick `at` (the checker's chosen
-    /// delivery time, ≥ the event's earliest time) and returns the events
-    /// the handler enqueued. Billing, tracing and link decisions run exactly
-    /// as in [`Simulator::run_to_completion`] — this *is* the engine's
-    /// dispatch, with only the queue swapped for the returned buffer.
+    /// delivery time, ≥ the event's earliest time) and returns what the
+    /// handler did to the future-event set: the events it enqueued and the
+    /// earlier-captured events it cancelled. Billing, tracing and link
+    /// decisions run exactly as in [`Simulator::run_to_completion`] — this
+    /// *is* the engine's dispatch, with only the queue swapped for the
+    /// returned buffer.
     ///
     /// The caller owns scheduling: it must not dispatch into the past
     /// (`at ≥` the previous dispatch time) and is responsible for honouring
@@ -1659,13 +1756,13 @@ impl<P: Protocol> Simulator<P> {
     /// [`McEvent::is_flow`]). Node state plus flow snapshot is the *whole*
     /// protocol state by the determinism discipline (no RNG draws under a
     /// deterministic link without ARQ jitter).
-    pub fn capture_dispatch(&mut self, at: SimTime, ev: &McEvent<P::Msg>) -> Vec<McEvent<P::Msg>>
+    pub fn capture_dispatch(&mut self, at: SimTime, ev: &McEvent<P::Msg>) -> Captured<P::Msg>
     where
         P::Msg: Clone,
     {
         debug_assert!(at >= ev.time, "dispatch before the event's earliest time");
         self.started = true;
-        self.core.capture = Some(Vec::new());
+        self.core.capture = Some(Captured::default());
         self.dispatch_event(at, ev.node, ev.kind.clone());
         self.core.capture.take().unwrap_or_default()
     }
@@ -2476,6 +2573,66 @@ mod tests {
         assert!(trace.retx > 0);
     }
 
+    /// Flood started by node 0's timer: every node broadcasts once.
+    struct TimedFlood {
+        sent: bool,
+    }
+
+    impl Protocol for TimedFlood {
+        type Msg = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            if ctx.id() == 0 {
+                ctx.set_timer(2, 0);
+            }
+        }
+
+        fn on_message(&mut self, _from: usize, _msg: (), ctx: &mut Ctx<'_, ()>) {
+            self.on_timer(0, ctx);
+        }
+
+        fn on_timer(&mut self, _timer: u64, ctx: &mut Ctx<'_, ()>) {
+            if !std::mem::replace(&mut self.sent, true) {
+                ctx.broadcast_neighbors(&(), "flood", 1);
+            }
+        }
+    }
+
+    #[test]
+    fn loss_free_arq_dispatches_no_retransmit_timer() {
+        // Every data copy is acked in time, so each ack cancels its RTO:
+        // the run dispatches the 9 starts, the one protocol timer, one data
+        // copy per directed edge (24 on a 3x3 grid) and one ack per copy.
+        let network = SimNetwork::new(Topology::grid(3, 3));
+        let nodes = (0..9).map(|_| TimedFlood { sent: false }).collect();
+        let link = LossyLink::new(1, 3).with_drop_prob(0.0);
+        let mut sim = Simulator::new(network, link, 5, nodes);
+        sim.enable_arq(ArqConfig::default());
+        let trace = Arc::new(Mutex::new(RingBufferTrace::new(1024)));
+        sim.set_trace(Arc::clone(&trace));
+        let end = sim.run_to_completion();
+        assert_eq!(sim.stats().kind("flood").packets, 24);
+        assert_eq!(sim.stats().kind(crate::reliable::KIND_ACK).packets, 24);
+        assert_eq!(sim.events_processed(), 9 + 1 + 24 + 24);
+        assert_eq!(sim.metrics().counter("net.retx"), 0);
+        // The run ends on the last ack: after the last delivery, within
+        // one hop of it, and long before the 10-tick first RTO.
+        let last_delivery = trace
+            .lock()
+            .unwrap()
+            .events()
+            .filter_map(|e| match e {
+                TraceEvent::Deliver { time, .. } => Some(*time),
+                _ => None,
+            })
+            .max()
+            .unwrap();
+        assert!(
+            last_delivery < end && end <= last_delivery + 3,
+            "run ended at {end}, last delivery at {last_delivery}"
+        );
+    }
+
     #[test]
     fn arq_same_seed_runs_are_identical() {
         let run = |seed: u64| {
@@ -2852,6 +3009,7 @@ mod tests {
         let first = &boot[0];
         let h1: Vec<String> = sim
             .capture_dispatch(first.time(), first)
+            .events
             .iter()
             .map(|e| e.describe(0))
             .collect();
@@ -2860,6 +3018,7 @@ mod tests {
         assert_eq!(sim.flows_snapshot().describe(0), fp, "restore round-trips");
         let h2: Vec<String> = sim
             .capture_dispatch(first.time(), first)
+            .events
             .iter()
             .map(|e| e.describe(0))
             .collect();

@@ -100,7 +100,7 @@ pub mod link;
 pub mod metrics;
 /// ARQ sublayer configuration and retransmission timing policy.
 pub mod reliable;
-/// The calendar-queue event scheduler.
+/// The calendar-queue event scheduler, with O(1) cancellation.
 pub mod scheduler;
 /// Unified cost accounting (`CostBook`): per-kind and per-node bills.
 pub mod stats;
@@ -108,7 +108,10 @@ pub mod stats;
 pub mod trace;
 
 pub use canon::{canon_f64, fnv1a, Canonicalize};
-pub use engine::{Ctx, FlowsSnapshot, McEvent, Protocol, QueryId, SimNetwork, SimTime, Simulator};
+pub use engine::{
+    Captured, Ctx, FlowsSnapshot, McEvent, Protocol, QueryId, SimNetwork, SimTime, Simulator,
+    TimerHandle,
+};
 pub use flat::{FlatMap, FlatSet};
 pub use flow::{FairShareLink, FlowTable, LinkUtil};
 pub use link::{FlowParams, HopOutcome, LinkModel, LossyLink, ScriptedLink, SyncLink};

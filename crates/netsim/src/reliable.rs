@@ -5,7 +5,10 @@
 //! `send`/`unicast` becomes a chain of *per-link* stop-and-wait transfers:
 //! each hop is acknowledged by the receiving radio, retransmitted on a
 //! deterministic timeout with exponential backoff plus seeded jitter, and
-//! abandoned after a bounded number of retries. Receivers deduplicate by
+//! abandoned after a bounded number of retries. The ack that completes a
+//! transfer cancels its armed timeout, so only real retransmissions fire:
+//! a loss-free run dispatches no timeout at all and ends with its last
+//! ack. Receivers deduplicate by
 //! `(receiver, seq)`, where `seq` names the logical message along its whole
 //! route, so a data copy whose ack was lost is re-acked but delivered to
 //! the protocol (or relayed onward) exactly once. Hop-by-hop (rather than

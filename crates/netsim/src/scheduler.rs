@@ -1,13 +1,25 @@
 //! The engine's event queue: a slab arena of event records plus a
-//! bucketed-wheel calendar queue.
+//! bucketed-wheel calendar queue, with O(1) cancellation.
 //!
 //! The engine schedules every future event — protocol deliveries, timers,
 //! ARQ bookkeeping, flow completions — through one [`Scheduler`]. Events
 //! pop in the total order `(time, seq)`: by time, and FIFO within a tick by
 //! one monotone push sequence. Records live in a free-listed slab addressed
-//! by integer [`EventHandle`]s; the wheel has [`Scheduler::WHEEL_BUCKETS`]
-//! one-tick buckets, so push and pop are `O(1)` amortized, and events
-//! scheduled beyond the wheel horizon wait in an overflow heap.
+//! by generation-tagged [`EventHandle`]s; the wheel has
+//! [`Scheduler::WHEEL_BUCKETS`] one-tick buckets, so push and pop are
+//! `O(1)` amortized, and events scheduled beyond the wheel horizon wait in
+//! an overflow heap.
+//!
+//! # Cancellation
+//!
+//! [`Scheduler::cancel`] drops an event's payload at once. A cancelled
+//! event is never popped and never counted: `len`, `is_empty`,
+//! `next_time` and `peak_live` see live events only. A wheel bucket names
+//! its events by bare slot index, so a cancelled wheel event keeps its
+//! slot until the wheel reaches its tick, where the slot is freed and
+//! skipped. An overflow entry carries its slot's generation, so a
+//! cancelled far-future event frees its slot at once, and the entry is
+//! discarded when it surfaces with a generation its slot no longer has.
 //!
 //! # Determinism
 //!
@@ -23,24 +35,38 @@
 //!    migrated entry always lands in its bucket before any direct push of
 //!    the same time (a direct push at time `t` requires `t < cur + B`,
 //!    which becomes true only at a `cur` advance — after migration ran);
-//! 3. `cur` only advances when every earlier bucket is drained.
+//! 3. `cur` only advances when every earlier bucket is drained, cancelled
+//!    entries included.
+//!
+//! Cancellation removes entries and never reorders the rest, so the live
+//! events keep their `(time, seq)` order.
 
 use crate::engine::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Integer address of an event record in the scheduler's slab arena.
+/// Generation-tagged address of an event record in the scheduler's slab
+/// arena, returned by [`Scheduler::push`] and taken by
+/// [`Scheduler::cancel`].
 ///
-/// Handles are indices into a free-listed `Vec` of slots: allocating an
-/// event never moves existing records, and a popped slot is recycled for
-/// the next push. A handle is live from push to pop; the wheel and the
-/// overflow heap store only these 4-byte handles, never event payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventHandle(pub u32);
+/// The slot index addresses a free-listed `Vec` of records: allocating an
+/// event never moves existing records, and a freed slot is recycled for a
+/// later push. Each free bumps the slot's generation, so a handle whose
+/// event popped or was cancelled never reaches the slot's next occupant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventHandle {
+    slot: u32,
+    gen: u32,
+}
 
 impl EventHandle {
-    fn index(self) -> usize {
-        self.0 as usize
+    /// The `n`-th handle minted by the model checker's capture seam, which
+    /// enqueues nothing: it names a captured event, never a queue slot.
+    pub(crate) fn captured(n: u64) -> Self {
+        EventHandle {
+            slot: n as u32,
+            gen: (n >> 32) as u32,
+        }
     }
 }
 
@@ -54,47 +80,46 @@ pub struct PoppedEvent<T> {
     pub payload: T,
 }
 
-/// Arena slot. `payload` is `Some` while the handle is live and taken on
-/// pop (the slot then returns to the free list). The seq tiebreak is not
-/// stored here: within a bucket it is the insertion order, and the
-/// overflow heap carries it in its key.
+/// Arena slot. `payload` is `Some` while the event is live; pop and cancel
+/// take it. The seq tiebreak is not stored here: within a bucket it is the
+/// insertion order, and the overflow heap carries it in its key.
 struct Slot<T> {
     time: SimTime,
     node: u32,
+    /// Bumped each time the slot is freed (it shares `node`'s word).
+    gen: u32,
     payload: Option<T>,
 }
 
-/// One wheel bucket: handles in insertion (= seq) order with a pop cursor,
-/// so draining never shifts elements. The backing `Vec` is reused across
-/// wheel rotations.
+/// One wheel bucket: slot indices in insertion (= seq) order with a pop
+/// cursor, so draining never shifts elements. The backing `Vec` is reused
+/// across wheel rotations.
 #[derive(Default)]
 struct Bucket {
-    items: Vec<EventHandle>,
+    items: Vec<u32>,
     head: usize,
 }
 
-impl Bucket {
-    fn is_drained(&self) -> bool {
-        self.head >= self.items.len()
-    }
-}
-
 /// The engine's future-event set: push with an auto-assigned global
-/// sequence number, pop in `(time, seq)` order.
+/// sequence number, pop in `(time, seq)` order, cancel by handle.
 pub struct Scheduler<T> {
     seq: u64,
     live: usize,
     peak_live: usize,
     slots: Vec<Slot<T>>,
-    free: Vec<EventHandle>,
+    free: Vec<u32>,
     buckets: Vec<Bucket>,
-    /// Far-future events (`time ≥ cur + B`), ordered by `(time, seq)`.
-    overflow: BinaryHeap<Reverse<(SimTime, u64, EventHandle)>>,
+    /// Far-future events (`time ≥ cur + B`), ordered by `(time, seq)`, with
+    /// the slot and its generation at push. An entry whose slot has moved
+    /// to a later generation was cancelled.
+    overflow: BinaryHeap<Reverse<(SimTime, u64, u32, u32)>>,
     /// Lower bound on every queued event's time; the wheel window is
     /// `[cur, cur + B)`.
     cur: SimTime,
-    /// Live handles currently in wheel buckets (excludes overflow).
+    /// Entries in wheel buckets not yet drained, cancelled ones included.
     in_wheel: usize,
+    /// Cancelled entries among `in_wheel`, still holding their slots.
+    wheel_dead: usize,
 }
 
 impl<T> Default for Scheduler<T> {
@@ -124,20 +149,21 @@ impl<T> Scheduler<T> {
             overflow: BinaryHeap::new(),
             cur: 0,
             in_wheel: 0,
+            wheel_dead: 0,
         }
     }
 
-    /// Queued events right now.
+    /// Live (queued, uncancelled) events right now.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Whether no events are queued.
+    /// Whether no live events are queued.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    /// High-water mark of simultaneously queued events over the whole run.
+    /// High-water mark of simultaneously live events over the whole run.
     pub fn peak_live(&self) -> usize {
         self.peak_live
     }
@@ -151,27 +177,37 @@ impl<T> Scheduler<T> {
     }
 
     fn alloc(&mut self, time: SimTime, node: usize, payload: T) -> EventHandle {
-        let slot = Slot {
-            time,
-            node: node as u32,
-            payload: Some(payload),
-        };
+        let node = node as u32;
         match self.free.pop() {
-            Some(h) => {
-                self.slots[h.index()] = slot;
-                h
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                (s.time, s.node, s.payload) = (time, node, Some(payload));
+                EventHandle { slot, gen: s.gen }
             }
             None => {
-                let h = EventHandle(u32::try_from(self.slots.len()).expect("event arena overflow")); // simlint: allow(no-panic-in-protocol): structural capacity invariant (u32 handles), not a fault path
-                self.slots.push(slot);
-                h
+                let slot = u32::try_from(self.slots.len()).expect("event arena overflow"); // simlint: allow(no-panic-in-protocol): structural capacity invariant (u32 slot indices), not a fault path
+                self.slots.push(Slot {
+                    time,
+                    node,
+                    gen: 0,
+                    payload: Some(payload),
+                });
+                EventHandle { slot, gen: 0 }
             }
         }
     }
 
+    /// Returns `slot` to the free list under a new generation.
+    fn release(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
+    }
+
     /// Queues `payload` for `node` at `time`, assigning the next global
-    /// sequence number (the same-tick FIFO tiebreak).
-    pub fn push(&mut self, time: SimTime, node: usize, payload: T) {
+    /// sequence number (the same-tick FIFO tiebreak). The handle stays
+    /// valid for [`Scheduler::cancel`] until the event pops.
+    pub fn push(&mut self, time: SimTime, node: usize, payload: T) -> EventHandle {
         debug_assert!(time >= self.cur, "push into the past breaks the wheel");
         let seq = self.seq;
         self.seq += 1;
@@ -182,71 +218,132 @@ impl<T> Scheduler<T> {
         let h = self.alloc(time, node, payload);
         if time < self.horizon() {
             let b = self.bucket_of(time);
-            self.buckets[b].items.push(h);
+            self.buckets[b].items.push(h.slot);
             self.in_wheel += 1;
         } else {
-            self.overflow.push(Reverse((time, seq, h)));
+            self.overflow.push(Reverse((time, seq, h.slot, h.gen)));
         }
+        h
     }
 
-    /// Advances the window to `cur` and drains every overflow handle that
-    /// now fits into the wheel, in `(time, seq)` order. Must run before
-    /// any event at the new `cur` is popped or pushed (invariant 2).
+    /// Cancels a queued event and drops its payload; `false` (and no
+    /// change) if the event already popped or was cancelled. A wheel event
+    /// keeps its slot until the wheel reaches its tick; an overflow event
+    /// frees its slot at once.
+    pub fn cancel(&mut self, h: EventHandle) -> bool {
+        let horizon = self.horizon();
+        let Some(s) = self.slots.get_mut(h.slot as usize) else {
+            return false;
+        };
+        if s.gen != h.gen || s.payload.take().is_none() {
+            return false;
+        }
+        self.live -= 1;
+        // Every live event before the horizon sits in the wheel
+        // (invariant 2); every later one is in the overflow heap.
+        if s.time < horizon {
+            self.wheel_dead += 1;
+        } else {
+            self.release(h.slot);
+        }
+        true
+    }
+
+    /// Drops the cancelled entries at the head of bucket `b`; whether a
+    /// live entry remains there.
+    fn skip_dead(&mut self, b: usize) -> bool {
+        let bucket = &mut self.buckets[b];
+        while let Some(&slot) = bucket.items.get(bucket.head) {
+            let s = &mut self.slots[slot as usize];
+            if s.payload.is_some() {
+                return true;
+            }
+            bucket.head += 1;
+            self.in_wheel -= 1;
+            self.wheel_dead -= 1;
+            s.gen = s.gen.wrapping_add(1);
+            self.free.push(slot);
+        }
+        // Drained: reset for reuse one rotation later.
+        bucket.items.clear();
+        bucket.head = 0;
+        false
+    }
+
+    /// Advances the window to `cur` and drains every live overflow entry
+    /// that now fits into the wheel, in `(time, seq)` order. Must run
+    /// before any event at the new `cur` is popped or pushed (invariant 2).
     fn set_cur(&mut self, cur: SimTime) {
         self.cur = cur;
         let horizon = self.horizon();
-        while let Some(&Reverse((t, _, h))) = self.overflow.peek() {
+        while let Some(&Reverse((t, _, slot, gen))) = self.overflow.peek() {
             if t >= horizon {
                 break;
             }
             self.overflow.pop();
+            if self.slots[slot as usize].gen != gen {
+                continue; // cancelled: its slot was freed at the cancel
+            }
             let b = self.bucket_of(t);
-            self.buckets[b].items.push(h);
+            self.buckets[b].items.push(slot);
             self.in_wheel += 1;
         }
     }
 
-    /// Time of the earliest queued event (`None` when empty) without
-    /// committing any cursor movement — a pure peek, so `run_until` can
-    /// stop at a deadline and a later `inject` between the deadline and
-    /// the next queued event stays legal (`push` requires `time ≥ cur`,
-    /// and `cur` only advances on [`Scheduler::pop`]).
-    pub fn next_time(&self) -> Option<SimTime> {
+    /// Time of the earliest live event (`None` when there is none). It
+    /// drops the cancelled entries it passes but never moves the cursor,
+    /// so `run_until` can stop at a deadline and a later `inject` between
+    /// the deadline and the next queued event stays legal (`push` requires
+    /// `time ≥ cur`, and `cur` only advances on [`Scheduler::pop`]).
+    pub fn next_time(&mut self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
         }
-        if self.in_wheel == 0 {
-            // Wheel empty: the earliest event is the overflow minimum.
-            let &Reverse((t, _, _)) = self.overflow.peek().expect("live events unaccounted"); // simlint: allow(no-panic-in-protocol): guarded by the live-count accounting above, not reachable from faults
-            return Some(t);
-        }
-        // Scan forward for the first non-drained bucket. All wheel events
-        // live in [cur, cur + B) — and every overflow event is later than
-        // all of them — so the wheel minimum is the global minimum and the
-        // scan terminates within one rotation.
-        let mut t = self.cur;
-        loop {
-            if !self.buckets[self.bucket_of(t)].is_drained() {
-                return Some(t);
+        if self.in_wheel == self.wheel_dead {
+            // No live event in the wheel: the earliest is the live overflow
+            // minimum. The wheel's cancelled leftovers all lie before it,
+            // and once the cursor jumps past them their buckets would stand
+            // for later ticks, so they go now.
+            let mut t = self.cur;
+            while self.in_wheel > 0 {
+                self.skip_dead(self.bucket_of(t));
+                t += 1;
             }
+            while let Some(&Reverse((t, _, slot, gen))) = self.overflow.peek() {
+                if self.slots[slot as usize].gen == gen {
+                    return Some(t);
+                }
+                self.overflow.pop();
+            }
+            debug_assert!(false, "live events unaccounted");
+            return None;
+        }
+        // Scan forward for the first bucket with a live head. All wheel
+        // events live in [cur, cur + B) — and every overflow event is later
+        // than all of them — so the wheel minimum is the global minimum and
+        // the scan terminates within one rotation.
+        let mut t = self.cur;
+        while !self.skip_dead(self.bucket_of(t)) {
             t += 1;
             debug_assert!(t < self.horizon(), "in_wheel count out of sync");
         }
+        Some(t)
     }
 
-    /// Removes and returns the earliest event (`(time, seq)` order).
+    /// Removes and returns the earliest live event (`(time, seq)` order).
     pub fn pop(&mut self) -> Option<PoppedEvent<T>> {
         let t = self.next_time()?;
         if t != self.cur {
-            // Commit the window advance; migrates every overflow handle
-            // that now fits (all at times > t — see invariant 2).
+            // Commit the window advance; migrates every overflow entry that
+            // now fits (all at times > t, or the overflow minimum itself at
+            // t when the wheel held no live event — see invariant 2).
             self.set_cur(t);
         }
         let b = self.bucket_of(t);
         let bucket = &mut self.buckets[b];
-        let h = bucket.items[bucket.head];
+        let slot = bucket.items[bucket.head];
         bucket.head += 1;
-        if bucket.is_drained() {
+        if bucket.head == bucket.items.len() {
             // Reset for reuse one rotation later; same-tick pushes from the
             // handler simply re-populate it and are popped in seq order.
             bucket.items.clear();
@@ -254,11 +351,11 @@ impl<T> Scheduler<T> {
         }
         self.in_wheel -= 1;
         self.live -= 1;
-        let slot = &mut self.slots[h.index()];
-        debug_assert_eq!(slot.time, t, "bucket held a foreign-time handle");
-        let payload = slot.payload.take().expect("double pop of event handle"); // simlint: allow(no-panic-in-protocol): arena bookkeeping invariant; a bucket handle is live exactly once
-        let node = slot.node as usize;
-        self.free.push(h);
+        let s = &mut self.slots[slot as usize];
+        debug_assert_eq!(s.time, t, "bucket held a foreign-time slot");
+        let payload = s.payload.take().expect("next_time left a cancelled head"); // simlint: allow(no-panic-in-protocol): arena bookkeeping invariant; next_time stops only at a live head
+        let node = s.node as usize;
+        self.release(slot);
         Some(PoppedEvent {
             time: t,
             node,
@@ -362,17 +459,118 @@ mod tests {
         assert!(s.slots.len() <= 2, "arena grew: {} slots", s.slots.len());
     }
 
+    #[test]
+    fn cancel_after_pop_or_twice_is_a_no_op() {
+        let mut s = Scheduler::new();
+        let a = s.push(3, 0, 'a');
+        let b = s.push(4, 1, 'b');
+        assert_eq!(s.pop().unwrap().payload, 'a');
+        assert!(!s.cancel(a), "a popped event cannot be cancelled");
+        assert_eq!(s.len(), 1);
+        assert!(s.cancel(b));
+        assert!(!s.cancel(b), "a second cancel must change nothing");
+        assert_eq!((s.len(), s.next_time()), (0, None));
+        assert!(s.pop().is_none());
+    }
+
+    #[test]
+    fn cancelled_overflow_slot_is_reused_before_its_stale_entry_surfaces() {
+        let far = Scheduler::<char>::WHEEL_BUCKETS as SimTime + 50;
+        let mut s = Scheduler::new();
+        let a = s.push(far, 0, 'a');
+        assert!(s.cancel(a));
+        // The freed slot goes to the next push, under a new generation.
+        let b = s.push(far + 1, 1, 'b');
+        assert_eq!(s.slots.len(), 1);
+        assert_ne!(a, b);
+        assert!(
+            !s.cancel(a),
+            "the stale handle must not reach the new occupant"
+        );
+        // `a`'s heap entry surfaces first and is discarded.
+        assert_eq!(s.next_time(), Some(far + 1));
+        let e = s.pop().unwrap();
+        assert_eq!((e.time, e.node, e.payload), (far + 1, 1, 'b'));
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn queue_works_after_emptying_with_cancelled_leftovers() {
+        let far = Scheduler::<u32>::WHEEL_BUCKETS as SimTime * 3;
+        let mut s = Scheduler::new();
+        let near = s.push(10, 0, 0);
+        let remote = s.push(far, 0, 1);
+        s.push(5, 0, 2);
+        assert_eq!(s.pop().unwrap().payload, 2);
+        assert!(s.cancel(near) && s.cancel(remote));
+        // Empty, with a dead entry in a wheel bucket and one in the heap.
+        assert!(s.is_empty());
+        assert_eq!(s.next_time(), None);
+        s.push(10, 1, 3);
+        s.push(far, 1, 4);
+        s.push(7, 1, 5);
+        let got: Vec<(SimTime, u32)> = drain(&mut s).into_iter().map(|(t, _, p)| (t, p)).collect();
+        assert_eq!(got, vec![(7, 5), (10, 3), (far, 4)]);
+        // The dead wheel slot was freed when the wheel reached tick 10.
+        assert_eq!(s.free.len(), s.slots.len(), "a slot leaked");
+    }
+
+    #[test]
+    fn next_time_skips_cancelled_without_moving_the_cursor() {
+        let b = Scheduler::<u32>::WHEEL_BUCKETS as SimTime;
+        let mut s = Scheduler::new();
+        let x = s.push(10, 0, 0);
+        s.push(20, 0, 1);
+        let y = s.push(2 * b, 0, 2);
+        assert!(s.cancel(x));
+        assert_eq!(s.next_time(), Some(20));
+        // The peek dropped the dead entry at 10 but left the cursor at 0:
+        // an injection at 5, between the cursor and the next event, is legal.
+        s.push(5, 0, 3);
+        assert_eq!(s.next_time(), Some(5));
+        assert_eq!(s.pop().unwrap().payload, 3);
+        assert_eq!(s.pop().unwrap().payload, 1);
+        // Only the overflow event is left; cancel it and peek past it too.
+        assert!(s.cancel(y));
+        s.push(30, 0, 4);
+        let dead = s.push(40, 0, 5);
+        assert!(s.cancel(dead));
+        assert_eq!(s.next_time(), Some(30));
+        assert_eq!(s.pop().unwrap().payload, 4);
+        assert_eq!(s.next_time(), None);
+    }
+
+    #[test]
+    fn cancelling_far_future_events_keeps_the_arena_at_the_live_count() {
+        let far = Scheduler::<u64>::WHEEL_BUCKETS as SimTime * 100;
+        let mut s = Scheduler::new();
+        let keep: Vec<EventHandle> = (0..10).map(|i| s.push(far + i, 0, i)).collect();
+        for i in 0..1000 {
+            let h = s.push(far + 50 + i, 0, i);
+            assert!(s.cancel(h));
+            assert_eq!(s.slots.len(), keep.len() + 1, "slot {i} was not freed");
+        }
+        assert_eq!(s.len(), keep.len());
+        assert_eq!(s.peak_live(), keep.len() + 1);
+        let got: Vec<u64> = drain(&mut s).into_iter().map(|(_, _, p)| p).collect();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
+    }
+
     /// Oracle test: the calendar queue pops exactly what a plain binary
     /// heap keyed on `(time, seq)` pops, on adversarial interleaved
     /// workloads (deterministic LCG per seed; same-tick bursts, in-window
-    /// and far-future overflow times, pop-while-pushing churn and
-    /// `next_time` peeks).
+    /// and far-future overflow times, pop-while-pushing churn, `next_time`
+    /// peeks, and cancellation of random live events in the wheel and the
+    /// overflow heap, which the oracle drops too).
     #[test]
     fn heap_and_calendar_agree_on_random_workloads() {
+        use std::collections::BTreeMap;
         type Oracle = BinaryHeap<Reverse<(SimTime, u64, usize, u64)>>;
         for seed in 0..16u64 {
             let mut s: Scheduler<u64> = Scheduler::new();
             let mut oracle = Oracle::new();
+            // Live handles by tag.
+            let mut handles: BTreeMap<u64, EventHandle> = BTreeMap::new();
             let mut lcg: u64 = 0x5eed ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut next = || {
                 lcg = lcg
@@ -382,12 +580,19 @@ mod tests {
             };
             let mut now: SimTime = 0;
             let mut tag = 0u64;
-            let check_pop = |s: &mut Scheduler<u64>, oracle: &mut Oracle| {
+            let check_pop = |s: &mut Scheduler<u64>,
+                             oracle: &mut Oracle,
+                             handles: &mut BTreeMap<u64, EventHandle>| {
+                assert_eq!(s.len(), oracle.len(), "seed {seed}: live count");
                 let want = oracle.peek().map(|&Reverse((t, ..))| t);
                 assert_eq!(s.next_time(), want, "seed {seed}: next_time peek");
                 let got = s.pop().map(|e| (e.time, e.node, e.payload));
                 let want = oracle.pop().map(|Reverse((t, _, node, p))| (t, node, p));
                 assert_eq!(got, want, "seed {seed}: pop order diverged");
+                if let Some((.., p)) = got {
+                    let h = handles.remove(&p).expect("popped a live tag");
+                    assert!(!s.cancel(h), "seed {seed}: cancelled a popped event");
+                }
                 got
             };
             for _ in 0..500 {
@@ -401,20 +606,33 @@ mod tests {
                         _ => 8192 + r % 50_000,                          // overflow
                     };
                     let node = (r % 64) as usize;
-                    s.push(now + dt, node, tag);
+                    handles.insert(tag, s.push(now + dt, node, tag));
                     oracle.push(Reverse((now + dt, tag, node, tag)));
                     tag += 1;
                 }
+                // Cancel a few random live events.
+                for _ in 0..(next() % 3) {
+                    if handles.is_empty() {
+                        break;
+                    }
+                    let pick = next() as usize % handles.len();
+                    let victim = *handles.keys().nth(pick).expect("in range");
+                    let h = handles.remove(&victim).expect("live");
+                    assert!(s.cancel(h), "seed {seed}: live cancel refused");
+                    assert!(!s.cancel(h), "seed {seed}: double cancel accepted");
+                    oracle.retain(|&Reverse((_, t, ..))| t != victim);
+                }
                 // Drain a few.
                 for _ in 0..(next() % 6) {
-                    if let Some((t, ..)) = check_pop(&mut s, &mut oracle) {
+                    if let Some((t, ..)) = check_pop(&mut s, &mut oracle, &mut handles) {
                         assert!(t >= now, "seed {seed}: time went backwards");
                         now = t;
                     }
                 }
             }
-            while check_pop(&mut s, &mut oracle).is_some() {}
+            while check_pop(&mut s, &mut oracle, &mut handles).is_some() {}
             assert!(s.is_empty());
+            assert!(handles.is_empty(), "seed {seed}: live handles left over");
         }
     }
 }

@@ -510,10 +510,11 @@ pub fn run_sub_cell(
     };
 
     // Dry run on the same lossy (but crash-free) transport: measures when
-    // the initial snapshots quiesce, including the burn-off of every
-    // recovery deadline they arm. The real run replays the identical RNG
-    // stream, so the crash scheduled one tick later lands strictly after
-    // every phase-1 event — mid-subscription, not mid-registration.
+    // the initial snapshots quiesce (each recovery deadline they arm is
+    // cancelled when its round completes, so nothing outlives them). The
+    // real run replays the identical RNG stream, so the crash scheduled one
+    // tick later lands strictly after every phase-1 event —
+    // mid-subscription, not mid-registration.
     let crash_at = {
         let mut dry = WorkloadSim::build_with_link(
             topology.clone(),

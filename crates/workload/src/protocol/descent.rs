@@ -374,6 +374,7 @@ impl ServeNode {
     /// went stale mid-flight or the result is partial), then answer upward
     /// or resolve echo riders.
     fn complete_eval(&mut self, template: u16, mut ev: EvalState, ctx: &mut Ctx<'_, ServeMsg>) {
+        self.cancel_deadline(Deadline::Eval(template), ctx);
         let stale = ev.epoch0 != self.inval_epoch;
         if stale || ev.partial {
             ctx.metrics().inc("wl.cache.skip_fill");

@@ -272,6 +272,7 @@ impl ServeNode {
 
     /// Converges the (possibly partial) echo result towards whoever asked.
     fn finish_echo(&mut self, qid: QueryId, st: EchoState, ctx: &mut Ctx<'_, ServeMsg>) {
+        self.cancel_deadline(Deadline::Echo(qid), ctx);
         let scalars = st.acc.len() as u64 + 1;
         if let Some(p) = st.parent {
             ctx.unicast_tagged(
@@ -317,6 +318,7 @@ impl ServeNode {
         let Some(p) = self.pending.remove(&qid) else {
             return;
         };
+        self.cancel_deadline(Deadline::Init(qid), ctx);
         let (template, submitted) = (p.template, p.submitted);
         let path = match &self.shared.templates[template as usize] {
             Template::Range { .. } => None,

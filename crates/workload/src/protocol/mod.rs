@@ -44,7 +44,13 @@
 //! * **Deadlines + partial answers.** The initiator, echo coordinator, and
 //!   every descent node arm deadlines derived from the ARQ delivery
 //!   envelope; each level performs one re-issue round to alive outstanding
-//!   peers, then finalizes *partial*. Every [`CompletedQuery`] carries
+//!   peers, then finalizes *partial*. A node keeps one armed deadline per
+//!   key: re-arming a key cancels the deadline it replaces, and a round
+//!   that completes cancels its own (the echo when it converges, the
+//!   initiator's watchdog when the answer arrives, a descent when it
+//!   completes, a push or contribution retry when it is acked), so no
+//!   deadline outlives its round or fires into a later one. Every
+//!   [`CompletedQuery`] carries
 //!   `coverage_milli` — `1000` certifies equality with brute-force ground
 //!   truth over anchors, lower values are sound subsets. Forced-partial
 //!   results are never cached.
@@ -91,7 +97,7 @@ use descent::EvalState;
 use echo::{EchoState, PendingQuery};
 use elink_core::node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
 use elink_metric::{Feature, Metric};
-use elink_netsim::{canon_f64, Canonicalize, Ctx, Protocol, QueryId, SimTime};
+use elink_netsim::{canon_f64, Canonicalize, Ctx, Protocol, QueryId, SimTime, TimerHandle};
 use elink_topology::{NodeId, Topology};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -424,6 +430,9 @@ pub struct ServeNode {
     completed: Vec<CompletedQuery>,
     /// Standing-subscription state (client, coordinator and watcher roles).
     subs: SubState,
+    /// The armed recovery deadlines, one per key: re-arming a key cancels
+    /// the deadline it replaces, and a completed round cancels its own.
+    deadlines: FlatMap<Deadline, TimerHandle>,
 }
 
 /// Mutation hook for the model checker's smoke test: when set, the `Adopt`
@@ -457,8 +466,8 @@ enum Timer {
 }
 
 /// A recovery deadline, armed only with [`Shared::recovery`] and sized by
-/// `ServeNode::arm_deadline`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `ServeNode::arm_deadline`. At most one deadline per key is armed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Deadline {
     /// Echo participant: re-issue, then finish, this query's echo.
     Echo(QueryId),
@@ -518,8 +527,8 @@ impl Timer {
     }
 
     /// Arms this timer `delay` ticks from now.
-    fn arm(self, delay: SimTime, ctx: &mut Ctx<'_, ServeMsg>) {
-        ctx.set_timer(delay, self.id());
+    fn arm(self, delay: SimTime, ctx: &mut Ctx<'_, ServeMsg>) -> TimerHandle {
+        ctx.set_timer(delay, self.id())
     }
 }
 
@@ -557,6 +566,7 @@ impl ServeNode {
             script: script.into(),
             completed: Vec::new(),
             subs: SubState::default(),
+            deadlines: FlatMap::new(),
         }
     }
 
@@ -616,6 +626,7 @@ impl ServeNode {
     }
 
     /// Arms a recovery deadline; a no-op unless the recovery layer is armed.
+    /// Re-arming a key cancels the deadline armed under it before.
     ///
     /// Every bound is read from the delivery envelope
     /// ([`Ctx::max_delivery_delay`]) at the moment the deadline is armed,
@@ -626,7 +637,7 @@ impl ServeNode {
     /// firing against live state implies a crash or partition. That keeps
     /// lossy answers identical to loss-free ones while still bounding
     /// every fault.
-    fn arm_deadline(&self, deadline: Deadline, ctx: &mut Ctx<'_, ServeMsg>) {
+    fn arm_deadline(&mut self, deadline: Deadline, ctx: &mut Ctx<'_, ServeMsg>) {
         if !self.shared.recovery {
             return;
         }
@@ -647,7 +658,17 @@ impl ServeNode {
             // One push or contribution round trip.
             Deadline::ContribRetry(_) | Deadline::PushRetry(_) => 2 * transit + 1,
         };
-        Timer::Deadline(deadline).arm(delay, ctx);
+        let timer = Timer::Deadline(deadline).arm(delay, ctx);
+        if let Some(replaced) = self.deadlines.insert(deadline, timer) {
+            ctx.cancel_timer(replaced);
+        }
+    }
+
+    /// Cancels `deadline` if it is armed: the round it guards completed.
+    fn cancel_deadline(&mut self, deadline: Deadline, ctx: &mut Ctx<'_, ServeMsg>) {
+        if let Some(timer) = self.deadlines.remove(&deadline) {
+            ctx.cancel_timer(timer);
+        }
     }
 }
 
@@ -735,7 +756,7 @@ impl Protocol for ServeNode {
                 }
             }
             ServeMsg::SubContribAck { template, cseq } => {
-                self.on_sub_contrib_ack(template, cseq, from)
+                self.on_sub_contrib_ack(template, cseq, from, ctx)
             }
             ServeMsg::SubPush {
                 sid,
@@ -774,13 +795,17 @@ impl Protocol for ServeNode {
             Timer::BatchFlush(template) => self.launch_descent(template, ctx),
             Timer::SubFlush(template) => self.on_sub_flush(template, ctx),
             Timer::SubRepair(template) => self.on_sub_repair_timer(template, ctx),
-            Timer::Deadline(Deadline::Echo(qid)) => self.on_echo_deadline(qid, ctx),
-            Timer::Deadline(Deadline::Eval(template)) => self.on_eval_deadline(template, ctx),
-            Timer::Deadline(Deadline::Init(qid)) => self.on_init_deadline(qid, ctx),
-            Timer::Deadline(Deadline::ContribRetry(template)) => {
-                self.on_contrib_retry(template, ctx)
+            Timer::Deadline(deadline) => {
+                // The deadline armed under this key is the one firing.
+                self.deadlines.remove(&deadline);
+                match deadline {
+                    Deadline::Echo(qid) => self.on_echo_deadline(qid, ctx),
+                    Deadline::Eval(template) => self.on_eval_deadline(template, ctx),
+                    Deadline::Init(qid) => self.on_init_deadline(qid, ctx),
+                    Deadline::ContribRetry(template) => self.on_contrib_retry(template, ctx),
+                    Deadline::PushRetry(sid) => self.on_push_retry(sid, ctx),
+                }
             }
-            Timer::Deadline(Deadline::PushRetry(sid)) => self.on_push_retry(sid, ctx),
         }
     }
 }
@@ -795,7 +820,9 @@ impl Protocol for ServeNode {
 /// completed answers (predicates read them).
 ///
 /// Deliberately excluded: `id`, `shared`, and `nodes` — all fixed at
-/// construction and identical across every state of one exploration.
+/// construction and identical across every state of one exploration — and
+/// the `deadlines` handles, whose armed timers the checker's pending set
+/// already renders.
 /// Floats are rendered as IEEE bit patterns ([`canon_f64`]), never via
 /// `Display`, so distinct values can never collide.
 impl Canonicalize for ServeNode {

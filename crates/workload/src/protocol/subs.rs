@@ -200,21 +200,32 @@ impl ServeNode {
         self.flood_watch(template, coordinator, Some(from_cluster), ctx);
     }
 
-    /// Watcher: a coordinator confirmed the current contribution.
-    pub(super) fn on_sub_contrib_ack(&mut self, template: u16, cseq: u64, from: NodeId) {
-        if let Some(w) = self.subs.watches.get_mut(&template) {
-            if cseq == w.cseq {
-                w.unacked.retain(|&c| c != from);
-                if w.unacked.is_empty() {
-                    w.retries = 0;
-                }
+    /// Watcher: a coordinator confirmed the current contribution; the last
+    /// confirmation disarms the retry deadline.
+    pub(super) fn on_sub_contrib_ack(
+        &mut self,
+        template: u16,
+        cseq: u64,
+        from: NodeId,
+        ctx: &mut Ctx<'_, ServeMsg>,
+    ) {
+        let Some(w) = self.subs.watches.get_mut(&template) else {
+            return;
+        };
+        if cseq == w.cseq {
+            w.unacked.retain(|&c| c != from);
+            if w.unacked.is_empty() {
+                w.retries = 0;
+                self.cancel_deadline(Deadline::ContribRetry(template), ctx);
             }
         }
     }
 
     /// Watcher: register a coordinator for a template. A brand-new
-    /// coordinator immediately receives the last known contribution (or
-    /// triggers the first repair if none exists yet).
+    /// coordinator immediately receives the last known contribution under
+    /// the current `cseq` (one `cseq` names one content, so the other
+    /// coordinators' acks of it keep counting), or triggers the first
+    /// repair if none exists yet.
     fn register_watch(&mut self, template: u16, coord: NodeId, ctx: &mut Ctx<'_, ServeMsg>) {
         let q = self.shared.qos;
         let w = self
@@ -225,7 +236,6 @@ impl ServeNode {
             return;
         }
         if let Some((matches, covered)) = w.last.clone() {
-            w.cseq += 1;
             let cseq = w.cseq;
             if self.shared.recovery && coord != self.id {
                 w.unacked.push(coord);
@@ -302,8 +312,8 @@ impl ServeNode {
 
     /// A repair produced this cluster's fresh contribution: report it to
     /// every coordinator *iff it changed* (steady-state traffic stays
-    /// proportional to churn), then reschedule if more churn arrived
-    /// mid-repair.
+    /// proportional to churn) under the next `cseq` — the one place `cseq`
+    /// moves — then reschedule if more churn arrived mid-repair.
     pub(super) fn finish_repair(
         &mut self,
         template: u16,
@@ -377,13 +387,15 @@ impl ServeNode {
     }
 
     /// Arms the contribution retransmit deadline while a coordinator has
-    /// not acked (recovery only: without it `unacked` stays empty).
+    /// not acked (recovery only: without it `unacked` stays empty). Each
+    /// send re-arms it, so the deadline runs from the latest contribution.
     fn arm_contrib_retry(&mut self, template: u16, ctx: &mut Ctx<'_, ServeMsg>) {
-        let Some(w) = self.subs.watches.get_mut(&template) else {
-            return;
-        };
-        if !w.retry_armed && !w.unacked.is_empty() {
-            w.retry_armed = true;
+        if self
+            .subs
+            .watches
+            .get(&template)
+            .is_some_and(|w| !w.unacked.is_empty())
+        {
             self.arm_deadline(Deadline::ContribRetry(template), ctx);
         }
     }
@@ -395,7 +407,6 @@ impl ServeNode {
         let Some(w) = self.subs.watches.get_mut(&template) else {
             return;
         };
-        w.retry_armed = false;
         if w.unacked.is_empty() {
             return;
         }
@@ -535,8 +546,8 @@ impl ServeNode {
     }
 
     /// Sends one push to a remote client and, under recovery, arms its
-    /// retransmit deadline.
-    fn send_push(&self, sid: u64, client: NodeId, p: SentPush, ctx: &mut Ctx<'_, ServeMsg>) {
+    /// retransmit deadline (replacing the one of an earlier push).
+    fn send_push(&mut self, sid: u64, client: NodeId, p: SentPush, ctx: &mut Ctx<'_, ServeMsg>) {
         let scalars = p.adds.len() as u64 + p.removes.len() as u64 + 3;
         ctx.unicast_tagged(
             client,
@@ -630,14 +641,17 @@ impl ServeNode {
         }
     }
 
-    /// Coordinator: a push was confirmed.
+    /// Coordinator: a push was confirmed, which disarms its retransmit
+    /// deadline.
     pub(super) fn on_sub_ack(&mut self, sid: u64, version: u64, ctx: &mut Ctx<'_, ServeMsg>) {
         let now = ctx.now();
-        if let Some(e) = self.subs.table.get_mut(&sid) {
-            e.last_active = now;
-            if e.confirm(version) {
-                e.retries = 0;
-            }
+        let Some(e) = self.subs.table.get_mut(&sid) else {
+            return;
+        };
+        e.last_active = now;
+        if e.confirm(version) {
+            e.retries = 0;
+            self.cancel_deadline(Deadline::PushRetry(sid), ctx);
         }
     }
 

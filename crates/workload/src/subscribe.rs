@@ -376,7 +376,8 @@ impl SubEntry {
 pub struct WatchState {
     /// Coordinators to notify, ascending, deduplicated.
     pub coords: Vec<NodeId>,
-    /// Contribution sequence number (monotone per watcher node).
+    /// Contribution sequence number (monotone per watcher node). It moves
+    /// only when `last` changes, so one `cseq` names one content.
     pub cseq: u64,
     /// Last contribution sent: `(matches, covered)` — unchanged results
     /// are not re-sent (churn-proportional traffic).
@@ -391,8 +392,6 @@ pub struct WatchState {
     pub window: AdaptiveWindow,
     /// Coordinators whose ack of `cseq` is outstanding (recovery only).
     pub unacked: Vec<NodeId>,
-    /// A contribution retry timer is armed.
-    pub retry_armed: bool,
     /// Retry rounds spent on the current `cseq`.
     pub retries: u8,
     /// Dirty-mark time of the oldest unrepaired change (latency base).
@@ -411,7 +410,6 @@ impl WatchState {
             armed: false,
             window: AdaptiveWindow::new(window_min, window_max),
             unacked: Vec::new(),
-            retry_armed: false,
             retries: 0,
             trigger: 0,
         }

@@ -2,10 +2,11 @@
 //! under ARQ, and leader-crash failover.
 
 use elink_metric::{Absolute, Feature, Metric};
-use elink_netsim::{ArqConfig, LossyLink};
+use elink_netsim::{ArqConfig, LossyLink, SimTime, TraceEvent, TraceSink};
 use elink_topology::Topology;
+use elink_workload::protocol::ServeMsg;
 use elink_workload::{expected_matches, ServeOptions, WorkloadSim, WorkloadSpec};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn fixture(seed: u64) -> (Topology, Vec<Feature>, f64) {
     let data = elink_datasets::TerrainDataset::generate(96, 6, 0.55, seed);
@@ -362,4 +363,123 @@ fn leader_crash_mid_subscription_keeps_pushes_sound() {
     )
     .expect("fixture offers no isolatable (non-relay) coordinator victim");
     assert_eq!(cell, again, "sub cell is not deterministic");
+}
+
+/// Recovery armed on links that lose nothing: every deadline is sized to
+/// outlast its round, so none may fire against live state. Queries,
+/// feature churn and standing subscriptions run together over a perfect
+/// link and over ARQ at drop 0, and no push, contribution or wave is ever
+/// retried, and no live subscription is declared unreachable. A deadline
+/// that outlived its round (it must be cancelled), one deadline covering a
+/// series of contributions (each contribution gets its own), or a `cseq`
+/// bumped for unchanged content (it voids the other coordinators' acks)
+/// each retried here.
+#[test]
+fn fault_free_recovery_runs_retry_nothing() {
+    for seed in 0..6u64 {
+        let data = elink_datasets::TerrainDataset::generate(256, 6, 0.55, seed);
+        let mut spec = WorkloadSpec::quick(seed);
+        spec.n_queries = 200;
+        spec.n_updates = 400;
+        spec.update_gap = 1;
+        spec.drift_frac = 0.6;
+        spec.n_subscribers = 8;
+        let mut opts = recovery_opts(300.0);
+        opts.subscriptions = true;
+        let run = |link: Box<dyn elink_netsim::LinkModel>, arq: Option<ArqConfig>| {
+            WorkloadSim::build_with_link(
+                data.topology().clone(),
+                data.features(),
+                Arc::new(Absolute),
+                300.0,
+                &spec,
+                opts,
+                link,
+                arq,
+            )
+            .run_concurrent()
+        };
+        for (name, link, arq) in [
+            (
+                "sync",
+                Box::new(elink_netsim::SyncLink) as Box<dyn elink_netsim::LinkModel>,
+                None,
+            ),
+            (
+                "arq",
+                Box::new(LossyLink::new(1, 2).with_drop_prob(0.0)),
+                Some(ArqConfig::default()),
+            ),
+        ] {
+            let m = run(link, arq).metrics;
+            assert!(
+                m.counter("wl.sub.push") > 0,
+                "seed {seed} {name}: no pushes"
+            );
+            for key in [
+                "wl.sub.push.retry",
+                "wl.sub.contrib.retry",
+                "wl.recover.reissue",
+                "wl.sub.gaveup",
+            ] {
+                assert_eq!(m.counter(key), 0, "seed {seed} {name}: {key}");
+            }
+        }
+    }
+}
+
+/// Records the tick of the latest delivery to a handler.
+struct LastDelivery(SimTime);
+
+impl TraceSink for LastDelivery {
+    fn record(&mut self, event: TraceEvent) {
+        if let TraceEvent::Deliver { time, .. } = event {
+            self.0 = self.0.max(time);
+        }
+    }
+}
+
+/// A `serve-lossy`-style run (ARQ at drop 0.1, recovery armed, queries
+/// only) ends within one ARQ envelope of its last delivery: each recovery
+/// deadline is cancelled when its round completes and each RTO when its
+/// ack lands, so after the last delivery only the ARQ rounds of the last
+/// transfers remain.
+#[test]
+fn lossy_recovery_run_ends_within_one_arq_envelope_of_its_last_delivery() {
+    let (topo, features, delta) = fixture(7);
+    let spec = WorkloadSpec::quick(11);
+    let deployment = WorkloadSim::build_with_link(
+        topo,
+        features,
+        Arc::new(Absolute),
+        delta,
+        &spec,
+        recovery_opts(delta),
+        LossyLink::new(1, 2).with_drop_prob(0.1),
+        Some(ArqConfig::default()),
+    );
+    let submissions = deployment.schedule().submissions.clone();
+    let mut sim = deployment.into_sim();
+    let last = Arc::new(Mutex::new(LastDelivery(0)));
+    sim.set_trace(Arc::clone(&last));
+    for s in &submissions {
+        let submit = ServeMsg::Submit {
+            qid: s.qid,
+            template: s.template,
+        };
+        sim.inject(s.at, s.initiator, submit);
+    }
+    let end = sim.run_to_completion();
+    let answered: usize = sim.nodes().iter().map(|n| n.completed().len()).sum();
+    assert_eq!(answered, submissions.len());
+    assert!(
+        sim.metrics().counter("net.retx") > 0,
+        "drop 0.1 lost nothing"
+    );
+    let last_delivery = last.lock().unwrap().0;
+    let envelope = ArqConfig::default().worst_case_link_delivery(sim.max_hop_delay());
+    assert!(
+        last_delivery < end && end <= last_delivery + envelope,
+        "run ended at tick {end}, last delivery at {last_delivery}, envelope {envelope}"
+    );
 }
