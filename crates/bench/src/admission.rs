@@ -5,9 +5,9 @@
 //! flat region superlinearly. This bench shows the cure and its price.
 //! Each offered-load point of the cap-64 sweep runs twice over the same
 //! seeds — once with the load-admission ladder disarmed (the PR 9 ladder
-//! is table-occupancy-only) and once armed with the default
-//! [`LoadAdmission`](elink_workload::LoadAdmission) thresholds — and the
-//! report carries both sides so the gate can compare them directly:
+//! is table-occupancy-only) and once armed with the
+//! [`elink_workload::qos`] thresholds — and the report carries both sides
+//! so the gate can compare them directly:
 //!
 //! * **bounded tail** — with admission on, the p99 of *served* work
 //!   (admitted + degraded, shed excluded) must not blow up superlinearly
@@ -24,10 +24,10 @@
 //! `admission_report --check` CI gate reruns the sweep and requires
 //! byte-identical documents.
 
-use crate::contention::MEAN_GAPS;
-use elink_metric::Absolute;
+use crate::contention::{preset, MEAN_GAPS};
+use elink_metric::{Absolute, Metric};
 use elink_netsim::FairShareLink;
-use elink_workload::{Arrival, LoadAdmission, ServeOptions, WorkloadSim, WorkloadSpec};
+use elink_workload::{ServeOptions, Truth, WorkloadSim};
 use std::sync::Arc;
 
 /// Schema identifier of the `BENCH_admission.json` document.
@@ -69,21 +69,15 @@ pub struct AdmissionPoint {
     pub sim_ticks: u64,
     /// Total excess queueing across all transfers (ticks).
     pub queued_ms: u64,
+    /// Answers breaking the answer contract
+    /// ([`Truth::answer`](elink_workload::Truth::answer)) over the initial
+    /// anchors — shed and degraded answers included. Must be zero; gated
+    /// by `admission_report`, not serialized.
+    pub breaches: u64,
 }
 
-/// The serving preset: identical to the contention sweep's (1k-node
-/// terrain deployment, 120 mixed open-loop queries, query-only, recovery
-/// off) so the two reports describe the same system.
-fn preset(mean_gap: u64) -> (WorkloadSpec, f64) {
-    let mut spec = WorkloadSpec::quick(42);
-    spec.n_queries = 120;
-    spec.n_updates = 0;
-    spec.arrival = Arrival::Open { mean_gap };
-    (spec, 300.0)
-}
-
-/// Integer percentile over an ascending latency vector (nearest-rank).
-fn pct(sorted: &[u64], p: u64) -> u64 {
+/// Integer percentile over an ascending slice (nearest-rank; 0 on empty).
+pub(crate) fn percentile(sorted: &[u64], p: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -100,19 +94,19 @@ pub fn run_point(
 ) -> AdmissionPoint {
     let (spec, delta) = preset(mean_gap);
     let mut opts = ServeOptions::for_delta(delta);
-    if admission {
-        opts.qos.load = Some(LoadAdmission::default());
-    }
+    opts.load_admission = admission;
+    let metric: Arc<dyn Metric> = Arc::new(Absolute);
     let sim = WorkloadSim::build_with_link(
         data.topology().clone(),
         data.features(),
-        Arc::new(Absolute),
+        Arc::clone(&metric),
         delta,
         &spec,
         opts,
         FairShareLink::new(ADMISSION_CAPACITY),
         None,
     );
+    let truth = Truth::new(&sim.schedule().templates, &data.features(), metric);
     let run = sim.run_concurrent();
     let mut served: Vec<u64> = run
         .completed
@@ -135,12 +129,17 @@ pub fn run_point(
         degraded: run.metrics.counter("serve.degraded"),
         shed: run.metrics.counter("serve.shed"),
         exact,
-        served_p50: pct(&served, 50),
-        served_p99: pct(&served, 99),
+        served_p50: percentile(&served, 50),
+        served_p99: percentile(&served, 99),
         served_max: served.last().copied().unwrap_or(0),
         goodput_milli: exact.saturating_mul(1000) / run.sim_ticks.max(1),
         sim_ticks: run.sim_ticks,
         queued_ms: run.metrics.counter("net.queued_ms"),
+        breaches: run
+            .completed
+            .iter()
+            .filter(|c| truth.answer(c).is_err())
+            .count() as u64,
     }
 }
 
@@ -295,6 +294,7 @@ mod tests {
         assert_eq!(on.admitted + on.degraded + on.shed, on.done);
         assert_eq!(off.admitted, off.done, "disarmed side admits everything");
         assert_eq!(off.degraded + off.shed, 0);
+        assert_eq!(off.breaches + on.breaches, 0, "an answer broke soundness");
     }
 
     #[test]
@@ -308,11 +308,14 @@ mod tests {
 
     #[test]
     fn percentiles_are_nearest_rank() {
-        assert_eq!(pct(&[], 99), 0);
-        assert_eq!(pct(&[7], 50), 7);
+        assert_eq!(percentile(&[], 99), 0);
+        assert_eq!(percentile(&[7], 50), 7);
         let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(pct(&v, 50), 50);
-        assert_eq!(pct(&v, 99), 99);
-        assert_eq!(pct(&v, 100), 100);
+        assert_eq!(percentile(&v, 50), 50);
+        assert_eq!(percentile(&v, 99), 99);
+        assert_eq!(percentile(&v, 100), 100);
+        // Where nearest rank and `elink_workload::report`'s rounded linear
+        // index part ways: the latter gives 30 here.
+        assert_eq!(percentile(&[10, 20, 30, 40], 50), 20);
     }
 }

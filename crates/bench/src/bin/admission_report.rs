@@ -16,7 +16,10 @@
 //! below admission off at the heaviest load), lose no work (shed queries
 //! complete explicitly), and keep exact-answer goodput at or above the
 //! admission-off baseline (see
-//! `elink_bench::admission::admission_violation`).
+//! `elink_bench::admission::admission_violation`). It also fails if any
+//! answer on either side — shed and degraded ones included — breaks the
+//! answer contract of `elink_workload::audit` over the initial anchors
+//! (the schedules are query-only).
 
 use elink_bench::admission::{
     admission_report_json, admission_violation, run_sweep, AdmissionPoint,
@@ -53,10 +56,19 @@ impl Report for AdmissionSweep {
     }
 
     fn failures(&self) -> Vec<String> {
-        admission_violation(&self.0)
-            .map(|v| format!("admission contract: {v}"))
-            .into_iter()
-            .collect()
+        let mut failures: Vec<String> = self
+            .0
+            .iter()
+            .filter(|p| p.breaches > 0)
+            .map(|p| {
+                format!(
+                    "gap={} admission={}: {} answer(s) broke the answer contract",
+                    p.mean_gap, p.admission, p.breaches
+                )
+            })
+            .collect();
+        failures.extend(admission_violation(&self.0).map(|v| format!("admission contract: {v}")));
+        failures
     }
 
     fn json(&self) -> String {

@@ -14,7 +14,9 @@
 //! Independent of `--check`, the run fails (exit 1) if the queueing knee
 //! is missing — for any capacity, p99 latency must be non-decreasing in
 //! offered load and must grow superlinearly past saturation
-//! (see `elink_bench::contention::knee_violation`).
+//! (see `elink_bench::contention::knee_violation`) — or if any answer
+//! breaks the answer contract of `elink_workload::audit` over the initial
+//! anchors (the schedules are query-only).
 
 use elink_bench::contention::{contention_report_json, knee_violation, run_sweep, ContentionPoint};
 use elink_bench::driver::{self, Report};
@@ -46,10 +48,19 @@ impl Report for Contention {
     }
 
     fn failures(&self) -> Vec<String> {
-        knee_violation(&self.0)
-            .map(|v| format!("queueing knee: {v}"))
-            .into_iter()
-            .collect()
+        let mut failures: Vec<String> = self
+            .0
+            .iter()
+            .filter(|p| p.breaches > 0)
+            .map(|p| {
+                format!(
+                    "cap={} gap={}: {} answer(s) broke the answer contract",
+                    p.capacity, p.mean_gap, p.breaches
+                )
+            })
+            .collect();
+        failures.extend(knee_violation(&self.0).map(|v| format!("queueing knee: {v}")));
+        failures
     }
 
     fn json(&self) -> String {

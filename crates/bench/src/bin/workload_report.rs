@@ -12,7 +12,9 @@
 //! The preset drives a mixed range/path stream of 120 queries against a
 //! 1024-node terrain deployment with background feature updates. The run
 //! fails unless at least 100 queries complete and the cache hit-rate is
-//! non-zero.
+//! non-zero. Its answers are not audited against ground truth
+//! (`elink_workload::audit`): updates interleave with the queries, so no
+//! single anchor snapshot is the truth every answer was served over.
 
 use elink_bench::driver::{self, Report};
 use elink_metric::Absolute;

@@ -14,9 +14,9 @@
 //! `contention_report --check` CI gate reruns the whole sweep and
 //! requires byte-identical documents.
 
-use elink_metric::Absolute;
+use elink_metric::{Absolute, Metric};
 use elink_netsim::FairShareLink;
-use elink_workload::{Arrival, ServeOptions, SloReport, WorkloadSim, WorkloadSpec};
+use elink_workload::{Arrival, ServeOptions, SloReport, Truth, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
 
 /// Schema identifier of the `BENCH_contention.json` document.
@@ -55,6 +55,10 @@ pub struct ContentionPoint {
     pub link_busy_peak: i64,
     /// Peak concurrent flows on any single link.
     pub link_peak_flows: i64,
+    /// Answers breaking the answer contract ([`Truth::answer`]) over the
+    /// initial anchors. Must be zero; gated by `contention_report`, not
+    /// serialized.
+    pub breaches: u64,
 }
 
 /// The sweep grid: each capacity is swept over every arrival gap, heaviest
@@ -67,11 +71,12 @@ pub const CAPACITIES: [u64; 2] = [64, 256];
 /// Open-loop mean inter-arrival gaps (ticks), lightest load first.
 pub const MEAN_GAPS: [u64; 4] = [48, 12, 3, 1];
 
-/// The serving preset shared by every cell: the `workload_report` 1k-node
+/// The serving preset shared by every cell, and by the admission sweep so
+/// the two reports describe the same system: the `workload_report` 1k-node
 /// terrain deployment, 120 mixed queries, query-only (updates would blur
-/// the latency attribution), recovery off so backlogged queries wait
-/// rather than give up.
-fn preset(mean_gap: u64) -> (WorkloadSpec, f64) {
+/// the latency attribution, and the ground truth stays the initial
+/// anchors), recovery off so backlogged queries wait rather than give up.
+pub(crate) fn preset(mean_gap: u64) -> (WorkloadSpec, f64) {
     let mut spec = WorkloadSpec::quick(42);
     spec.n_queries = 120;
     spec.n_updates = 0;
@@ -86,16 +91,18 @@ pub fn run_point(
     mean_gap: u64,
 ) -> ContentionPoint {
     let (spec, delta) = preset(mean_gap);
+    let metric: Arc<dyn Metric> = Arc::new(Absolute);
     let sim = WorkloadSim::build_with_link(
         data.topology().clone(),
         data.features(),
-        Arc::new(Absolute),
+        Arc::clone(&metric),
         delta,
         &spec,
         ServeOptions::for_delta(delta),
         FairShareLink::new(capacity),
         None,
     );
+    let truth = Truth::new(&sim.schedule().templates, &data.features(), metric);
     let run = sim.run_concurrent();
     // Reuse the SLO folding for the percentile math.
     let slo = SloReport::from_run(&run);
@@ -114,6 +121,11 @@ pub fn run_point(
         links_used: run.metrics.gauge("net.links.used").unwrap_or(0),
         link_busy_peak: run.metrics.gauge("net.link.busy_peak_ticks").unwrap_or(0),
         link_peak_flows: run.metrics.gauge("net.link.peak_flows").unwrap_or(0),
+        breaches: run
+            .completed
+            .iter()
+            .filter(|c| truth.answer(c).is_err())
+            .count() as u64,
     }
 }
 
@@ -237,6 +249,11 @@ mod tests {
         let again = run_point(&data, 2, 1);
         assert_eq!(heavy, again, "same-seed points must be byte-identical");
         assert_eq!(light.done, heavy.done, "load must never lose queries");
+        assert_eq!(
+            light.breaches + heavy.breaches,
+            0,
+            "an answer broke soundness"
+        );
         assert!(heavy.queued_ms > light.queued_ms);
         assert!(heavy.p99 >= light.p99);
         assert!(heavy.links_used > 0 && heavy.link_peak_flows > 0);

@@ -20,8 +20,9 @@
 //! 2000 = "at least 2× fewer messages per update"). Push latency
 //! percentiles come from the per-client samples recorded at delivery.
 
-use elink_metric::{Absolute, Metric};
-use elink_workload::{expected_matches, ServeOptions, WorkloadSim, WorkloadSpec};
+use crate::admission::percentile;
+use elink_metric::Absolute;
+use elink_workload::{ServeOptions, Truth, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
 
 /// Everything `sub_report` prints and serializes. Every field is
@@ -89,19 +90,9 @@ fn build(spec: &WorkloadSpec, delta: f64, n_nodes: usize) -> WorkloadSim {
     )
 }
 
-/// Nearest-rank percentile over an ascending slice (0 on empty).
-fn percentile(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 /// Runs the three-way comparison for one preset scale.
 pub fn run_once(scale: u32) -> SubReport {
     let (spec, delta, n_nodes) = preset(scale);
-    let metric: Arc<dyn Metric> = Arc::new(Absolute);
 
     // 1. Maintenance control: churn only. Schedules are seed-deterministic,
     //    so the update stream is identical across all three runs.
@@ -135,10 +126,15 @@ pub fn run_once(scale: u32) -> SubReport {
             sim.quiesce();
         }
         let total = sim.sim().costs().total_packets();
-        let templates = sim.schedule().templates.clone();
-        let anchors = sim.anchors();
-        // Soundness gate: every surviving view must equal brute-force truth
-        // over final anchors (fault-free runs reach full coverage).
+        // Soundness gate: every surviving view keeps the view contract over
+        // the final anchors, and a fault-free run reaches full coverage —
+        // so every view equals the brute-force truth.
+        let truth = Truth::new(
+            &sim.schedule().templates,
+            &sim.anchors(),
+            Arc::new(Absolute),
+        );
+        let n = sim.sim().nodes().len() as u64;
         let mut active = 0usize;
         let mut lats: Vec<u64> = Vec::new();
         let mut pushes = 0u64;
@@ -150,12 +146,8 @@ pub fn run_once(scale: u32) -> SubReport {
                 active += 1;
                 pushes += c.pushes;
                 lats.extend_from_slice(&c.latencies);
-                let truth =
-                    expected_matches(&templates[c.template as usize], &anchors, metric.as_ref());
-                assert_eq!(
-                    c.view, truth,
-                    "push view diverged from ground truth (sid {sid})"
-                );
+                assert_eq!(c.covered, n, "sid {sid} missed full coverage");
+                assert_eq!(truth.view(c, n), Ok(()), "push view of sid {sid}");
             }
         }
         lats.sort_unstable();

@@ -128,11 +128,6 @@ impl MaintenanceSim {
         self.root_of[node]
     }
 
-    /// Current feature of a node.
-    pub fn feature_of(&self, node: NodeId) -> &Feature {
-        &self.features[node]
-    }
-
     /// Hop depth of `node` in its cluster tree.
     fn tree_depth(&self, node: NodeId) -> u64 {
         let mut depth = 0;

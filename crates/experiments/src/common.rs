@@ -4,9 +4,7 @@
 use elink_baselines::{
     hierarchical_clustering_with_routing, spanning_forest_clustering, CentralizedClustering,
 };
-use elink_core::{
-    run_explicit, run_implicit, run_unordered, Clustering, ElinkConfig, ElinkOutcome,
-};
+use elink_core::{run_explicit, run_implicit, run_unordered, ElinkConfig, ElinkOutcome};
 use elink_metric::{DistanceMatrix, Feature, Metric};
 use elink_netsim::{SimNetwork, SyncLink};
 use elink_spectral::SpectralConfig;
@@ -399,18 +397,6 @@ impl SuiteBench {
                 cost: sf.costs.total_cost(),
             },
         ]
-    }
-
-    /// Runs just implicit ELink (used by query experiments that need the
-    /// clustering object itself).
-    pub fn elink_clustering(&self, delta: f64) -> Clustering {
-        run_implicit(
-            &self.network,
-            &self.features,
-            Arc::clone(&self.metric),
-            ElinkConfig::for_delta(delta),
-        )
-        .clustering
     }
 }
 

@@ -71,7 +71,7 @@ impl ExploreReport {
 
 fn check_state<P: Protocol>(
     s: &McState<P>,
-    predicates: &[Box<dyn Predicate<P>>],
+    predicates: &[Predicate<P>],
     path: &[Transition],
 ) -> Option<ViolationReport> {
     let view = McView {
@@ -107,7 +107,7 @@ fn check_state<P: Protocol>(
 pub fn explore<P>(
     sys: &mut McSystem<P>,
     config: &McConfig,
-    predicates: &[Box<dyn Predicate<P>>],
+    predicates: &[Predicate<P>],
     strategy: Strategy,
 ) -> ExploreReport
 where

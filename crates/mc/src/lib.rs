@@ -42,7 +42,7 @@ pub mod scenarios;
 pub mod system;
 
 pub use explore::{explore, ExploreReport, Strategy, ViolationReport};
-pub use predicates::{FnPredicate, McView, Predicate};
+pub use predicates::{McView, Predicate};
 pub use replay::{compile, replay, ReplayOutcome, ReplaySpec};
 pub use scenarios::{CheckOutcome, Scenario};
 pub use system::{FaultBudget, McConfig, McState, McSystem, Transition, TransitionKind};
@@ -128,13 +128,6 @@ mod tests {
         Scenario::new("toy", delay_bound, vec![], move |link| toy_sim(link, 7))
     }
 
-    fn catalog(predicates: Vec<FnPredicate<Toy>>) -> Vec<Box<dyn Predicate<Toy>>> {
-        predicates
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn Predicate<Toy>>)
-            .collect()
-    }
-
     /// The FIFO-sequential schedule is byte-identical to a plain engine
     /// run — same trace stream, same node states — including under a
     /// randomized-delay link, where capture must consume the RNG in
@@ -208,7 +201,7 @@ mod tests {
     fn reordering_violation_found_and_replayed() {
         let scenario = toy_scenario(2);
         let config = McConfig::fault_free(2);
-        let predicates = catalog(vec![FnPredicate::invariant(
+        let predicates = [Predicate::invariant(
             "one-hop-first",
             |view: &McView<Toy>| {
                 if view.nodes[2].got(10) && !view.nodes[1].got(20) {
@@ -216,7 +209,7 @@ mod tests {
                 }
                 Ok(())
             },
-        )]);
+        )];
         let outcome = scenario.check(&config, &predicates, Strategy::Bfs);
         let violation = outcome.report.violation.expect("reordering is reachable");
         assert_eq!(violation.predicate, "one-hop-first");
@@ -246,15 +239,12 @@ mod tests {
         let scenario = toy_scenario(2);
         let mut config = McConfig::fault_free(2);
         config.faults.max_drops = 1;
-        let predicates = catalog(vec![FnPredicate::goal(
-            "pong-arrives",
-            |view: &McView<Toy>| {
-                if !view.nodes[0].got(11) {
-                    return Err("node 0 never got the pong".into());
-                }
-                Ok(())
-            },
-        )]);
+        let predicates = [Predicate::goal("pong-arrives", |view: &McView<Toy>| {
+            if !view.nodes[0].got(11) {
+                return Err("node 0 never got the pong".into());
+            }
+            Ok(())
+        })];
         let outcome = scenario.check(&config, &predicates, Strategy::Bfs);
         assert!(outcome.report.violation.is_some());
         let (_, replayed) = outcome.counterexample.expect("counterexample compiled");
@@ -269,15 +259,12 @@ mod tests {
         let scenario = toy_scenario(2);
         let mut config = McConfig::fault_free(2);
         config.faults.max_crashes = 1;
-        let predicates = catalog(vec![FnPredicate::goal(
-            "pong-arrives",
-            |view: &McView<Toy>| {
-                if !view.nodes[0].got(11) {
-                    return Err("node 0 never got the pong".into());
-                }
-                Ok(())
-            },
-        )]);
+        let predicates = [Predicate::goal("pong-arrives", |view: &McView<Toy>| {
+            if !view.nodes[0].got(11) {
+                return Err("node 0 never got the pong".into());
+            }
+            Ok(())
+        })];
         let outcome = scenario.check(&config, &predicates, Strategy::Bfs);
         let violation = outcome
             .report
@@ -300,7 +287,7 @@ mod tests {
         let scenario = toy_scenario(2);
         let mut config = McConfig::fault_free(2);
         config.faults.max_duplicates = 1;
-        let predicates = catalog(vec![FnPredicate::invariant(
+        let predicates = [Predicate::invariant(
             "at-most-once",
             |view: &McView<Toy>| {
                 for node in view.nodes {
@@ -312,7 +299,7 @@ mod tests {
                 }
                 Ok(())
             },
-        )]);
+        )];
         let outcome = scenario.check(&config, &predicates, Strategy::Bfs);
         assert!(outcome.report.violation.is_some());
         let (spec, replayed) = outcome.counterexample.expect("counterexample compiled");

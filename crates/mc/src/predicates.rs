@@ -48,36 +48,22 @@ impl<'a, P: Protocol> McView<'a, P> {
     }
 }
 
-/// A named property over checker states.
-pub trait Predicate<P: Protocol> {
-    /// Stable name, used in reports and violation traces.
-    fn name(&self) -> &str;
-
-    /// Goals are only evaluated at quiescent states; invariants at every
-    /// state.
-    fn quiescent_only(&self) -> bool {
-        false
-    }
-
-    /// `Err(message)` flags a violation at this state.
-    fn check(&self, view: &McView<'_, P>) -> Result<(), String>;
-}
-
-/// A [`Predicate`] built from a closure.
-pub struct FnPredicate<P: Protocol> {
+/// A named property over checker states: an invariant or a goal, with the
+/// closure that checks it.
+pub struct Predicate<P: Protocol> {
     name: String,
     quiescent_only: bool,
     #[allow(clippy::type_complexity)]
     f: Box<dyn Fn(&McView<'_, P>) -> Result<(), String>>,
 }
 
-impl<P: Protocol> FnPredicate<P> {
+impl<P: Protocol> Predicate<P> {
     /// An invariant: checked at every reachable state.
     pub fn invariant(
         name: impl Into<String>,
         f: impl Fn(&McView<'_, P>) -> Result<(), String> + 'static,
     ) -> Self {
-        FnPredicate {
+        Predicate {
             name: name.into(),
             quiescent_only: false,
             f: Box::new(f),
@@ -89,24 +75,26 @@ impl<P: Protocol> FnPredicate<P> {
         name: impl Into<String>,
         f: impl Fn(&McView<'_, P>) -> Result<(), String> + 'static,
     ) -> Self {
-        FnPredicate {
+        Predicate {
             name: name.into(),
             quiescent_only: true,
             f: Box::new(f),
         }
     }
-}
 
-impl<P: Protocol> Predicate<P> for FnPredicate<P> {
-    fn name(&self) -> &str {
+    /// Stable name, used in reports and violation traces.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn quiescent_only(&self) -> bool {
+    /// Goals are only evaluated at quiescent states; invariants at every
+    /// state.
+    pub fn quiescent_only(&self) -> bool {
         self.quiescent_only
     }
 
-    fn check(&self, view: &McView<'_, P>) -> Result<(), String> {
+    /// `Err(message)` flags a violation at this state.
+    pub fn check(&self, view: &McView<'_, P>) -> Result<(), String> {
         (self.f)(view)
     }
 }

@@ -323,11 +323,7 @@ where
 /// exploration), runs it to the violation point, and re-evaluates
 /// `predicate` there. The full engine trace of the run is returned as
 /// JSONL bytes.
-pub fn replay<P, F>(
-    spec: &ReplaySpec<P::Msg>,
-    build: F,
-    predicate: &dyn Predicate<P>,
-) -> ReplayOutcome
+pub fn replay<P, F>(spec: &ReplaySpec<P::Msg>, build: F, predicate: &Predicate<P>) -> ReplayOutcome
 where
     P: Protocol,
     P::Msg: Clone,

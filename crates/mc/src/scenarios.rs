@@ -122,7 +122,7 @@ where
     pub fn check(
         &self,
         config: &McConfig,
-        predicates: &[Box<dyn Predicate<P>>],
+        predicates: &[Predicate<P>],
         strategy: Strategy,
     ) -> CheckOutcome<P::Msg> {
         let mut sys = self.system();
@@ -137,7 +137,7 @@ where
                     .iter()
                     .find(|p| p.name() == v.predicate)
                     .expect("violated predicate is in the catalog");
-                let outcome = replay(&spec, |link| self.build(link), predicate.as_ref());
+                let outcome = replay(&spec, |link| self.build(link), predicate);
                 (spec, outcome)
             })
         };
@@ -163,7 +163,7 @@ pub mod elink_growth {
     use elink_netsim::SimNetwork;
     use elink_topology::Topology;
 
-    use crate::predicates::{FnPredicate, McView, Predicate};
+    use crate::predicates::{McView, Predicate};
     use crate::scenarios::Scenario;
 
     /// Float slop for distance comparisons in predicates (the protocol
@@ -201,72 +201,58 @@ pub mod elink_growth {
     /// sites justified for the explored fault budget (empty when
     /// fault-free; [`elink_core::stray::SITE_PHASE1_AFTER_COMPLETE`] under
     /// duplicate faults).
-    pub fn predicates(
-        allowed_strays: &'static [&'static str],
-    ) -> Vec<Box<dyn Predicate<ElinkNode>>> {
+    pub fn predicates(allowed_strays: &'static [&'static str]) -> Vec<Predicate<ElinkNode>> {
         let radius = ElinkConfig::for_delta(DELTA).admission_radius();
         vec![
             // The expansion rule only admits a node within the admission
             // radius of the advertised root feature; the stored assignment
             // must never escape that bound.
-            Box::new(FnPredicate::invariant(
-                "admission-soundness",
-                move |view: &McView<ElinkNode>| {
-                    for (id, node) in view.live_nodes() {
-                        if !node.clustered {
-                            continue;
-                        }
-                        let d = Absolute.distance(&node.root_feature, node.feature());
-                        if d > radius + EPS {
+            Predicate::invariant("admission-soundness", move |view: &McView<ElinkNode>| {
+                for (id, node) in view.live_nodes() {
+                    if !node.clustered {
+                        continue;
+                    }
+                    let d = Absolute.distance(&node.root_feature, node.feature());
+                    if d > radius + EPS {
+                        return Err(format!(
+                            "node {id} assigned to root {} at distance {d} > {radius}",
+                            node.root
+                        ));
+                    }
+                }
+                Ok(())
+            }),
+            Predicate::invariant("no-unexpected-strays", move |view: &McView<ElinkNode>| {
+                for (id, node) in view.live_nodes() {
+                    for site in &node.stray_drops {
+                        if !allowed_strays.contains(site) {
                             return Err(format!(
-                                "node {id} assigned to root {} at distance {d} > {radius}",
-                                node.root
+                                "node {id} silently dropped an event at site '{site}'"
                             ));
                         }
                     }
-                    Ok(())
-                },
-            )),
-            Box::new(FnPredicate::invariant(
-                "no-unexpected-strays",
-                move |view: &McView<ElinkNode>| {
-                    for (id, node) in view.live_nodes() {
-                        for site in &node.stray_drops {
-                            if !allowed_strays.contains(site) {
-                                return Err(format!(
-                                    "node {id} silently dropped an event at site '{site}'"
-                                ));
-                            }
-                        }
+                }
+                Ok(())
+            }),
+            Predicate::goal("all-clustered", |view: &McView<ElinkNode>| {
+                for (id, node) in view.live_nodes() {
+                    if !node.clustered {
+                        return Err(format!("node {id} unclustered at quiescence"));
                     }
-                    Ok(())
-                },
-            )),
-            Box::new(FnPredicate::goal(
-                "all-clustered",
-                |view: &McView<ElinkNode>| {
-                    for (id, node) in view.live_nodes() {
-                        if !node.clustered {
-                            return Err(format!("node {id} unclustered at quiescence"));
-                        }
+                }
+                Ok(())
+            }),
+            Predicate::goal("growth-complete", |view: &McView<ElinkNode>| {
+                for (id, node) in view.live_nodes() {
+                    let open = node.unsettled_subtrees();
+                    if open > 0 {
+                        return Err(format!(
+                            "node {id} still has {open} un-acked subtree(s) at quiescence"
+                        ));
                     }
-                    Ok(())
-                },
-            )),
-            Box::new(FnPredicate::goal(
-                "growth-complete",
-                |view: &McView<ElinkNode>| {
-                    for (id, node) in view.live_nodes() {
-                        let open = node.unsettled_subtrees();
-                        if open > 0 {
-                            return Err(format!(
-                                "node {id} still has {open} un-acked subtree(s) at quiescence"
-                            ));
-                        }
-                    }
-                    Ok(())
-                },
-            )),
+                }
+                Ok(())
+            }),
         ]
     }
 }
@@ -278,18 +264,13 @@ pub mod elink_growth {
 pub mod serving {
     use std::sync::Arc;
 
-    use elink_metric::{Absolute, Feature, Metric};
-    use elink_topology::{NodeId, Topology};
+    use elink_metric::{Absolute, Feature};
+    use elink_topology::Topology;
     use elink_workload::protocol::ServeMsg;
-    use elink_workload::{
-        expected_matches, Arrival, ServeNode, ServeOptions, WorkloadSim, WorkloadSpec,
-    };
+    use elink_workload::{Arrival, ServeNode, ServeOptions, Truth, WorkloadSim, WorkloadSpec};
 
-    use crate::predicates::{FnPredicate, McView, Predicate};
+    use crate::predicates::{McView, Predicate};
     use crate::scenarios::Scenario;
-
-    /// Float slop for distance comparisons in predicates.
-    const EPS: f64 = 1e-9;
 
     /// δ for the scenario: clusters {0} and {1,2,3}.
     pub const DELTA: f64 = 10.0;
@@ -384,109 +365,56 @@ pub mod serving {
         })
     }
 
-    /// The serving predicate catalog. Ground truth is computed over the
-    /// initial anchors (the scenario injects no updates, so anchors never
-    /// move) with the same brute-force oracle the chaos suite uses.
-    pub fn predicates() -> Vec<Box<dyn Predicate<ServeNode>>> {
-        let feats = features();
+    /// The serving predicate catalog: the first three apply the
+    /// [`elink_workload::audit`] contracts to every live node. Ground truth
+    /// is computed over the initial anchors (the scenario injects no
+    /// updates, so anchors never move).
+    pub fn predicates() -> Vec<Predicate<ServeNode>> {
         let deployment = deploy(Box::new(elink_netsim::SyncLink));
-        let truths: Vec<Vec<NodeId>> = deployment
-            .schedule()
-            .templates
-            .iter()
-            .map(|t| expected_matches(t, &feats, &Absolute))
-            .collect();
-        let truths = Arc::new(truths);
-        let t1 = Arc::clone(&truths);
-        let t2 = Arc::clone(&truths);
+        let truth = Arc::new(Truth::new(
+            &deployment.schedule().templates,
+            &features(),
+            Arc::new(Absolute),
+        ));
+        let (t1, t2, t3) = (Arc::clone(&truth), Arc::clone(&truth), truth);
         vec![
             // coverage_milli honesty: every answer is a sound subset of
             // brute-force ground truth over anchors, and full coverage
             // (1000) certifies exact equality.
-            Box::new(FnPredicate::invariant(
-                "answer-soundness",
-                move |view: &McView<ServeNode>| {
-                    for (id, node) in view.live_nodes() {
-                        for cq in node.completed() {
-                            let truth = &t1[cq.template as usize];
-                            if let Some(m) = cq.matches.iter().find(|m| !truth.contains(m)) {
-                                return Err(format!(
-                                    "query {} at node {id} reported non-matching node {m}",
-                                    cq.qid
-                                ));
-                            }
-                            if cq.coverage_milli == 1000 && &cq.matches != truth {
-                                return Err(format!(
-                                    "query {} at node {id} claims full coverage but \
-                                     answered {:?}, truth {:?}",
-                                    cq.qid, cq.matches, truth
-                                ));
-                            }
-                        }
+            Predicate::invariant("answer-soundness", move |view: &McView<ServeNode>| {
+                for (id, node) in view.live_nodes() {
+                    for cq in node.completed() {
+                        t1.answer(cq).map_err(|e| format!("node {id}: {e}"))?;
                     }
-                    Ok(())
-                },
-            )),
+                }
+                Ok(())
+            }),
             // Cache exactness: cached subtree answers may only contain true
             // matches (anchors are static here, so staleness is no excuse).
-            Box::new(FnPredicate::invariant(
-                "cache-exactness",
-                move |view: &McView<ServeNode>| {
-                    for (id, node) in view.live_nodes() {
-                        for t in 0..t2.len() as u16 {
-                            let Some((matches, _)) = node.cached(t) else {
-                                continue;
-                            };
-                            let truth = &t2[t as usize];
-                            if let Some(m) = matches.iter().find(|m| !truth.contains(m)) {
-                                return Err(format!(
-                                    "node {id} cached non-matching node {m} for template {t}"
-                                ));
-                            }
-                        }
-                    }
-                    Ok(())
-                },
-            )),
+            Predicate::invariant("cache-exactness", move |view: &McView<ServeNode>| {
+                view.live_nodes().try_for_each(|(_, node)| t2.cache(node))
+            }),
             // M-tree covering invariant: every routing entry's bound stays
             // inside the node's own covering radius — the soundness
             // precondition for Prune/IncludeAll shortcuts. Failover
             // adoption must inflate the successor's radius to keep it.
-            Box::new(FnPredicate::invariant(
-                "mtree-covering",
-                move |view: &McView<ServeNode>| {
-                    for (id, node) in view.live_nodes() {
-                        let plan = node.plan();
-                        for e in &plan.entries {
-                            let bound = Absolute.distance(node.anchor(), &e.feature) + e.radius;
-                            if bound > plan.radius + EPS {
-                                return Err(format!(
-                                    "node {id}: child {} bound {bound} exceeds covering \
-                                     radius {}",
-                                    e.child, plan.radius
-                                ));
-                            }
-                        }
-                    }
-                    Ok(())
-                },
-            )),
+            Predicate::invariant("mtree-covering", move |view: &McView<ServeNode>| {
+                view.live_nodes()
+                    .try_for_each(|(_, node)| t3.covering(node))
+            }),
             // Liveness: with the recovery layer armed, every surviving
             // initiator gets an answer (possibly partial) by quiescence.
-            Box::new(FnPredicate::goal(
-                "query-answered",
-                |view: &McView<ServeNode>| {
-                    for (id, node) in view.live_nodes() {
-                        if node.unanswered() > 0 {
-                            return Err(format!(
-                                "node {id} still has {} unanswered quer(ies) at quiescence",
-                                node.unanswered()
-                            ));
-                        }
+            Predicate::goal("query-answered", |view: &McView<ServeNode>| {
+                for (id, node) in view.live_nodes() {
+                    if node.unanswered() > 0 {
+                        return Err(format!(
+                            "node {id} still has {} unanswered quer(ies) at quiescence",
+                            node.unanswered()
+                        ));
                     }
-                    Ok(())
-                },
-            )),
+                }
+                Ok(())
+            }),
         ]
     }
 }

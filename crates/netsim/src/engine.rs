@@ -379,12 +379,6 @@ impl<M: Clone> Clone for FlowsSnapshot<M> {
 }
 
 impl<M> FlowsSnapshot<M> {
-    /// Whether the snapshot carries flow state at all (false for
-    /// per-message links — such snapshots fingerprint as empty).
-    pub fn is_flow_model(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Canonical description of the snapshotted contention state with times
     /// expressed relative to `origin_time`, for state fingerprinting —
     /// generation watermarks included, so two states whose queued
@@ -989,11 +983,6 @@ impl<'a, M: Clone> Ctx<'a, M> {
         self.core.delivery_envelope(false)
     }
 
-    /// Whether the engine is running the ARQ reliable-delivery sublayer.
-    pub fn arq_enabled(&self) -> bool {
-        self.core.arq.is_some()
-    }
-
     /// Whether `node` is up right now under the link model (and not forced
     /// dead by the model checker's override).
     pub fn is_alive(&self, node: usize) -> bool {
@@ -1250,10 +1239,11 @@ pub struct Simulator<P: Protocol> {
     nodes: Vec<P>,
     core: Core<P::Msg>,
     started: bool,
-    /// Safety valve: maximum events before [`Simulator::run_to_completion`]
-    /// aborts (protocol livelock protection in tests).
-    pub max_events: u64,
 }
+
+/// Safety valve: maximum events before [`Simulator::run_to_completion`]
+/// aborts (protocol livelock protection).
+const MAX_EVENTS: u64 = 500_000_000;
 
 impl<P: Protocol> Simulator<P> {
     /// Creates a simulator over `network` with one protocol instance per
@@ -1305,7 +1295,6 @@ impl<P: Protocol> Simulator<P> {
                 dead_override: BTreeSet::new(),
             },
             started: false,
-            max_events: 500_000_000,
         }
     }
 
@@ -1350,7 +1339,7 @@ impl<P: Protocol> Simulator<P> {
     /// Runs until the event queue is empty. Returns the final time.
     ///
     /// # Panics
-    /// Panics if `max_events` is exceeded (indicates a protocol livelock).
+    /// Panics if `MAX_EVENTS` is exceeded (indicates a protocol livelock).
     pub fn run_to_completion(&mut self) -> SimTime {
         self.ensure_started();
         while self.step() {}
@@ -1407,9 +1396,8 @@ impl<P: Protocol> Simulator<P> {
         self.core.now = time;
         self.core.events_processed += 1;
         assert!(
-            self.core.events_processed <= self.max_events,
-            "simulation exceeded {} events — livelock?",
-            self.max_events
+            self.core.events_processed <= MAX_EVENTS,
+            "simulation exceeded {MAX_EVENTS} events — livelock?"
         );
         if let EventKind::FlowDone { flow, gen } = event_kind {
             // Link-level bookkeeping first (the flow must leave the table

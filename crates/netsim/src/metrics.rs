@@ -280,14 +280,6 @@ impl Metrics {
             .record(value);
     }
 
-    /// Pre-registers (or fetches) histogram `name` with explicit bounds.
-    /// Bounds only apply on first registration; a later call with different
-    /// bounds returns the existing histogram unchanged.
-    pub fn histogram_with(&mut self, name: &'static str, bounds: &[u64]) -> &mut Histogram {
-        self.histograms
-            .or_insert_with(name, || Histogram::with_bounds(bounds))
-    }
-
     /// Histogram `name`, if any sample or registration touched it.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)

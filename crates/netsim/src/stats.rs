@@ -282,12 +282,6 @@ impl CostBook {
                 .merge(stats);
         }
     }
-
-    /// Merges bare per-kind aggregates (compat shim for code still holding a
-    /// [`MessageStats`]).
-    pub fn merge_stats(&mut self, other: &MessageStats) {
-        self.kinds.merge(other);
-    }
 }
 
 // -- query-id attribution namespaces ----------------------------------------

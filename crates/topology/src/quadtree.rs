@@ -155,13 +155,6 @@ impl QuadTree {
         (l != usize::MAX).then_some(l)
     }
 
-    /// All cells led by `node`.
-    pub fn cells_led_by(&self, node: NodeId) -> Vec<CellId> {
-        (0..self.cells.len())
-            .filter(|&c| self.cells[c].leader == node)
-            .collect()
-    }
-
     /// Iterates over all cells with their ids.
     pub fn iter_cells(&self) -> impl Iterator<Item = (CellId, &QuadCell)> {
         self.cells.iter().enumerate()

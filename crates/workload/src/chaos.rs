@@ -1,15 +1,15 @@
 //! Seeded fault campaigns over the serving layer: a deterministic grid of
 //! (drop rate × crash fraction × partition window) cells, each driving the
-//! full concurrent workload over a faulty [`LossyLink`] with the ARQ
-//! sublayer and the recovery layer armed, and checking every completed
-//! answer against the soundness contract:
+//! full concurrent workload over a faulty
+//! [`LossyLink`](elink_netsim::LossyLink) with the ARQ sublayer and the
+//! recovery layer armed, and auditing the quiesced fleet against the
+//! [`crate::audit`] catalog:
 //!
-//! * every answer is a subset of the brute-force ground truth over anchors
-//!   (crashed nodes keep matching by their *frozen* anchor when a parent
-//!   M-tree entry determines them — answers are defined over last-known
-//!   anchors, not liveness);
-//! * an answer reporting full coverage (`coverage_milli == 1000`) equals
-//!   the ground truth exactly;
+//! * every completed answer keeps the answer contract ([`Truth::answer`]:
+//!   a sound subset of the ground truth over last-known anchors, exact
+//!   under full coverage, explicit when shed);
+//! * every surviving node keeps cache exactness ([`Truth::cache`]) and the
+//!   M-tree covering invariant ([`Truth::covering`]);
 //! * every query submitted at a surviving initiator completes — partial if
 //!   it must, wedged never.
 //!
@@ -23,11 +23,11 @@
 //! ([`run_sub_cell`]): drop faults plus one leader crash landing *mid-
 //! subscription*, i.e. after the initial snapshots but while churn is
 //! still being served. These cells audit the push pipeline's soundness
-//! after failover — every surviving client's materialized view must be a
-//! subset of the brute-force truth over last-known anchors, and equal to
-//! it whenever the view reports full coverage.
+//! after failover: every surviving client's active view keeps the view
+//! contract ([`Truth::view`]).
 
-use crate::engine::{expected_matches, ServeOptions, WorkloadSim};
+use crate::audit::Truth;
+use crate::engine::{ServeOptions, WorkloadSim};
 use crate::gen::WorkloadSpec;
 use elink_metric::{Feature, Metric};
 use elink_netsim::{ArqConfig, FairShareLink, LinkModel, LossyLink, SimTime};
@@ -146,7 +146,9 @@ pub struct ChaosCell {
     pub shed: u64,
     /// Leader failover takeovers.
     pub failovers: u64,
-    /// Soundness-contract violations (must be zero).
+    /// Catalog breaches (must be zero): one per completed answer breaking
+    /// [`Truth::answer`], plus one per surviving node breaking
+    /// [`Truth::cache`] or [`Truth::covering`] at quiescence.
     pub violations: u64,
 }
 
@@ -250,7 +252,7 @@ pub struct SubChaosCell {
     /// Total excess queueing (ticks spent behind other transfers); zero
     /// without `capacity`.
     pub queued_ms: u64,
-    /// Push-soundness violations (must be zero).
+    /// Active surviving views breaking [`Truth::view`] (must be zero).
     pub violations: u64,
 }
 
@@ -333,7 +335,8 @@ impl ChaosReport {
 
 /// Runs one campaign cell: deploy on the pristine network, serve the
 /// query-only schedule under the cell's faults with ARQ + recovery armed,
-/// audit every completed answer against ground truth.
+/// quiesce, then audit every completed answer and every surviving node's
+/// cache and M-tree entries against the [`crate::audit`] catalog.
 pub fn run_cell(
     topology: &Topology,
     features: &[Feature],
@@ -342,8 +345,8 @@ pub fn run_cell(
     spec: &WorkloadSpec,
     fault: FaultSpec,
 ) -> ChaosCell {
-    assert_eq!(
-        spec.n_updates, 0,
+    assert!(
+        spec.n_updates == 0 && spec.n_subscribers == 0,
         "chaos cells must run query-only schedules (truth = initial anchors)"
     );
     let n = topology.n();
@@ -354,10 +357,8 @@ pub fn run_cell(
     // fleet degrades or sheds work *honestly* (explicit reduced-coverage
     // answers) instead of piling onto saturated links. The audit below
     // holds either way — shed and degraded answers are sound subsets.
-    if fault.capacity.is_some() {
-        opts.qos.load = Some(crate::qos::LoadAdmission::default());
-    }
-    let sim = WorkloadSim::build_with_link(
+    opts.load_admission = fault.capacity.is_some();
+    let mut sim = WorkloadSim::build_with_link(
         topology.clone(),
         features.to_vec(),
         Arc::clone(metric),
@@ -367,39 +368,41 @@ pub fn run_cell(
         fault.link(n),
         Some(ArqConfig::default()),
     );
-    let templates = sim.schedule().templates.clone();
-    let expected = sim
-        .schedule()
-        .submissions
+    let truth = Truth::new(&sim.schedule().templates, features, Arc::clone(metric));
+    let submissions = sim.schedule().submissions.clone();
+    let expected = submissions
         .iter()
         .filter(|s| !victims.contains(&s.initiator))
         .count() as u64;
-    let run = sim.run_concurrent();
+    for s in &submissions {
+        sim.inject_query(s.at, s.initiator, s.qid, s.template);
+    }
+    sim.quiesce();
 
+    let mut done = 0u64;
     let mut exact = 0u64;
     let mut partial = 0u64;
     let mut violations = 0u64;
     let mut cov_sum = 0u64;
     let mut cov_min = 1000u64;
-    for c in &run.completed {
-        let truth = expected_matches(&templates[c.template as usize], features, metric.as_ref());
-        let sound = c.matches.iter().all(|m| truth.contains(m));
-        let full = c.coverage_milli == 1000;
-        if full {
-            exact += 1;
-            if c.matches != truth {
-                violations += 1;
+    for node in sim.sim().nodes() {
+        for c in node.completed() {
+            done += 1;
+            if c.coverage_milli == 1000 {
+                exact += 1;
+            } else {
+                partial += 1;
             }
-        } else {
-            partial += 1;
-            if !sound {
-                violations += 1;
-            }
+            violations += u64::from(truth.answer(c).is_err());
+            cov_sum += u64::from(c.coverage_milli);
+            cov_min = cov_min.min(u64::from(c.coverage_milli));
         }
-        cov_sum += u64::from(c.coverage_milli);
-        cov_min = cov_min.min(u64::from(c.coverage_milli));
+        if !victims.contains(&node.id()) {
+            violations += u64::from(truth.cache(node).is_err());
+            violations += u64::from(truth.covering(node).is_err());
+        }
     }
-    let done = run.completed.len() as u64;
+    let m = sim.sim().metrics();
     ChaosCell {
         fault,
         crashed: victims.len() as u64,
@@ -409,14 +412,14 @@ pub fn run_cell(
         partial,
         coverage_mean_milli: cov_sum.checked_div(done).unwrap_or(0),
         coverage_min_milli: if done == 0 { 0 } else { cov_min },
-        gave_up: run.metrics.counter("wl.recover.query_gaveup"),
-        retx: run.metrics.counter("net.retx"),
-        timeouts: run.metrics.counter("net.timeout"),
-        queued_ms: run.metrics.counter("net.queued_ms"),
-        admitted: run.metrics.counter("serve.admitted"),
-        degraded: run.metrics.counter("serve.degraded"),
-        shed: run.metrics.counter("serve.shed"),
-        failovers: run.metrics.counter("maint.failover"),
+        gave_up: m.counter("wl.recover.query_gaveup"),
+        retx: m.counter("net.retx"),
+        timeouts: m.counter("net.timeout"),
+        queued_ms: m.counter("net.queued_ms"),
+        admitted: m.counter("serve.admitted"),
+        degraded: m.counter("serve.degraded"),
+        shed: m.counter("serve.shed"),
+        failovers: m.counter("maint.failover"),
         violations,
     }
 }
@@ -441,8 +444,7 @@ pub const SUB_CHAOS_TRIGGER_SID: u64 = 1 << 32;
 ///
 /// Audit: answers are defined over last-known anchors (the dead
 /// coordinator keeps matching by its frozen anchor), so every surviving
-/// client's view must be a subset of the brute-force truth, and equal to
-/// it when the view reports full coverage.
+/// client's active view must keep the view contract ([`Truth::view`]).
 ///
 /// The victim must not be a shortest-path relay between any surviving
 /// pair: routing is static (built on the pristine topology), so crashing
@@ -572,8 +574,11 @@ pub fn run_sub_cell(
     }
 
     // Audit: push soundness after failover, over last-known anchors.
-    let templates = sim.schedule().templates.clone();
-    let anchors = sim.anchors();
+    let truth = Truth::new(
+        &sim.schedule().templates,
+        &sim.anchors(),
+        Arc::clone(metric),
+    );
     let n = topology.n() as u64;
     let mut active = 0u64;
     let mut ended = 0u64;
@@ -592,19 +597,12 @@ pub fn run_sub_cell(
             }
             active += 1;
             pushes += c.pushes;
-            let truth =
-                expected_matches(&templates[c.template as usize], &anchors, metric.as_ref());
             if c.covered == n {
                 exact += 1;
-                if c.view != truth {
-                    violations += 1;
-                }
             } else {
                 subset += 1;
-                if !c.view.iter().all(|m| truth.contains(m)) {
-                    violations += 1;
-                }
             }
+            violations += u64::from(truth.view(c, n).is_err());
         }
     }
     let m = sim.sim().metrics();

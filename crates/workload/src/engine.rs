@@ -13,10 +13,9 @@
 //!   proptests (no query overlaps an invalidation, so every answer must
 //!   equal the brute-force ground truth over anchors).
 
-use crate::gen::{Schedule, Template, WorkloadSpec};
+use crate::gen::{Schedule, WorkloadSpec};
 use crate::plan::ServingPlan;
 use crate::protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
-use crate::qos::QosConfig;
 use elink_core::{run_implicit, ElinkConfig};
 use elink_metric::{Feature, Metric};
 use elink_netsim::{
@@ -31,16 +30,16 @@ use std::sync::Arc;
 pub struct ServeOptions {
     /// Enable routing-node result caches.
     pub cache_enabled: bool,
-    /// Maintenance slack Δ handed to the §6 absorption rule.
-    pub slack: f64,
     /// Arm the failure-recovery layer: per-query deadlines with partial
     /// answers, convergecast re-issue, and leader failover. Off by default
     /// so fault-free runs behave (and bill) exactly as before; turn it on
     /// for any run whose link model can crash or partition nodes.
     pub recovery: bool,
-    /// Serving-QoS knobs of the standing-query subscription engine
-    /// (admission ladder, table bounds, adaptive windows).
-    pub qos: QosConfig,
+    /// Arm the load-admission ladder (DESIGN.md §15): queries and
+    /// subscription registrations are degraded or shed once the
+    /// substrate's backlog horizon passes the [`crate::qos`] thresholds.
+    /// Off, every submission is admitted at full scope.
+    pub load_admission: bool,
     /// Force-arm the subscription machinery (takeover announcements on
     /// failover) even when the schedule carries no subscriptions — used by
     /// harnesses that inject subscriptions manually.
@@ -48,14 +47,14 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults for a clustering threshold δ: caches on, Δ = δ/4, recovery
-    /// off, default QoS.
-    pub fn for_delta(delta: f64) -> ServeOptions {
+    /// Defaults for a clustering threshold δ: caches on, recovery off,
+    /// load admission off. They are the same for every δ: the build derives
+    /// the maintenance slack Δ = δ/4 from the deployment's own δ.
+    pub fn for_delta(_delta: f64) -> ServeOptions {
         ServeOptions {
             cache_enabled: true,
-            slack: delta / 4.0,
             recovery: false,
-            qos: QosConfig::default(),
+            load_admission: false,
             subscriptions: false,
         }
     }
@@ -214,7 +213,8 @@ impl WorkloadSim {
             metric,
             topology: Arc::clone(&topology),
             delta,
-            slack: opts.slack,
+            // The §6 maintenance slack Δ = δ/4.
+            slack: delta / 4.0,
             cache_enabled: opts.cache_enabled,
             recovery: opts.recovery,
             cluster_of,
@@ -225,7 +225,7 @@ impl WorkloadSim {
             backbone_peers_of,
             diameter,
             n_clusters,
-            qos: opts.qos,
+            load_admission: opts.load_admission,
             expect_subs: opts.subscriptions || !schedule.subscriptions.is_empty(),
         });
         let nodes: Vec<ServeNode> = (0..n)
@@ -443,37 +443,10 @@ impl WorkloadSim {
     }
 }
 
-/// Brute-force ground truth for a template over a fleet anchor snapshot:
-/// range templates collect `d ≤ r`, path templates the strict unsafe set
-/// `d < γ`. Queries in this crate answer over anchors, so a quiesced
-/// distributed answer must equal this exactly.
-pub fn expected_matches(
-    template: &Template,
-    anchors: &[Feature],
-    metric: &dyn Metric,
-) -> Vec<NodeId> {
-    let (center, r, strict) = match template {
-        Template::Range { center, r } => (center, *r, false),
-        Template::Path { danger, gamma, .. } => (danger, *gamma, true),
-    };
-    anchors
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            let d = metric.distance(center, a);
-            if strict {
-                d < r
-            } else {
-                d <= r
-            }
-        })
-        .map(|(v, _)| v)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::expected_matches;
     use crate::gen::Arrival;
     use elink_metric::Absolute;
 

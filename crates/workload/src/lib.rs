@@ -15,6 +15,8 @@
 //!   per-query cost attribution, single-flight M-tree descents shared by
 //!   co-located queries (in-network batching), per-template result caches
 //!   at routing nodes invalidated by §6 slack-exceeding updates.
+//! - [`audit`] — the soundness catalog: brute-force ground truth and the
+//!   answer, view, cache and covering contracts every harness applies.
 //! - [`engine`] — the harness: builds the deployment and drives the fleet
 //!   concurrently (benchmark) or sequentially (correctness oracle).
 //! - [`report`] — the `elink-workload/v1` SLO document.
@@ -24,6 +26,9 @@
 
 #![warn(missing_docs)]
 
+/// The serving soundness catalog: ground truth and the four contracts.
+pub mod audit;
+/// Seeded fault campaigns audited against the [`audit`] catalog.
 pub mod chaos;
 /// Deployment + concurrent serving driver (`WorkloadSim`).
 pub mod engine;
@@ -42,15 +47,16 @@ pub mod report;
 /// Standing-query subscription state machines (client/coordinator/watcher).
 pub mod subscribe;
 
+pub use audit::{expected_matches, Truth};
 pub use chaos::{
     default_grid, default_sub_grid, run_campaign, run_cell, run_sub_cell, ChaosCell, ChaosReport,
     FaultSpec, SubChaosCell, SubFaultSpec, CHAOS_SCHEMA,
 };
-pub use engine::{expected_matches, ServeOptions, WorkloadRun, WorkloadSim};
+pub use engine::{ServeOptions, WorkloadRun, WorkloadSim};
 pub use gen::{build_schedule, Arrival, Schedule, Template, WorkloadSpec};
 pub use nodeset::NodeSet;
 pub use plan::{ChildEntry, NodePlan, ServingPlan};
 pub use protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
-pub use qos::{AdaptiveWindow, Admission, LoadAdmission, QosConfig};
+pub use qos::{AdaptiveWindow, Admission};
 pub use report::{LatencySummary, SloReport, SCHEMA};
 pub use subscribe::{ClientSub, PushVerdict, SubState};

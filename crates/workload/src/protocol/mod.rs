@@ -91,7 +91,7 @@ mod subs;
 use crate::gen::{ScriptEntry, Template};
 use crate::nodeset::NodeSet;
 use crate::plan::NodePlan;
-use crate::qos::{self, Admission, QosConfig};
+use crate::qos::{self, Admission};
 use crate::subscribe::{ClientSub, SubState};
 use descent::EvalState;
 use echo::{EchoState, PendingQuery};
@@ -141,8 +141,9 @@ pub struct Shared {
     pub diameter: u64,
     /// Number of clusters (echo-tree depth bound for deadline sizing).
     pub n_clusters: usize,
-    /// Serving-QoS knobs of the subscription engine.
-    pub qos: QosConfig,
+    /// Whether the load-admission ladder (§15) gates submissions and
+    /// subscription registrations.
+    pub load_admission: bool,
     /// Whether this deployment serves standing subscriptions — gates the
     /// takeover announcements (`SubTakeover`/`SubReregister`) so
     /// subscription-free runs bill exactly as before.
@@ -614,14 +615,12 @@ impl ServeNode {
 
     /// The load-ladder verdict for work entering the system *now*: the
     /// contention-aware delivery envelope against the idle one. With the
-    /// ladder disarmed (`qos.load == None`) everything is `Full` — exact
-    /// legacy behavior.
+    /// ladder disarmed everything is `Full`.
     fn load_admission(&self, ctx: &Ctx<'_, ServeMsg>) -> Admission {
-        match &self.shared.qos.load {
-            Some(cfg) => {
-                qos::admit_load(cfg, ctx.max_delivery_delay(), ctx.nominal_delivery_delay())
-            }
-            None => Admission::Full,
+        if self.shared.load_admission {
+            qos::admit_load(ctx.max_delivery_delay(), ctx.nominal_delivery_delay())
+        } else {
+            Admission::Full
         }
     }
 

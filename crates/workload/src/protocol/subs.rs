@@ -88,11 +88,7 @@ impl ServeNode {
         // the substrate's congestion signal (§15). The worse verdict wins —
         // a congested network degrades or refuses registrations even with a
         // near-empty table, and vice versa.
-        let table_verdict = qos::admit(
-            &self.shared.qos,
-            self.subs.table.len(),
-            self.subs.client_load(client),
-        );
+        let table_verdict = qos::admit(self.subs.table.len(), self.subs.client_load(client));
         match table_verdict.worst(self.load_admission(ctx)) {
             Admission::Shed => {
                 ctx.metrics().inc("wl.sub.shed");
@@ -117,8 +113,7 @@ impl ServeNode {
         degraded: bool,
         ctx: &mut Ctx<'_, ServeMsg>,
     ) {
-        let q = self.shared.qos;
-        if self.subs.table.len() >= q.max_subs {
+        if self.subs.table.len() >= qos::MAX_SUBS {
             if let Some(victim) = qos::evict_victim(self.subs.eviction_rows()) {
                 let e = self.subs.table.remove(&victim).expect("victim exists");
                 ctx.metrics().inc("wl.sub.evicted");
@@ -129,9 +124,9 @@ impl ServeNode {
             .table
             .insert(sid, SubEntry::new(client, template, degraded, ctx.now()));
         ctx.metrics().inc("wl.sub.admitted");
-        self.subs
-            .views
-            .or_insert_with(template, || TemplateView::new(q.window_min, q.window_max));
+        self.subs.views.or_insert_with(template, || {
+            TemplateView::new(qos::WINDOW_MIN, qos::WINDOW_MAX)
+        });
         // This root is always its own cluster's watcher; full admissions
         // additionally flood the watch over the backbone so every cluster
         // root reports. Degraded admissions stay local-only: O(1) clusters
@@ -227,11 +222,9 @@ impl ServeNode {
     /// coordinators' acks of it keep counting), or triggers the first
     /// repair if none exists yet.
     fn register_watch(&mut self, template: u16, coord: NodeId, ctx: &mut Ctx<'_, ServeMsg>) {
-        let q = self.shared.qos;
-        let w = self
-            .subs
-            .watches
-            .or_insert_with(template, || WatchState::new(q.window_min, q.window_max));
+        let w = self.subs.watches.or_insert_with(template, || {
+            WatchState::new(qos::WINDOW_MIN, qos::WINDOW_MAX)
+        });
         if !w.add_coord(coord) {
             return;
         }

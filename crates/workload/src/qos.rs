@@ -16,18 +16,20 @@
 //! in order (DESIGN.md §14):
 //!
 //! 1. **Per-client cap** — a client already holding
-//!    [`QosConfig::max_per_client`] live subscriptions at this coordinator
-//!    is *shed* (the registration is refused with an honest
-//!    `SubEnd`); one client cannot monopolize the table.
+//!    [`MAX_PER_CLIENT`](crate::qos::MAX_PER_CLIENT) live subscriptions
+//!    at this coordinator is *shed* (the registration is refused with an
+//!    honest `SubEnd`); one client cannot monopolize the table.
 //! 2. **Degrade watermark** — once the table holds
-//!    [`QosConfig::degrade_watermark`] entries, new subscriptions are
-//!    admitted *degraded*: their template is watched only in the
-//!    coordinator's own cluster (no backbone fan-out), so they cost O(1)
-//!    clusters instead of O(all) and honestly report the reduced
+//!    [`DEGRADE_WATERMARK`](crate::qos::DEGRADE_WATERMARK) entries, new
+//!    subscriptions are admitted *degraded*: their template is watched
+//!    only in the coordinator's own cluster (no backbone fan-out), so they
+//!    cost O(1) clusters instead of O(all) and honestly report the reduced
 //!    `coverage_milli` that narrower watch implies.
-//! 3. **Capacity** — at [`QosConfig::max_subs`] entries the table evicts
-//!    its least-valuable entry (see below) to make room; the evicted
-//!    client is told via `SubEnd` rather than silently dropped.
+//! 3. **Capacity** — at [`MAX_SUBS`](crate::qos::MAX_SUBS) entries the
+//!    table evicts its least-valuable entry (see below) to make room; the
+//!    evicted client is told via `SubEnd` rather than silently dropped.
+//!
+//! All table thresholds are per coordinator (cluster root), not global.
 //!
 //! # Eviction order
 //!
@@ -49,45 +51,22 @@
 
 use elink_netsim::SimTime;
 
-/// QoS knobs of the subscription engine. All thresholds are per
-/// coordinator (cluster root), not global.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QosConfig {
-    /// Hard capacity of a coordinator's subscription table; at capacity
-    /// the LRU/popularity victim is evicted to admit a newcomer.
-    pub max_subs: usize,
-    /// Occupancy at which new subscriptions are admitted *degraded*
-    /// (local-cluster watch only, honest reduced coverage). Must be ≤
-    /// `max_subs`.
-    pub degrade_watermark: usize,
-    /// Maximum live subscriptions one client may hold at one coordinator;
-    /// beyond it registrations are shed.
-    pub max_per_client: usize,
-    /// Minimum coalescing window (ticks) of the adaptive batchers — the
-    /// latency floor paid under sparse churn.
-    pub window_min: SimTime,
-    /// Maximum coalescing window (ticks) — the push-rate cap under dense
-    /// churn.
-    pub window_max: SimTime,
-    /// Load-driven admission over the substrate's congestion signal
-    /// (DESIGN.md §15). `None` disables the load ladder entirely — queries
-    /// and registrations see only the table-occupancy ladder above, which
-    /// is the exact pre-admission behavior.
-    pub load: Option<LoadAdmission>,
-}
-
-impl Default for QosConfig {
-    fn default() -> Self {
-        QosConfig {
-            max_subs: 64,
-            degrade_watermark: 48,
-            max_per_client: 8,
-            window_min: 1,
-            window_max: 32,
-            load: None,
-        }
-    }
-}
+/// Hard capacity of a coordinator's subscription table; at capacity the
+/// LRU/popularity victim is evicted to admit a newcomer.
+pub const MAX_SUBS: usize = 64;
+/// Occupancy at which new subscriptions are admitted *degraded*
+/// (local-cluster watch only, honest reduced coverage). At most
+/// [`MAX_SUBS`].
+pub const DEGRADE_WATERMARK: usize = 48;
+/// Maximum live subscriptions one client may hold at one coordinator;
+/// beyond it registrations are shed.
+pub const MAX_PER_CLIENT: usize = 8;
+/// Minimum coalescing window (ticks) of the adaptive batchers — the
+/// latency floor paid under sparse churn.
+pub const WINDOW_MIN: SimTime = 1;
+/// Maximum coalescing window (ticks) — the push-rate cap under dense
+/// churn.
+pub const WINDOW_MAX: SimTime = 32;
 
 /// Outcome of the admission ladder for one registration attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,8 +99,11 @@ impl Admission {
     }
 }
 
-/// Load-driven admission thresholds: the backlog ratio at which incoming
-/// work is degraded or shed *before* the queueing knee.
+/// Load-driven admission (DESIGN.md §15): degrade incoming work once
+/// `backlog × 1000 ≥ DEGRADE_RATIO_MILLI × nominal` — queries answer from
+/// the initiator's own cluster only, subscriptions are admitted with a
+/// local-cluster watch. 1000 is the idle ratio, so 96,000 degrades at 96×
+/// the idle envelope.
 ///
 /// The signal is the substrate's pair of delivery envelopes:
 /// `Ctx::max_delivery_delay` (the contention-aware horizon — grows with
@@ -130,45 +112,31 @@ impl Admission {
 /// idle network and climbs as transfers pile onto shared links; comparing
 /// it against these thresholds is deterministic integer arithmetic, so
 /// admission decisions are byte-identical across reruns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadAdmission {
-    /// Degrade incoming work once `backlog × 1000 ≥ degrade_ratio_milli ×
-    /// nominal`: queries answer from the initiator's own cluster only,
-    /// subscriptions are admitted with a local-cluster watch. 1000 = the
-    /// idle ratio, so e.g. 4000 degrades at 4× the idle envelope.
-    pub degrade_ratio_milli: u64,
-    /// Shed incoming work once `backlog × 1000 ≥ shed_ratio_milli ×
-    /// nominal`: queries get an immediate honest zero-coverage answer,
-    /// registrations an immediate refusal. Must be ≥ `degrade_ratio_milli`.
-    pub shed_ratio_milli: u64,
-}
-
-impl Default for LoadAdmission {
-    /// Degrade at 96× the idle envelope, shed at 128×. Calibrated against
-    /// the cap-64 contention sweep (`BENCH_admission.json`): a healthy
-    /// serving wave keeps tens of flows in the air, so the backlog horizon
-    /// sits well above the idle envelope even far from saturation —
-    /// thresholds this high stay quiet at light load and fire inside the
-    /// convex blow-up segment past the queueing knee.
-    fn default() -> Self {
-        LoadAdmission {
-            degrade_ratio_milli: 96_000,
-            shed_ratio_milli: 128_000,
-        }
-    }
-}
+///
+/// Calibrated with [`SHED_RATIO_MILLI`] against the cap-64 contention
+/// sweep (`BENCH_admission.json`): a healthy serving wave keeps tens of
+/// flows in the air, so the backlog horizon sits well above the idle
+/// envelope even far from saturation — thresholds this high stay quiet at
+/// light load and fire inside the convex blow-up segment past the
+/// queueing knee.
+pub const DEGRADE_RATIO_MILLI: u64 = 96_000;
+/// Shed incoming work once `backlog × 1000 ≥ SHED_RATIO_MILLI × nominal`
+/// (128× the idle envelope): queries get an immediate honest
+/// zero-coverage answer, registrations an immediate refusal. At least
+/// [`DEGRADE_RATIO_MILLI`].
+pub const SHED_RATIO_MILLI: u64 = 128_000;
 
 /// Runs the load ladder: `backlog` is the node's current contention-aware
 /// delivery envelope (`Ctx::max_delivery_delay`), `nominal` its idle
 /// envelope (`Ctx::nominal_delivery_delay`). Pure integer arithmetic —
 /// cross-multiplied so no division ever rounds a threshold away.
 // simlint: hot
-pub fn admit_load(cfg: &LoadAdmission, backlog: u64, nominal: u64) -> Admission {
+pub fn admit_load(backlog: u64, nominal: u64) -> Admission {
     let nominal = nominal.max(1);
     let scaled = u128::from(backlog) * 1000;
-    if scaled >= u128::from(cfg.shed_ratio_milli) * u128::from(nominal) {
+    if scaled >= u128::from(SHED_RATIO_MILLI) * u128::from(nominal) {
         Admission::Shed
-    } else if scaled >= u128::from(cfg.degrade_ratio_milli) * u128::from(nominal) {
+    } else if scaled >= u128::from(DEGRADE_RATIO_MILLI) * u128::from(nominal) {
         Admission::Degraded
     } else {
         Admission::Full
@@ -179,10 +147,10 @@ pub fn admit_load(cfg: &LoadAdmission, backlog: u64, nominal: u64) -> Admission 
 /// table size, `client_subs` how many live entries this client already
 /// holds there.
 // simlint: hot
-pub fn admit(cfg: &QosConfig, occupancy: usize, client_subs: usize) -> Admission {
-    if client_subs >= cfg.max_per_client {
+pub fn admit(occupancy: usize, client_subs: usize) -> Admission {
+    if client_subs >= MAX_PER_CLIENT {
         Admission::Shed
-    } else if occupancy >= cfg.degrade_watermark {
+    } else if occupancy >= DEGRADE_WATERMARK {
         Admission::Degraded
     } else {
         Admission::Full
@@ -249,40 +217,31 @@ mod tests {
 
     #[test]
     fn admission_ladder_order() {
-        let cfg = QosConfig {
-            max_subs: 8,
-            degrade_watermark: 4,
-            max_per_client: 2,
-            ..QosConfig::default()
-        };
-        assert_eq!(admit(&cfg, 0, 0), Admission::Full);
-        assert_eq!(admit(&cfg, 3, 1), Admission::Full);
-        assert_eq!(admit(&cfg, 4, 0), Admission::Degraded);
-        assert_eq!(admit(&cfg, 7, 1), Admission::Degraded);
+        assert_eq!(admit(0, 0), Admission::Full);
+        assert_eq!(admit(47, 7), Admission::Full);
+        assert_eq!(admit(48, 0), Admission::Degraded);
+        assert_eq!(admit(MAX_SUBS - 1, 7), Admission::Degraded);
         // The per-client cap outranks the degrade watermark.
-        assert_eq!(admit(&cfg, 0, 2), Admission::Shed);
-        assert_eq!(admit(&cfg, 7, 5), Admission::Shed);
+        assert_eq!(admit(0, 8), Admission::Shed);
+        assert_eq!(admit(MAX_SUBS - 1, 12), Admission::Shed);
     }
 
     #[test]
     fn load_ladder_thresholds_are_exact() {
-        let cfg = LoadAdmission {
-            degrade_ratio_milli: 4_000,
-            shed_ratio_milli: 16_000,
-        };
         // Idle network: ratio exactly 1000.
-        assert_eq!(admit_load(&cfg, 7, 7), Admission::Full);
-        // One tick under the degrade threshold stays Full; at it, Degraded.
-        assert_eq!(admit_load(&cfg, 27, 7), Admission::Full);
-        assert_eq!(admit_load(&cfg, 28, 7), Admission::Degraded);
-        // At the shed threshold exactly, Shed.
-        assert_eq!(admit_load(&cfg, 111, 7), Admission::Degraded);
-        assert_eq!(admit_load(&cfg, 112, 7), Admission::Shed);
+        assert_eq!(admit_load(7, 7), Admission::Full);
+        // One tick under the degrade threshold (96×7 = 672) stays Full; at
+        // it, Degraded.
+        assert_eq!(admit_load(671, 7), Admission::Full);
+        assert_eq!(admit_load(672, 7), Admission::Degraded);
+        // At the shed threshold (128×7 = 896) exactly, Shed.
+        assert_eq!(admit_load(895, 7), Admission::Degraded);
+        assert_eq!(admit_load(896, 7), Admission::Shed);
         // A zero nominal (degenerate config) must not panic or divide.
-        assert_eq!(admit_load(&cfg, 0, 0), Admission::Full);
-        assert_eq!(admit_load(&cfg, 16, 0), Admission::Shed);
+        assert_eq!(admit_load(0, 0), Admission::Full);
+        assert_eq!(admit_load(128, 0), Admission::Shed);
         // Saturation-scale backlogs must not overflow.
-        assert_eq!(admit_load(&cfg, u64::MAX, 1), Admission::Shed);
+        assert_eq!(admit_load(u64::MAX, 1), Admission::Shed);
     }
 
     #[test]

@@ -12,7 +12,10 @@ use elink_netsim::SimTime;
 /// Schema identifier of the emitted document.
 pub const SCHEMA: &str = "elink-workload/v2";
 
-/// Latency percentiles over completed queries (ticks).
+/// Latency percentiles over completed queries (ticks). Percentile `p` of
+/// `n` ascending samples is the sample at the rounded linear index
+/// `(p·(n−1) + 50) / 100` — not nearest rank: at p50 over
+/// `[10, 20, 30, 40]` it is 30, where nearest rank gives 20.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Completed-query count.
@@ -190,12 +193,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_interpolates_by_nearest_rank() {
+    fn percentile_rounds_the_linear_index() {
         let v = [10, 20, 30, 40, 50];
         assert_eq!(percentile(&v, 50), 30);
         assert_eq!(percentile(&v, 0), 10);
         assert_eq!(percentile(&v, 100), 50);
         assert_eq!(percentile(&[], 50), 0);
+        // Index (50·3 + 50) / 100 = 2; nearest rank would pick 20.
+        assert_eq!(percentile(&[10, 20, 30, 40], 50), 30);
     }
 
     /// The document must stay balanced, schema-tagged JSON with no host

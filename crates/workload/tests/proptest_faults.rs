@@ -1,13 +1,14 @@
 //! Property tests for the recovery layer: under random topologies and
 //! random fault schedules (per-hop loss up to 0.25, up to 20% of nodes
-//! permanently crashed), every completed answer upholds the coverage
-//! contract — sound always, exact whenever full coverage is claimed, and
-//! honestly partial whenever a cluster leader died.
+//! permanently crashed), every completed answer upholds the answer
+//! contract of `elink_workload::audit` — sound always, exact whenever full
+//! coverage is claimed, explicit when shed — and is honestly partial
+//! whenever a cluster leader died.
 
 use elink_datasets::TerrainDataset;
 use elink_metric::{Absolute, Metric};
 use elink_netsim::{ArqConfig, LossyLink, SimNetwork};
-use elink_workload::{expected_matches, LoadAdmission, ServeOptions, WorkloadSim, WorkloadSpec};
+use elink_workload::{ServeOptions, Truth, WorkloadSim, WorkloadSpec};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -67,7 +68,7 @@ proptest! {
             link,
             Some(ArqConfig::default()),
         );
-        let templates = sim.schedule().templates.clone();
+        let truth = Truth::new(&sim.schedule().templates, &features, Arc::clone(&metric));
         let expected: Vec<u64> = sim
             .schedule()
             .submissions
@@ -97,19 +98,10 @@ proptest! {
         prop_assert_eq!(&done, &expected, "completed set != surviving submissions");
 
         for c in &run.completed {
-            let truth =
-                expected_matches(&templates[c.template as usize], &features, metric.as_ref());
-            prop_assert!(
-                c.matches.iter().all(|m| truth.contains(m)),
-                "qid {}: unsound answer under drop={} crashes={:?}",
-                c.qid, drop_milli, victims
+            prop_assert_eq!(
+                truth.answer(c), Ok(()),
+                "answer contract under drop={} crashes={:?}", drop_milli, victims
             );
-            if c.coverage_milli == 1000 {
-                prop_assert_eq!(
-                    &c.matches, &truth,
-                    "qid {}: full coverage claimed but answer != truth", c.qid
-                );
-            }
             if leader_died {
                 prop_assert!(
                     c.coverage_milli < 1000,
@@ -167,7 +159,7 @@ proptest! {
         spec.n_updates = 0; // truth = initial anchors under concurrency
         let mut opts = ServeOptions::for_delta(delta);
         opts.recovery = true;
-        opts.qos.load = Some(LoadAdmission::default());
+        opts.load_admission = true;
         let sim = WorkloadSim::build_with_link(
             topo,
             features.clone(),
@@ -178,7 +170,7 @@ proptest! {
             link,
             Some(ArqConfig::default()),
         );
-        let templates = sim.schedule().templates.clone();
+        let truth = Truth::new(&sim.schedule().templates, &features, Arc::clone(&metric));
         let expected: Vec<u64> = sim
             .schedule()
             .submissions
@@ -209,29 +201,11 @@ proptest! {
         );
 
         for c in &run.completed {
-            let truth =
-                expected_matches(&templates[c.template as usize], &features, metric.as_ref());
-            prop_assert!(
-                c.matches.iter().all(|m| truth.contains(m)),
-                "qid {}: unsound answer under cap={} drop={} crashes={:?}",
-                c.qid, capacity, drop_milli, victims
+            prop_assert_eq!(
+                truth.answer(c), Ok(()),
+                "answer contract under cap={} drop={} crashes={:?}",
+                capacity, drop_milli, victims
             );
-            if c.coverage_milli == 1000 {
-                prop_assert_eq!(
-                    &c.matches, &truth,
-                    "qid {}: full coverage claimed but answer != truth", c.qid
-                );
-            }
-            if c.shed {
-                prop_assert_eq!(
-                    c.coverage_milli, 0,
-                    "qid {}: a shed answer must claim zero coverage", c.qid
-                );
-                prop_assert!(
-                    c.matches.is_empty(),
-                    "qid {}: a shed answer must be empty", c.qid
-                );
-            }
         }
     }
 }
