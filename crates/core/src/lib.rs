@@ -47,7 +47,7 @@ pub mod maintenance_protocol;
 pub mod node_table;
 /// The ELink growth protocol (§4–§5): expand, merge, switch waves.
 pub mod protocol;
-/// Static quadtree leadership metadata shared by all nodes.
+/// The §3.2 quadtree, flat: pre-order cells, leaders, sentinel levels.
 pub mod quadinfo;
 /// One-call drivers that wire nodes, network and simulator together.
 pub mod runner;
@@ -59,6 +59,5 @@ pub use maintenance_protocol::{maintenance_nodes, slack_conditions_hold, MaintMs
 pub use node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
 pub use protocol::{stray, ElinkMsg, ElinkNode, SignalMode};
 pub use runner::{
-    build_sim, run_explicit, run_implicit, run_unordered, run_with_link, run_with_link_arq,
-    ElinkOutcome,
+    build_sim, run_explicit, run_implicit, run_unordered, run_with_link, ElinkOutcome,
 };

@@ -24,10 +24,10 @@
 
 use crate::config::ElinkConfig;
 use crate::node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
-use crate::quadinfo::QuadInfo;
+use crate::quadinfo::{CellId, QuadInfo, ROOT};
 use elink_metric::{Feature, Metric};
 use elink_netsim::{canon_f64, Canonicalize, Ctx, Protocol};
-use elink_topology::{CellId, NodeId};
+use elink_topology::NodeId;
 use std::sync::Arc;
 
 /// Messages exchanged by ELink.
@@ -470,45 +470,50 @@ impl ElinkNode {
         // Metrics: the quadtree synchronization envelope opens at the first
         // completion report and closes at the last aligned start receipt.
         ctx.phase_enter("sync.quadtree");
-        let Some(led) = self.quad.led_cell(ctx.id(), cell).cloned() else {
-            // A sentinel completion for a cell this node does not lead can
-            // only arise from a misrouted or stale message; drop it rather
-            // than abort the simulation.
-            self.stray_drops.push(stray::SITE_SENTINEL_NOT_LEADER);
-            debug_assert!(
-                false,
-                "sentinel_complete on a cell node {} does not lead",
-                ctx.id()
-            );
-            return;
-        };
-        match (led.parent_cell, led.parent_leader) {
-            (Some(pcell), Some(pleader)) => {
-                ctx.unicast(
-                    pleader,
-                    ElinkMsg::Phase1 {
-                        cell: pcell,
-                        level: led.level,
-                    },
-                    "phase1",
-                    1,
-                );
-            }
-            _ => {
-                // Root cell (S_0): level 0 is done — start S_1 directly
-                // (the wave's elapsed counter begins here).
-                self.start_children(&led, 0, ctx);
-            }
+        if self.leads_or_stray(cell, stray::SITE_SENTINEL_NOT_LEADER, ctx) {
+            self.phase1_up(cell, self.quad.cell(cell).level, ctx);
         }
     }
 
-    fn start_children(
+    /// Whether this node leads `cell`. Quadtree messages and timers are
+    /// addressed by the static cells, so a mismatch can only arise from a
+    /// misrouted or stale event: it is dropped and recorded as `site`
+    /// rather than aborting the simulation.
+    fn leads_or_stray(
         &mut self,
-        led: &crate::quadinfo::LedCell,
-        elapsed: u64,
-        ctx: &mut Ctx<'_, ElinkMsg>,
-    ) {
-        for &(child_cell, child_leader) in &led.children {
+        cell: CellId,
+        site: &'static str,
+        ctx: &Ctx<'_, ElinkMsg>,
+    ) -> bool {
+        let leads = self.quad.leads(ctx.id(), cell);
+        if !leads {
+            self.stray_drops.push(site);
+            debug_assert!(false, "{site}: node {} does not lead cell {cell}", ctx.id());
+        }
+        leads
+    }
+
+    /// Reports `level` complete below the led `cell` to the parent cell's
+    /// leader (`phase 1`). At the quadtree root all of S_level finished, so
+    /// `phase 2` goes down (for the root's own level 0 that starts S_1
+    /// directly, and the wave's elapsed counter begins here).
+    fn phase1_up(&self, cell: CellId, level: usize, ctx: &mut Ctx<'_, ElinkMsg>) {
+        match self.quad.cell(cell).parent {
+            Some(parent) => {
+                let msg = ElinkMsg::Phase1 {
+                    cell: parent,
+                    level,
+                };
+                ctx.unicast(self.quad.cell(parent).leader, msg, "phase1", 1);
+            }
+            None => self.phase2_down(cell, level, 0, ctx),
+        }
+    }
+
+    /// Sends `start` to the leaders of `cell`'s children.
+    fn start_children(&self, cell: CellId, elapsed: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
+        for &child_cell in self.quad.children(cell) {
+            let child_leader = self.quad.cell(child_cell).leader;
             if child_leader == ctx.id() {
                 // Leading both the cell and one child: handle locally.
                 self.handle_start(child_cell, elapsed, ctx);
@@ -538,7 +543,7 @@ impl ElinkNode {
     /// per-level budget, then runs ELink. On synchronous networks every
     /// same-level sentinel therefore begins at the same tick, matching the
     /// implicit schedule (§8.4: both variants output the same clusters).
-    fn handle_start(&mut self, cell: CellId, elapsed: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
+    fn handle_start(&self, cell: CellId, elapsed: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
         ctx.phase_exit("sync.quadtree");
         let budget = self.start_budget();
         let wait = budget.saturating_sub(elapsed) * ctx.max_delivery_delay();
@@ -547,11 +552,9 @@ impl ElinkNode {
 
     /// Fan-in of `phase 1` messages at an intermediate (or root) cell.
     fn on_phase1(&mut self, cell: CellId, level: usize, ctx: &mut Ctx<'_, ElinkMsg>) {
-        let Some(led) = self.quad.led_cell(ctx.id(), cell).cloned() else {
-            self.stray_drops.push(stray::SITE_PHASE1_NOT_LEADER);
-            debug_assert!(false, "phase1 addressed to non-leader {}", ctx.id());
+        if !self.leads_or_stray(cell, stray::SITE_PHASE1_NOT_LEADER, ctx) {
             return;
-        };
+        }
         let key = phase1_key(cell, level);
         if self.phase1_done.contains(&key) {
             // A duplicated `phase 1` after its wave completed: absorbing it
@@ -560,7 +563,7 @@ impl ElinkNode {
             self.stray_drops.push(stray::SITE_PHASE1_AFTER_COMPLETE);
             return;
         }
-        let fanin = led.phase1_fanin(level, &self.quad);
+        let fanin = self.quad.phase1_fanin(cell, level);
         let pending = self.phase1_pending.or_insert_with(key, || fanin);
         debug_assert!(*pending > 0, "phase1 overflow at cell {cell}");
         *pending -= 1;
@@ -569,46 +572,37 @@ impl ElinkNode {
         }
         self.phase1_pending.remove(&key);
         self.phase1_done.insert(key);
-        match (led.parent_cell, led.parent_leader) {
-            (Some(pcell), Some(pleader)) => {
-                ctx.unicast(
-                    pleader,
-                    ElinkMsg::Phase1 { cell: pcell, level },
-                    "phase1",
-                    1,
-                );
-            }
-            _ => {
-                // Quadtree root: all of S_level finished — phase 2 down.
-                self.on_phase2(cell, level, 0, ctx);
-            }
+        self.phase1_up(cell, level, ctx);
+    }
+
+    /// `phase 2` addressed to this node's `cell`.
+    fn on_phase2(&mut self, cell: CellId, level: usize, elapsed: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
+        if self.leads_or_stray(cell, stray::SITE_PHASE2_NOT_LEADER, ctx) {
+            self.phase2_down(cell, level, elapsed, ctx);
         }
     }
 
-    /// `phase 2` down-sweep (Fig 18), threading the alignment counter.
-    fn on_phase2(&mut self, cell: CellId, level: usize, elapsed: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
-        let Some(led) = self.quad.led_cell(ctx.id(), cell).cloned() else {
-            self.stray_drops.push(stray::SITE_PHASE2_NOT_LEADER);
-            debug_assert!(false, "phase2 addressed to non-leader {}", ctx.id());
-            return;
-        };
-        if led.level == level {
+    /// `phase 2` down-sweep (Fig 18) from a led cell, threading the
+    /// alignment counter.
+    fn phase2_down(&self, cell: CellId, level: usize, elapsed: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
+        if self.quad.cell(cell).level == level {
             // Instruct the children (the S_{level+1} sentinels) to start.
-            self.start_children(&led, elapsed, ctx);
+            self.start_children(cell, elapsed, ctx);
             return;
         }
-        for &(child_cell, child_leader) in &led.children {
+        for &child_cell in self.quad.children(cell) {
+            let child = self.quad.cell(child_cell);
             // Only branches that actually contain level-`level` cells
             // participate in the wave.
-            if self.quad.subtree_max_level[child_cell] < level {
+            if child.subtree_max_level < level {
                 continue;
             }
-            if child_leader == ctx.id() {
-                self.on_phase2(child_cell, level, elapsed, ctx);
+            if child.leader == ctx.id() {
+                self.phase2_down(child_cell, level, elapsed, ctx);
             } else {
-                let hops = ctx.hops_to(child_leader).unwrap_or(0) as u64;
+                let hops = ctx.hops_to(child.leader).unwrap_or(0) as u64;
                 ctx.unicast(
-                    child_leader,
+                    child.leader,
                     ElinkMsg::Phase2 {
                         cell: child_cell,
                         level,
@@ -628,7 +622,7 @@ impl Protocol for ElinkNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ElinkMsg>) {
         match self.mode {
             SignalMode::Implicit => {
-                let level = self.quad.sentinel_level[ctx.id()];
+                let level = self.quad.sentinel_level(ctx.id());
                 let start = self.config.schedule_start(self.n, level).ceil() as u64;
                 ctx.set_timer(start, TIMER_SCHEDULE);
             }
@@ -636,12 +630,10 @@ impl Protocol for ElinkNode {
                 ctx.set_timer(0, TIMER_SCHEDULE);
             }
             SignalMode::Explicit => {
-                if ctx.id() == self.quad.root_leader {
+                if self.quad.leads(ctx.id(), ROOT) {
                     // The S_0 sentinel needs no alignment: it is the only
                     // member of its level.
-                    let root_cell = self.quad.root_cell;
-                    let root_level = 0;
-                    self.elink_start(root_level, Some(root_cell), ctx);
+                    self.elink_start(0, Some(ROOT), ctx);
                 }
             }
         }
@@ -650,16 +642,9 @@ impl Protocol for ElinkNode {
     fn on_timer(&mut self, timer: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
         if timer >= TIMER_START_BASE {
             let cell = (timer - TIMER_START_BASE) as CellId;
-            let Some(level) = self.quad.led_cell(ctx.id(), cell).map(|led| led.level) else {
-                self.stray_drops.push(stray::SITE_START_NOT_LEADER);
-                debug_assert!(
-                    false,
-                    "start timer for a cell node {} does not lead",
-                    ctx.id()
-                );
-                return;
-            };
-            self.elink_start(level, Some(cell), ctx);
+            if self.leads_or_stray(cell, stray::SITE_START_NOT_LEADER, ctx) {
+                self.elink_start(self.quad.cell(cell).level, Some(cell), ctx);
+            }
             return;
         }
         if timer == TIMER_SCHEDULE {
@@ -667,7 +652,7 @@ impl Protocol for ElinkNode {
             // switch rule never blocks (levels are concurrent anyway).
             let level = match self.mode {
                 SignalMode::Unordered => 0,
-                _ => self.quad.sentinel_level[ctx.id()],
+                _ => self.quad.sentinel_level(ctx.id()),
             };
             self.elink_start(level, None, ctx);
         } else {

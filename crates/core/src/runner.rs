@@ -35,27 +35,16 @@ pub struct ElinkOutcome {
 /// [`run_unordered`], and the one to use for lossy or crash-prone links
 /// (e.g. `elink_netsim::LossyLink`). Crashed nodes freeze mid-protocol; the
 /// extracted clustering reflects whatever state each node last reached.
-pub fn run_with_link(
-    network: &SimNetwork,
-    features: &[Feature],
-    metric: Arc<dyn Metric>,
-    config: ElinkConfig,
-    mode: SignalMode,
-    link: impl Into<Box<dyn LinkModel>>,
-    seed: u64,
-) -> ElinkOutcome {
-    run_with_link_arq(network, features, metric, config, mode, link, seed, None)
-}
-
-/// [`run_with_link`] with an optional ARQ layer: when `arq` is `Some`, every
-/// protocol message rides the engine's reliable-delivery sublayer
-/// ([`elink_netsim::reliable`]) — per-link ack/retransmit/dedup — and the
-/// protocol's conservative timeouts automatically stretch to the ARQ
-/// worst-case envelope via [`elink_netsim::Ctx::max_delivery_delay`]. This is
-/// how Explicit ELink survives lossy links with the *same* output clustering
-/// as a loss-free run.
+///
+/// When `arq` is `Some`, every protocol message rides the engine's
+/// reliable-delivery sublayer ([`elink_netsim::reliable`]) — per-link
+/// ack/retransmit/dedup — and the protocol's conservative timeouts
+/// automatically stretch to the ARQ worst-case envelope via
+/// [`elink_netsim::Ctx::max_delivery_delay`]. This is how Explicit ELink
+/// survives lossy links with the *same* output clustering as a loss-free
+/// run.
 #[allow(clippy::too_many_arguments)]
-pub fn run_with_link_arq(
+pub fn run_with_link(
     network: &SimNetwork,
     features: &[Feature],
     metric: Arc<dyn Metric>,
@@ -105,7 +94,7 @@ pub fn run_with_link_arq(
 
 /// Constructs the ELink simulator without running it — the seam the model
 /// checker uses to drive the real protocol through its own schedules. The
-/// construction is shared with [`run_with_link_arq`], so checked state and
+/// construction is shared with [`run_with_link`], so checked state and
 /// production state cannot drift.
 pub fn build_sim(
     network: &SimNetwork,
@@ -170,6 +159,7 @@ pub fn run_implicit(
         SignalMode::Implicit,
         SyncLink,
         0,
+        None,
     )
 }
 
@@ -191,6 +181,7 @@ pub fn run_explicit(
         SignalMode::Explicit,
         link,
         seed,
+        None,
     )
 }
 
@@ -212,6 +203,7 @@ pub fn run_unordered(
         SignalMode::Unordered,
         link,
         seed,
+        None,
     )
 }
 

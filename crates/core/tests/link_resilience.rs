@@ -4,7 +4,7 @@
 
 use elink_core::maintenance_protocol::{maintenance_nodes, MaintMsg};
 use elink_core::protocol::SignalMode;
-use elink_core::{run_implicit, run_with_link, run_with_link_arq, ElinkConfig, ElinkOutcome};
+use elink_core::{run_implicit, run_with_link, ElinkConfig, ElinkOutcome};
 use elink_metric::{Absolute, Feature, Metric};
 use elink_netsim::{ArqConfig, LinkModel, LossyLink, SimNetwork, Simulator, SyncLink};
 use elink_topology::Topology;
@@ -74,7 +74,7 @@ fn elink_is_deterministic_per_seed_under_every_link_model() {
                     .find(|(n, _, _, _)| *n == name)
                     .unwrap()
                     .1;
-                let outcome = run_with_link_arq(
+                let outcome = run_with_link(
                     &network,
                     &features,
                     Arc::new(Absolute),
@@ -170,7 +170,7 @@ fn elink_is_deterministic_per_seed_on_random_uniform_topology() {
                     .find(|(n, _, _, _)| *n == name)
                     .unwrap()
                     .1;
-                run_with_link_arq(
+                run_with_link(
                     &network,
                     &features,
                     Arc::new(Absolute),
@@ -211,7 +211,7 @@ fn explicit_over_arq_at_drop_02_matches_loss_free_assignment() {
     let config = ElinkConfig::for_delta(10.0);
     let run = |drop: f64| {
         let (network, features) = grid_scenario();
-        run_with_link_arq(
+        run_with_link(
             &network,
             &features,
             Arc::new(Absolute),
@@ -275,6 +275,7 @@ fn elink_survives_crash_of_ten_percent_of_nodes_mid_run() {
         SignalMode::Implicit,
         link,
         3,
+        None,
     );
 
     // Over every surviving connected component, the clustering must still be

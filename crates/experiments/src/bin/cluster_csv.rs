@@ -6,16 +6,33 @@
 //! ```
 //!
 //! Input rows: `x,y,f1[,f2,…]` (optional header). Output rows:
-//! `node,cluster,root,x,y` to `out.csv` (or stdout).
+//! `node,cluster,root,x,y` to `out.csv` (or stdout). `radio_range` and
+//! `delta` must be finite and positive; otherwise the binary prints the
+//! usage line and exits 2.
 
 use elink_experiments::csv_io::{cluster_deployment, parse_deployment, render_assignment};
+
+const USAGE: &str = "usage: cluster_csv <input.csv> <radio_range> <delta> [out.csv]";
+
+/// Parses an argument that must be a finite number > 0, or exits 2.
+fn positive(name: &str, arg: &str) -> f64 {
+    match arg.parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 => x,
+        _ => {
+            eprintln!("{name} must be a finite number > 0, got {arg:?}\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.len() < 4 {
-        eprintln!("usage: cluster_csv <input.csv> <radio_range> <delta> [out.csv]");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
+    let radio = positive("radio_range", &args[2]);
+    let delta = positive("delta", &args[3]);
     let text = match std::fs::read_to_string(&args[1]) {
         Ok(t) => t,
         Err(e) => {
@@ -23,14 +40,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let radio: f64 = args[2].parse().unwrap_or_else(|_| {
-        eprintln!("radio_range must be a number");
-        std::process::exit(2);
-    });
-    let delta: f64 = args[3].parse().unwrap_or_else(|_| {
-        eprintln!("delta must be a number");
-        std::process::exit(2);
-    });
     let dep = match parse_deployment(&text) {
         Ok(d) => d,
         Err(e) => {

@@ -30,7 +30,7 @@ pub enum CsvError {
         /// 1-based row number.
         row: usize,
     },
-    /// A cell failed to parse as a number.
+    /// A cell failed to parse as a finite number.
     BadNumber {
         /// 1-based row number.
         row: usize,
@@ -53,7 +53,7 @@ impl std::fmt::Display for CsvError {
                 write!(f, "row {row}: need at least x,y,f1")
             }
             CsvError::BadNumber { row, col } => {
-                write!(f, "row {row}, column {col}: not a number")
+                write!(f, "row {row}, column {col}: not a finite number")
             }
             CsvError::RaggedFeatures { row } => {
                 write!(f, "row {row}: feature dimension differs from first row")
@@ -66,7 +66,8 @@ impl std::fmt::Display for CsvError {
 impl std::error::Error for CsvError {}
 
 /// Parses deployment CSV text. A first row whose cells are not all numeric
-/// is treated as a header and skipped.
+/// is treated as a header and skipped; `NaN` and infinities are rejected
+/// wherever they appear.
 pub fn parse_deployment(text: &str) -> Result<CsvDeployment, CsvError> {
     let mut positions = Vec::new();
     let mut features: Vec<Feature> = Vec::new();
@@ -95,6 +96,9 @@ pub fn parse_deployment(text: &str) -> Result<CsvDeployment, CsvError> {
                 return Err(CsvError::BadNumber { row, col });
             }
             Ok(nums) => {
+                if let Some(col) = nums.iter().position(|x| !x.is_finite()) {
+                    return Err(CsvError::BadNumber { row, col });
+                }
                 let f = nums[2..].to_vec();
                 match dim {
                     None => dim = Some(f.len()),
@@ -220,6 +224,16 @@ mod tests {
             parse_deployment("# nothing\n").unwrap_err(),
             CsvError::Empty
         );
+        // Non-finite positions and features are bad numbers, not headers.
+        for (text, row, col) in [
+            ("0,0,1\nNaN,0,1\n", 2, 0),
+            ("0,0,1\n1,inf,1\n", 2, 1),
+            ("0,0,1\n1,0,inf\n", 2, 2),
+            ("0,-infinity,1\n", 1, 1),
+        ] {
+            let err = parse_deployment(text).unwrap_err();
+            assert_eq!(err, CsvError::BadNumber { row, col }, "{text:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! (§8), plus the extensions listed in DESIGN.md.
 //!
 //! Every module exposes a `Params` struct with two presets — `Default`
-//! (paper scale) and `quick()` (seconds-scale, used by the Criterion
-//! benches) — and a `run(params) -> Table` function that regenerates the
+//! (paper scale) and `quick()` (seconds-scale, used by the unit tests) —
+//! and a `run(params) -> Table` function that regenerates the
 //! figure's data. Binaries (`cargo run -p elink-experiments --release
 //! --bin figNN`) print the table as markdown and write `results/figNN.csv`;
 //! `--bin all` regenerates everything.

@@ -2,8 +2,9 @@
 //!
 //! Provides node placement (grid / random-uniform), the communication graph
 //! (explicit edges for grids, unit-disk for random placements), hop-count
-//! routing over the graph, and the recursive quadtree decomposition with
-//! cell-leader election that defines ELink's sentinel sets (§3.2).
+//! and greedy geographic routing over the graph, and the geometry that the
+//! §3.2 quadtree in `elink_core::quadinfo` subdivides: [`Rect::quadrants`]
+//! and nearest-node leader election ([`Topology::nearest_node_among`]).
 
 // Every public item must carry a doc comment (simlint pub-doc-coverage
 // enforces the same invariant pre-rustdoc).
@@ -14,13 +15,10 @@ pub mod georoute;
 pub mod graph;
 /// 2-D points and distance helpers.
 pub mod point;
-/// Recursive spatial quadtree decomposition (§4.1).
-pub mod quadtree;
 /// Topology constructors: grids, random disks, synthetic deployments.
 pub mod topo;
 
 pub use georoute::{greedy_route, measure_stretch, GreedyRoute, StretchStats};
 pub use graph::{CommGraph, RoutingTable};
 pub use point::{Point, Rect};
-pub use quadtree::{CellId, QuadCell, QuadTree};
 pub use topo::{NodeId, Topology};
