@@ -85,7 +85,35 @@ done
 echo "== benchmark tests (the standalone benchmark package)"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
-echo "== benchmark run --check (four-workload determinism gate, ~40 s on 2 cores)"
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --check
+# `run --check` compares two processes with each other; the digests it
+# prints are also pinned here, so a change that claims byte-identical
+# behaviour is checked against the committed values. A change that moves a
+# digest on purpose updates this list and says why in CHANGES.md.
+expected_digest() {
+  case "$1 $2" in
+    "42 growth-64k") echo 88ee5d248e0b89ab ;;
+    "42 serve-contended") echo d9943b45db341928 ;;
+    "42 serve-lossy") echo 7ce5608f87f55d23 ;;
+    "42 churn-mixed") echo e49835f18500c265 ;;
+    "7 growth-64k") echo 46cc782e3a7fa202 ;;
+    "7 serve-contended") echo 6f24d779193be983 ;;
+    "7 serve-lossy") echo 4256acd179990553 ;;
+    "7 churn-mixed") echo 04050502b20d32d4 ;;
+  esac
+}
+
+for seed in 42 7; do
+  echo "== benchmark run --check --seed $seed (determinism + pinned digests, ~40 s on 2 cores)"
+  out="target/benchmark_check_seed$seed.txt"
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --check --seed "$seed" | tee "$out"
+  for workload in growth-64k serve-contended serve-lossy churn-mixed; do
+    want="$(expected_digest "$seed" "$workload")"
+    got="$(awk -v w="$workload" '$1 == w && $2 == "digest" { print $3 }' "$out")"
+    if [[ "$got" != "$want" ]]; then
+      echo "ci.sh: benchmark digest of $workload at seed $seed is '${got:-missing}', expected $want" >&2
+      exit 1
+    fi
+  done
+done
 
 echo "ci.sh: all green"

@@ -198,15 +198,117 @@ pub mod stray {
     pub const SITE_COMPLETION_UNKNOWN_ROOT: &str = "completion-unknown-root";
 }
 
-/// The ELink protocol state at one node.
-#[derive(Clone)]
-pub struct ElinkNode {
-    feature: Feature,
+/// What every node of one run shares: fixed at construction and never
+/// written by a handler. [`build_sim`](crate::build_sim) builds one block
+/// for the whole fleet, so a node carries one pointer instead of a copy.
+struct Shared {
     metric: Arc<dyn Metric>,
     config: ElinkConfig,
     mode: SignalMode,
     quad: Arc<QuadInfo>,
     n: usize,
+    /// Registry translating cluster-root [`NodeId`]s to the dense
+    /// [`NodeHandle`]s that key the per-node tables.
+    nodes: NodeTable,
+}
+
+impl Shared {
+    fn new(
+        n: usize,
+        metric: Arc<dyn Metric>,
+        config: ElinkConfig,
+        mode: SignalMode,
+        quad: Arc<QuadInfo>,
+    ) -> Arc<Shared> {
+        Arc::new(Shared {
+            metric,
+            config,
+            mode,
+            quad,
+            n,
+            nodes: NodeTable::new(n),
+        })
+    }
+}
+
+/// Explicit mode's synchronization bookkeeping (Fig 18). Boxed and
+/// allocated on first use, so implicit and unordered runs never pay for it.
+#[derive(Debug, Clone, Default)]
+struct Explicit {
+    subtrees: FlatMap<NodeHandle, Subtree>,
+    /// Keyed by `(cell, level)` packed into one `u64` (see
+    /// [`phase1_key`]) — one contiguous allocation instead of a tree of
+    /// two-word tuples.
+    phase1_pending: FlatMap<u64, usize>,
+    /// `(cell, level)` fan-in waves that already completed (see
+    /// [`phase1_key`]). A duplicated `phase 1` arriving after its wave's
+    /// counter was removed would otherwise re-open the counter at full
+    /// fan-in and deadlock the synchronization.
+    phase1_done: FlatSet<u64>,
+}
+
+/// Entries [`JoinedRoots`] keeps inline: a node joins at most `1 + c`
+/// clusters (its own as a sentinel, then `c` switches), 5 at the paper's
+/// `c = 4`.
+const JOINED_INLINE: usize = 5;
+
+/// The roots of every cluster a node has joined, as dense handle indices in
+/// ascending order: inline up to [`JOINED_INLINE`] entries, on the heap
+/// beyond (only for `c > 4`).
+#[derive(Debug, Clone)]
+enum JoinedRoots {
+    Inline {
+        len: u8,
+        roots: [u32; JOINED_INLINE],
+    },
+    Spilled(Box<[u32]>),
+}
+
+impl JoinedRoots {
+    const EMPTY: JoinedRoots = JoinedRoots::Inline {
+        len: 0,
+        roots: [0; JOINED_INLINE],
+    };
+
+    /// The roots, ascending.
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            JoinedRoots::Inline { len, roots } => &roots[..usize::from(*len)],
+            JoinedRoots::Spilled(roots) => roots,
+        }
+    }
+
+    fn contains(&self, root: NodeHandle) -> bool {
+        self.as_slice()
+            .binary_search(&(root.index() as u32))
+            .is_ok()
+    }
+
+    fn insert(&mut self, root: NodeHandle) {
+        let root = root.index() as u32;
+        let Err(at) = self.as_slice().binary_search(&root) else {
+            return;
+        };
+        match self {
+            JoinedRoots::Inline { len, roots } if usize::from(*len) < JOINED_INLINE => {
+                roots.copy_within(at..usize::from(*len), at + 1);
+                roots[at] = root;
+                *len += 1;
+            }
+            _ => {
+                let mut all = self.as_slice().to_vec();
+                all.insert(at, root);
+                *self = JoinedRoots::Spilled(all.into_boxed_slice());
+            }
+        }
+    }
+}
+
+/// The ELink protocol state at one node.
+#[derive(Clone)]
+pub struct ElinkNode {
+    shared: Arc<Shared>,
+    feature: Feature,
 
     /// Whether this node has been clustered (Fig 16 `clustered`).
     pub clustered: bool,
@@ -221,29 +323,15 @@ pub struct ElinkNode {
     /// Remaining cluster switches (Fig 16 `counter`).
     pub switches_left: u32,
 
-    /// Registry translating cluster-root [`NodeId`]s to the dense
-    /// [`NodeHandle`]s that key the flat tables below.
-    nodes: NodeTable,
-    subtrees: FlatMap<NodeHandle, Subtree>,
-    /// Keyed by `(cell, level)` packed into one `u64` (see
-    /// [`phase1_key`]) — one contiguous allocation instead of a tree of
-    /// two-word tuples.
-    phase1_pending: FlatMap<u64, usize>,
+    /// Explicit mode's bookkeeping, allocated on first use.
+    explicit: Option<Box<Explicit>>,
     /// Roots of every cluster this node has ever joined. A node never
     /// re-joins a cluster it left: distances to roots are fixed, so a
     /// re-join can never be a quality gain, and (in explicit mode) it would
     /// corrupt the per-cluster `ack` bookkeeping — the Fig 16 `+φ`
     /// tolerance otherwise allows A→B→A oscillation, deadlocking the
     /// completion wave.
-    ever_joined: FlatSet<NodeHandle>,
-    /// `(cell, level)` fan-in waves that already completed (see
-    /// [`phase1_key`]). A duplicated `phase 1` arriving after its wave's
-    /// counter was removed would otherwise re-open the counter at full
-    /// fan-in and deadlock the synchronization.
-    phase1_done: FlatSet<u64>,
-    /// Introspection: simulated times at which this node's ELink procedure
-    /// was invoked, with the level it was invoked for.
-    pub elink_invocations: Vec<(u64, usize)>,
+    ever_joined: JoinedRoots,
     /// Audit trail of silently discarded events, one [`stray`] marker per
     /// drop. The model checker asserts which sites may fire under a given
     /// fault budget; the vector is part of canonical state so a stray is
@@ -252,7 +340,9 @@ pub struct ElinkNode {
 }
 
 impl ElinkNode {
-    /// Creates the protocol instance for one node.
+    /// Creates the protocol instance for one node, with a per-run block of
+    /// its own. [`build_sim`](crate::build_sim) shares one block across the
+    /// whole fleet instead; both give the same node.
     pub fn new(
         id: NodeId,
         n: usize,
@@ -262,26 +352,40 @@ impl ElinkNode {
         mode: SignalMode,
         quad: Arc<QuadInfo>,
     ) -> ElinkNode {
+        let shared = Shared::new(n, metric, config, mode, quad);
+        ElinkNode::with_shared(id, feature, shared)
+    }
+
+    /// One node per feature, node `i` holding `features[i]`, all sharing
+    /// one per-run block.
+    pub(crate) fn fleet(
+        features: &[Feature],
+        metric: Arc<dyn Metric>,
+        config: ElinkConfig,
+        mode: SignalMode,
+        quad: Arc<QuadInfo>,
+    ) -> Vec<ElinkNode> {
+        let shared = Shared::new(features.len(), metric, config, mode, quad);
+        features
+            .iter()
+            .enumerate()
+            .map(|(id, feature)| ElinkNode::with_shared(id, feature.clone(), Arc::clone(&shared)))
+            .collect()
+    }
+
+    fn with_shared(id: NodeId, feature: Feature, shared: Arc<Shared>) -> ElinkNode {
         let root_feature = feature.clone();
         ElinkNode {
+            switches_left: shared.config.max_switches,
+            shared,
             feature,
-            metric,
-            config,
-            mode,
-            quad,
-            n,
             clustered: false,
             root: id,
             root_feature,
             joined_level: 0,
             parent: id,
-            switches_left: config.max_switches,
-            nodes: NodeTable::new(n),
-            subtrees: FlatMap::new(),
-            phase1_pending: FlatMap::new(),
-            ever_joined: FlatSet::new(),
-            phase1_done: FlatSet::new(),
-            elink_invocations: Vec::new(),
+            explicit: None,
+            ever_joined: JoinedRoots::EMPTY,
             stray_drops: Vec::new(),
         }
     }
@@ -294,7 +398,20 @@ impl ElinkNode {
     /// Number of per-cluster subtree entries whose `ack2` wave has not
     /// completed (explicit mode) — zero at a clean quiescence.
     pub fn unsettled_subtrees(&self) -> usize {
-        self.subtrees.values().filter(|s| !s.acked).count()
+        self.explicit
+            .as_ref()
+            .map_or(0, |e| e.subtrees.values().filter(|s| !s.acked).count())
+    }
+
+    /// This node's explicit-mode bookkeeping, allocated on first use.
+    fn explicit(&mut self) -> &mut Explicit {
+        self.explicit.get_or_insert_with(Box::default)
+    }
+
+    /// The subtree entry of the cluster rooted at `root`, if any.
+    fn subtree(&mut self, root: NodeId) -> Option<&mut Subtree> {
+        let h = self.shared.nodes.handle(root);
+        self.explicit.as_mut()?.subtrees.get_mut(&h)
     }
 
     /// Extraction hook: `(root, root_feature)`; unclustered nodes (possible
@@ -323,7 +440,6 @@ impl ElinkNode {
         sentinel_cell: Option<CellId>,
         ctx: &mut Ctx<'_, ElinkMsg>,
     ) {
-        self.elink_invocations.push((ctx.now(), level));
         if self.clustered {
             // Fig 16: "if (¬clustered)" — nothing to expand. In explicit
             // mode the synchronization must still observe this sentinel as
@@ -342,17 +458,20 @@ impl ElinkNode {
         self.root_feature = self.feature.clone(); // simlint: allow(no-hot-path-alloc): Feature dim <= 4 is inline storage; clone is a memcpy
         self.joined_level = level;
         self.parent = id;
-        self.ever_joined.insert(self.nodes.handle(id));
-        self.subtrees.insert(
-            self.nodes.handle(id),
-            Subtree {
+        let h = self.shared.nodes.handle(id);
+        self.ever_joined.insert(h);
+        let explicit = self.shared.mode == SignalMode::Explicit;
+        if explicit {
+            // Only explicit mode's completion waves ever read the entry.
+            let entry = Subtree {
                 parent: None,
                 pending_children: 0,
                 wait_done: false,
                 acked: false,
                 sentinel_cell,
-            },
-        );
+            };
+            self.explicit().subtrees.insert(h, entry);
+        }
         let msg = ElinkMsg::Expand {
             root: id,
             root_feature: self.feature.clone(), // simlint: allow(no-hot-path-alloc): inline Feature memcpy into the broadcast payload
@@ -360,7 +479,7 @@ impl ElinkNode {
         };
         let scalars = self.feature.scalar_cost();
         ctx.broadcast_neighbors(&msg, "expand", scalars);
-        if self.mode == SignalMode::Explicit {
+        if explicit {
             let timeout = self.leaf_timeout(ctx);
             ctx.set_timer(timeout, TIMER_LEAF_BASE + id as u64);
         }
@@ -378,13 +497,13 @@ impl ElinkNode {
         level: usize,
         ctx: &mut Ctx<'_, ElinkMsg>,
     ) {
-        if (self.clustered && self.root == root)
-            || self.ever_joined.contains(&self.nodes.handle(root))
-        {
+        let shared = &*self.shared;
+        let h = shared.nodes.handle(root);
+        if (self.clustered && self.root == root) || self.ever_joined.contains(h) {
             return; // current or former member; re-joining gains nothing
         }
-        let d_new = self.metric.distance(&root_feature, &self.feature);
-        if d_new > self.config.admission_radius() {
+        let d_new = shared.metric.distance(&root_feature, &self.feature);
+        if d_new > shared.config.admission_radius() {
             return;
         }
         let join = if !self.clustered {
@@ -397,9 +516,9 @@ impl ElinkNode {
             // — the mechanism behind "this handles the case when the number
             // of clusters should be less than 5" (§3.2). The same-level
             // rule protects clusters grown from lower levels.
-            let d_cur = self.metric.distance(&self.root_feature, &self.feature);
-            let level_ok = self.mode == SignalMode::Unordered || level == self.joined_level;
-            level_ok && d_new < d_cur + self.config.phi && self.switches_left > 0
+            let d_cur = shared.metric.distance(&self.root_feature, &self.feature);
+            let level_ok = shared.mode == SignalMode::Unordered || level == self.joined_level;
+            level_ok && d_new < d_cur + shared.config.phi && self.switches_left > 0
         };
         if !join {
             return;
@@ -412,23 +531,21 @@ impl ElinkNode {
         self.root_feature = root_feature.clone(); // simlint: allow(no-hot-path-alloc): Feature dim <= 4 is inline storage; clone is a memcpy
         self.joined_level = level;
         self.parent = from;
-        self.ever_joined.insert(self.nodes.handle(root));
+        self.ever_joined.insert(h);
         // Metrics: every join stretches the level's growth envelope.
         ctx.phase_exit(growth_phase(level));
 
-        if self.mode == SignalMode::Explicit {
+        if self.shared.mode == SignalMode::Explicit {
             ctx.phase_enter("sync.acks");
             ctx.send(from, ElinkMsg::Ack1 { root }, "ack1", 1);
-            self.subtrees.insert(
-                self.nodes.handle(root),
-                Subtree {
-                    parent: Some(from),
-                    pending_children: 0,
-                    wait_done: false,
-                    acked: false,
-                    sentinel_cell: None,
-                },
-            );
+            let entry = Subtree {
+                parent: Some(from),
+                pending_children: 0,
+                wait_done: false,
+                acked: false,
+                sentinel_cell: None,
+            };
+            self.explicit().subtrees.insert(h, entry);
             let timeout = self.leaf_timeout(ctx);
             ctx.set_timer(timeout, TIMER_LEAF_BASE + root as u64);
         }
@@ -443,7 +560,7 @@ impl ElinkNode {
 
     /// Completion check for the `ack2` wave of one cluster.
     fn check_completion(&mut self, root: NodeId, ctx: &mut Ctx<'_, ElinkMsg>) {
-        let Some(sub) = self.subtrees.get_mut(&self.nodes.handle(root)) else {
+        let Some(sub) = self.subtree(root) else {
             self.stray_drops.push(stray::SITE_COMPLETION_UNKNOWN_ROOT);
             return;
         };
@@ -471,7 +588,7 @@ impl ElinkNode {
         // completion report and closes at the last aligned start receipt.
         ctx.phase_enter("sync.quadtree");
         if self.leads_or_stray(cell, stray::SITE_SENTINEL_NOT_LEADER, ctx) {
-            self.phase1_up(cell, self.quad.cell(cell).level, ctx);
+            self.phase1_up(cell, self.shared.quad.cell(cell).level(), ctx);
         }
     }
 
@@ -485,7 +602,7 @@ impl ElinkNode {
         site: &'static str,
         ctx: &Ctx<'_, ElinkMsg>,
     ) -> bool {
-        let leads = self.quad.leads(ctx.id(), cell);
+        let leads = self.shared.quad.leads(ctx.id(), cell);
         if !leads {
             self.stray_drops.push(site);
             debug_assert!(false, "{site}: node {} does not lead cell {cell}", ctx.id());
@@ -498,13 +615,14 @@ impl ElinkNode {
     /// `phase 2` goes down (for the root's own level 0 that starts S_1
     /// directly, and the wave's elapsed counter begins here).
     fn phase1_up(&self, cell: CellId, level: usize, ctx: &mut Ctx<'_, ElinkMsg>) {
-        match self.quad.cell(cell).parent {
+        let quad = &self.shared.quad;
+        match quad.cell(cell).parent() {
             Some(parent) => {
                 let msg = ElinkMsg::Phase1 {
                     cell: parent,
                     level,
                 };
-                ctx.unicast(self.quad.cell(parent).leader, msg, "phase1", 1);
+                ctx.unicast(quad.cell(parent).leader(), msg, "phase1", 1);
             }
             None => self.phase2_down(cell, level, 0, ctx),
         }
@@ -512,8 +630,9 @@ impl ElinkNode {
 
     /// Sends `start` to the leaders of `cell`'s children.
     fn start_children(&self, cell: CellId, elapsed: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
-        for &child_cell in self.quad.children(cell) {
-            let child_leader = self.quad.cell(child_cell).leader;
+        let quad = &self.shared.quad;
+        for child_cell in quad.children(cell) {
+            let child_leader = quad.cell(child_cell).leader();
             if child_leader == ctx.id() {
                 // Leading both the cell and one child: handle locally.
                 self.handle_start(child_cell, elapsed, ctx);
@@ -536,7 +655,7 @@ impl ElinkNode {
     /// start cascade from the quadtree root to any sentinel — `Σ κ/2^m < 2κ`
     /// (§5's timing analysis).
     fn start_budget(&self) -> u64 {
-        (4.0 * self.config.kappa(self.n)).ceil() as u64
+        (4.0 * self.shared.config.kappa(self.shared.n)).ceil() as u64
     }
 
     /// Receives an (aligned) start for a led cell: waits out the residual
@@ -556,22 +675,23 @@ impl ElinkNode {
             return;
         }
         let key = phase1_key(cell, level);
-        if self.phase1_done.contains(&key) {
+        if self.explicit().phase1_done.contains(&key) {
             // A duplicated `phase 1` after its wave completed: absorbing it
             // here keeps the (removed) fan-in counter from re-opening at
             // full fan-in and deadlocking the next wave.
             self.stray_drops.push(stray::SITE_PHASE1_AFTER_COMPLETE);
             return;
         }
-        let fanin = self.quad.phase1_fanin(cell, level);
-        let pending = self.phase1_pending.or_insert_with(key, || fanin);
+        let fanin = self.shared.quad.phase1_fanin(cell, level);
+        let explicit = self.explicit();
+        let pending = explicit.phase1_pending.or_insert_with(key, || fanin);
         debug_assert!(*pending > 0, "phase1 overflow at cell {cell}");
         *pending -= 1;
         if *pending > 0 {
             return;
         }
-        self.phase1_pending.remove(&key);
-        self.phase1_done.insert(key);
+        explicit.phase1_pending.remove(&key);
+        explicit.phase1_done.insert(key);
         self.phase1_up(cell, level, ctx);
     }
 
@@ -585,24 +705,25 @@ impl ElinkNode {
     /// `phase 2` down-sweep (Fig 18) from a led cell, threading the
     /// alignment counter.
     fn phase2_down(&self, cell: CellId, level: usize, elapsed: u64, ctx: &mut Ctx<'_, ElinkMsg>) {
-        if self.quad.cell(cell).level == level {
+        let quad = &self.shared.quad;
+        if quad.cell(cell).level() == level {
             // Instruct the children (the S_{level+1} sentinels) to start.
             self.start_children(cell, elapsed, ctx);
             return;
         }
-        for &child_cell in self.quad.children(cell) {
-            let child = self.quad.cell(child_cell);
+        for child_cell in quad.children(cell) {
+            let child = quad.cell(child_cell);
             // Only branches that actually contain level-`level` cells
             // participate in the wave.
-            if child.subtree_max_level < level {
+            if child.subtree_max_level() < level {
                 continue;
             }
-            if child.leader == ctx.id() {
+            if child.leader() == ctx.id() {
                 self.phase2_down(child_cell, level, elapsed, ctx);
             } else {
-                let hops = ctx.hops_to(child.leader).unwrap_or(0) as u64;
+                let hops = ctx.hops_to(child.leader()).unwrap_or(0) as u64;
                 ctx.unicast(
-                    child.leader,
+                    child.leader(),
                     ElinkMsg::Phase2 {
                         cell: child_cell,
                         level,
@@ -620,17 +741,18 @@ impl Protocol for ElinkNode {
     type Msg = ElinkMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, ElinkMsg>) {
-        match self.mode {
+        let shared = &*self.shared;
+        match shared.mode {
             SignalMode::Implicit => {
-                let level = self.quad.sentinel_level(ctx.id());
-                let start = self.config.schedule_start(self.n, level).ceil() as u64;
+                let level = shared.quad.sentinel_level(ctx.id());
+                let start = shared.config.schedule_start(shared.n, level).ceil() as u64;
                 ctx.set_timer(start, TIMER_SCHEDULE);
             }
             SignalMode::Unordered => {
                 ctx.set_timer(0, TIMER_SCHEDULE);
             }
             SignalMode::Explicit => {
-                if self.quad.leads(ctx.id(), ROOT) {
+                if shared.quad.leads(ctx.id(), ROOT) {
                     // The S_0 sentinel needs no alignment: it is the only
                     // member of its level.
                     self.elink_start(0, Some(ROOT), ctx);
@@ -643,21 +765,21 @@ impl Protocol for ElinkNode {
         if timer >= TIMER_START_BASE {
             let cell = (timer - TIMER_START_BASE) as CellId;
             if self.leads_or_stray(cell, stray::SITE_START_NOT_LEADER, ctx) {
-                self.elink_start(self.quad.cell(cell).level, Some(cell), ctx);
+                self.elink_start(self.shared.quad.cell(cell).level(), Some(cell), ctx);
             }
             return;
         }
         if timer == TIMER_SCHEDULE {
             // Unordered mode flattens all levels to 0 so the same-level
             // switch rule never blocks (levels are concurrent anyway).
-            let level = match self.mode {
+            let level = match self.shared.mode {
                 SignalMode::Unordered => 0,
-                _ => self.quad.sentinel_level(ctx.id()),
+                _ => self.shared.quad.sentinel_level(ctx.id()),
             };
             self.elink_start(level, None, ctx);
         } else {
             let root = (timer - TIMER_LEAF_BASE) as NodeId;
-            if let Some(sub) = self.subtrees.get_mut(&self.nodes.handle(root)) {
+            if let Some(sub) = self.subtree(root) {
                 sub.wait_done = true;
             }
             self.check_completion(root, ctx);
@@ -680,7 +802,7 @@ impl Protocol for ElinkNode {
                 // suppression is the reliable transport's job (ARQ dedups
                 // by sequence number), and the regression tests +
                 // checker scenarios pin the failure shape.
-                if let Some(sub) = self.subtrees.get_mut(&self.nodes.handle(root)) {
+                if let Some(sub) = self.subtree(root) {
                     sub.pending_children += 1;
                 } else {
                     self.stray_drops.push(stray::SITE_ACK1_UNKNOWN_ROOT);
@@ -691,7 +813,7 @@ impl Protocol for ElinkNode {
                 // Same contract as ack1: a duplicated ack2 double-decrements
                 // and completes the wave before the real children report —
                 // detected by the checker, prevented in deployment by ARQ.
-                if let Some(sub) = self.subtrees.get_mut(&self.nodes.handle(root)) {
+                if let Some(sub) = self.subtree(root) {
                     sub.pending_children = sub.pending_children.saturating_sub(1);
                     self.check_completion(root, ctx);
                 } else {
@@ -716,17 +838,18 @@ impl Protocol for ElinkNode {
 /// merged, so an omitted behavior-relevant field would unsoundly prune
 /// genuinely distinct schedules. Covered: the Fig 16 join state
 /// (`clustered`, `root`, `root_feature`, `joined_level`, `parent`,
-/// `switches_left`), the explicit-mode bookkeeping (`subtrees`,
-/// `phase1_pending`, `phase1_done`, `ever_joined`), and the stray-drop
-/// audit trail (part of observable state: predicates read it).
+/// `switches_left`), `ever_joined` (ascending handle indices, whether
+/// inline or spilled), the explicit-mode bookkeeping (`subtrees`,
+/// `phase1_pending`, `phase1_done`; a node that never allocated its box
+/// renders them empty, exactly like an allocated empty box), and the
+/// stray-drop audit trail (part of observable state: predicates read it).
+/// Only explicit mode writes `subtrees`: implicit and unordered nodes
+/// render an empty `|st:` section.
 ///
-/// Deliberately excluded, with why each exclusion is sound:
-///
-/// * `feature`, `metric`, `config`, `mode`, `quad`, `n`, `nodes` — fixed at
-///   construction and never written by any handler; identical across all
-///   states of one exploration.
-/// * `elink_invocations` — introspection only (timing metrics); no handler
-///   ever reads it, so it cannot influence any successor state.
+/// Deliberately excluded, with why the exclusion is sound: `feature` and
+/// the shared per-run block (`metric`, `config`, `mode`, `quad`, `n`,
+/// `nodes`) — fixed at construction and never written by any handler;
+/// identical across all states of one exploration.
 impl Canonicalize for ElinkNode {
     fn canonicalize(&self, out: &mut String) {
         use std::fmt::Write as _;
@@ -738,8 +861,10 @@ impl Canonicalize for ElinkNode {
         for &w in self.root_feature.components() {
             canon_f64(out, w);
         }
+        let empty = Explicit::default();
+        let explicit = self.explicit.as_deref().unwrap_or(&empty);
         out.push_str("|st:");
-        for (h, sub) in self.subtrees.iter() {
+        for (h, sub) in explicit.subtrees.iter() {
             let _ = write!(
                 out,
                 "[{}>{:?}c{}w{}a{}s{:?}]",
@@ -752,21 +877,224 @@ impl Canonicalize for ElinkNode {
             );
         }
         out.push_str("|p1:");
-        for (k, pending) in self.phase1_pending.iter() {
+        for (k, pending) in explicit.phase1_pending.iter() {
             let _ = write!(out, "[{k}:{pending}]");
         }
         out.push_str("|p1d:");
-        for k in self.phase1_done.iter() {
+        for k in explicit.phase1_done.iter() {
             let _ = write!(out, "{k},");
         }
         out.push_str("|ej:");
-        for h in self.ever_joined.iter() {
-            let _ = write!(out, "{},", h.index());
+        for h in self.ever_joined.as_slice() {
+            let _ = write!(out, "{h},");
         }
         out.push_str("|x:");
         for site in &self.stray_drops {
             out.push_str(site);
             out.push(',');
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clustering::Clustering;
+    use crate::runner::build_sim;
+    use elink_metric::Absolute;
+    use elink_netsim::{LinkModel, LossyLink, SimNetwork, Simulator, SyncLink};
+    use elink_topology::Topology;
+
+    /// Grids and random deployments, each with a scalar field in [0, 100).
+    fn deployments() -> Vec<(Topology, Vec<Feature>)> {
+        [
+            Topology::grid(8, 8),
+            Topology::grid(5, 13),
+            Topology::random_synthetic(60, 3),
+            Topology::random_synthetic(90, 11),
+        ]
+        .into_iter()
+        .map(|t| {
+            let features = (0..t.n())
+                .map(|v| {
+                    let p = t.position(v);
+                    Feature::scalar(50.0 + 30.0 * (p.x / 3.0).sin() + 19.0 * (p.y / 2.0).cos())
+                })
+                .collect();
+            (t, features)
+        })
+        .collect()
+    }
+
+    /// Builds a fresh link for one run.
+    type MakeLink = fn() -> Box<dyn LinkModel>;
+
+    /// Every mode with a link it runs correctly on: implicit needs a
+    /// synchronous network; the other two also run asynchronously.
+    fn modes() -> [(SignalMode, MakeLink); 4] {
+        [
+            (SignalMode::Implicit, || Box::new(SyncLink)),
+            (SignalMode::Explicit, || Box::new(SyncLink)),
+            (SignalMode::Explicit, || Box::new(LossyLink::new(1, 3))),
+            (SignalMode::Unordered, || Box::new(LossyLink::new(1, 3))),
+        ]
+    }
+
+    fn canonical(nodes: &[ElinkNode]) -> Vec<String> {
+        nodes
+            .iter()
+            .map(|node| {
+                let mut s = String::new();
+                node.canonicalize(&mut s);
+                s
+            })
+            .collect()
+    }
+
+    fn clustering(nodes: &[ElinkNode], t: &Topology) -> (Vec<usize>, Vec<NodeId>) {
+        let states: Vec<_> = nodes
+            .iter()
+            .enumerate()
+            .map(|(id, node)| node.cluster_state(id))
+            .collect();
+        let c = Clustering::from_node_states(&states, t, &Absolute);
+        let roots = c.clusters.iter().map(|k| k.root).collect();
+        (c.assignment, roots)
+    }
+
+    #[test]
+    fn node_state_fits_its_layout_bound() {
+        let size = std::mem::size_of::<ElinkNode>();
+        assert!(
+            size <= 192,
+            "ElinkNode is {size} bytes, above the 192 of DESIGN.md §11.4"
+        );
+    }
+
+    #[test]
+    fn shared_fleet_runs_like_nodes_built_one_by_one() {
+        // `build_sim` shares one per-run block; the benchmark's traced
+        // child builds every node with `ElinkNode::new`, each with a block
+        // of its own. Both must run the same protocol.
+        let config = ElinkConfig::for_delta(25.0);
+        for (t, features) in deployments() {
+            let network = SimNetwork::new(t.clone());
+            for (mode, link) in modes() {
+                let mut shared = build_sim(
+                    &network,
+                    &features,
+                    Arc::new(Absolute),
+                    config,
+                    mode,
+                    link(),
+                    9,
+                );
+                let quad = Arc::new(QuadInfo::build(&t));
+                let metric: Arc<dyn Metric> = Arc::new(Absolute);
+                let nodes = (0..t.n())
+                    .map(|id| {
+                        let (f, m, q) = (features[id].clone(), Arc::clone(&metric), &quad);
+                        ElinkNode::new(id, t.n(), f, m, config, mode, Arc::clone(q))
+                    })
+                    .collect();
+                let mut single = Simulator::new(network.clone(), link(), 9, nodes);
+                let end = (shared.run_to_completion(), single.run_to_completion());
+                let what = format!("{mode:?} on {} nodes", t.n());
+                assert_eq!(end.0, end.1, "{what}: end tick");
+                assert_eq!(shared.costs(), single.costs(), "{what}: cost book");
+                assert_eq!(shared.metrics(), single.metrics(), "{what}: metrics");
+                assert_eq!(
+                    clustering(shared.nodes(), &t),
+                    clustering(single.nodes(), &t),
+                    "{what}: clustering"
+                );
+                assert_eq!(
+                    canonical(shared.nodes()),
+                    canonical(single.nodes()),
+                    "{what}: node state"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_mode_quiesces_with_settled_subtrees() {
+        // Only explicit mode's completion waves keep subtree entries, and
+        // they all settle by quiescence.
+        let config = ElinkConfig::for_delta(25.0);
+        for (t, features) in deployments() {
+            let network = SimNetwork::new(t.clone());
+            for (mode, link) in modes() {
+                let mut sim = build_sim(
+                    &network,
+                    &features,
+                    Arc::new(Absolute),
+                    config,
+                    mode,
+                    link(),
+                    3,
+                );
+                sim.run_to_completion();
+                let open: usize = sim.nodes().iter().map(|n| n.unsettled_subtrees()).sum();
+                assert_eq!(open, 0, "{mode:?} on {} nodes", t.n());
+                let with_entries = sim.nodes().iter().filter(|n| n.explicit.is_some());
+                match mode {
+                    SignalMode::Explicit => assert!(with_entries.count() > 0),
+                    _ => assert_eq!(with_entries.count(), 0, "{mode:?} wrote explicit state"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn implicit_run_leaves_no_node_owning_heap_memory() {
+        // At the default c = 4 a node's joined roots fit inline, and
+        // nothing boxes the explicit bookkeeping (DESIGN.md §11.4).
+        let config = ElinkConfig::for_delta(25.0);
+        assert_eq!(config.max_switches as usize + 1, JOINED_INLINE);
+        for (t, features) in deployments() {
+            let network = SimNetwork::new(t.clone());
+            let mut sim = build_sim(
+                &network,
+                &features,
+                Arc::new(Absolute),
+                config,
+                SignalMode::Implicit,
+                SyncLink,
+                0,
+            );
+            sim.run_to_completion();
+            for (id, node) in sim.nodes().iter().enumerate() {
+                let heap = node.explicit.is_some()
+                    || matches!(node.ever_joined, JoinedRoots::Spilled(_))
+                    || node.stray_drops.capacity() > 0;
+                assert!(!heap, "node {id} of {} owns heap memory", t.n());
+            }
+        }
+    }
+
+    #[test]
+    fn joined_roots_match_a_sorted_set_inline_and_spilled() {
+        let table = NodeTable::new(64);
+        for stride in [1usize, 7, 13, 29] {
+            let mut roots = JoinedRoots::EMPTY;
+            let mut oracle = FlatSet::new();
+            for i in 0..12 {
+                let h = table.handle((i * stride + 5) % 64);
+                // Re-inserting is a no-op, inline and spilled alike.
+                for _ in 0..2 {
+                    roots.insert(h);
+                    oracle.insert(h.index() as u32);
+                }
+                let want: Vec<u32> = oracle.iter().copied().collect();
+                assert_eq!(roots.as_slice(), &want[..], "stride {stride}");
+                let spilled = matches!(roots, JoinedRoots::Spilled(_));
+                assert_eq!(spilled, want.len() > JOINED_INLINE);
+                for v in 0..64 {
+                    let h = table.handle(v);
+                    assert_eq!(roots.contains(h), oracle.contains(&(v as u32)));
+                }
+            }
         }
     }
 }

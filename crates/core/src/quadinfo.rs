@@ -16,8 +16,14 @@
 //! pre-order index, root first, children in quadrant order), one list of
 //! child ids in which each cell's children are contiguous, one node
 //! permutation in which each cell's members are a range, and each node's
-//! sentinel level. A node leads cell `c` exactly when `cell(c).leader` is
+//! sentinel level. A node leads cell `c` exactly when `cell(c).leader()` is
 //! that node, so no per-node list is needed.
+//!
+//! The vectors store `u32` ids and ranges and `u8` levels, so each of a
+//! 64k-node grid's 87,381 cells takes 24 bytes; a cell id stays `usize` in
+//! the API and in messages. The build writes this compact form directly:
+//! building wide cells and narrowing them afterwards costs setup time
+//! (DESIGN.md §11.4).
 
 use elink_topology::{NodeId, Rect, Topology};
 use std::ops::Range;
@@ -33,19 +39,44 @@ const MAX_DEPTH: usize = 40;
 /// The root cell's id.
 pub const ROOT: CellId = 0;
 
-/// One quadtree cell.
-#[derive(Debug, Clone)]
+/// The packed parent id of the root cell.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One quadtree cell, packed into 24 bytes: `u32` ids and ranges, `u8`
+/// levels (levels never exceed `MAX_DEPTH`).
+#[derive(Debug, Clone, Copy)]
 pub struct Cell {
+    leader: u32,
+    parent: u32,
+    /// Where the cell's children start in the child list.
+    first_child: u32,
+    /// The cell's range of the node permutation.
+    members: [u32; 2],
+    level: u8,
+    subtree_max_level: u8,
+    child_count: u8,
+}
+
+impl Cell {
     /// Level in the quadtree (root = 0).
-    pub level: usize,
+    pub fn level(&self) -> usize {
+        self.level.into()
+    }
+
     /// Parent cell (`None` for the root).
-    pub parent: Option<CellId>,
+    pub fn parent(&self) -> Option<CellId> {
+        (self.parent != NO_PARENT).then_some(self.parent as CellId)
+    }
+
     /// The elected leader: the member nearest the cell centroid.
-    pub leader: NodeId,
+    pub fn leader(&self) -> NodeId {
+        self.leader as NodeId
+    }
+
     /// Deepest level in the cell's subtree (its own level for a leaf).
-    pub subtree_max_level: usize,
-    children: Range<usize>,
-    members: Range<usize>,
+    pub fn subtree_max_level(&self) -> usize {
+        self.subtree_max_level.into()
+    }
 }
 
 /// The quadtree of one deployment, shared by every node.
@@ -54,27 +85,40 @@ pub struct QuadInfo {
     /// Cells in pre-order.
     cells: Vec<Cell>,
     /// Child ids; each cell's children are one range, in quadrant order.
-    children: Vec<CellId>,
+    children: Vec<u32>,
     /// Node permutation; each cell's members are one range of it.
-    members: Vec<NodeId>,
+    members: Vec<u32>,
     /// Shallowest level each node leads (its implicit-schedule level).
-    sentinel_level: Vec<usize>,
+    sentinel_level: Vec<u8>,
 }
 
 impl QuadInfo {
     /// Subdivides a topology's extent. Panics on an empty topology.
     pub fn build(topology: &Topology) -> QuadInfo {
         let n = topology.n();
+        // Each level's cells hold disjoint, non-empty member sets, so there
+        // are at most n·(MAX_DEPTH + 1) cells: every id and range fits u32.
+        assert!(
+            n <= u32::MAX as usize / (MAX_DEPTH + 1),
+            "{n} nodes overflow the quadtree's u32 ids"
+        );
         let mut quad = QuadInfo {
             cells: Vec::new(),
             children: Vec::new(),
-            members: (0..n).collect(),
-            sentinel_level: vec![usize::MAX; n],
+            members: (0..n as u32).collect(),
+            sentinel_level: vec![u8::MAX; n],
         };
-        quad.subdivide(topology, topology.extent(), 0..n, 0, None, &mut Vec::new());
+        quad.subdivide(
+            topology,
+            topology.extent(),
+            0..n,
+            0,
+            NO_PARENT,
+            &mut Vec::new(),
+        );
         // Duplicate positions can leave a node leading no cell; treat it as
         // a deepest-level sentinel so it still gets scheduled.
-        let depth = quad.depth();
+        let depth = quad.cells[ROOT].subtree_max_level;
         for lvl in &mut quad.sentinel_level {
             *lvl = (*lvl).min(depth);
         }
@@ -88,25 +132,27 @@ impl QuadInfo {
         topology: &Topology,
         bounds: Rect,
         members: Range<usize>,
-        level: usize,
-        parent: Option<CellId>,
-        scratch: &mut Vec<(usize, NodeId)>,
-    ) -> usize {
+        level: u8,
+        parent: u32,
+        scratch: &mut Vec<(usize, u32)>,
+    ) -> u8 {
         let id = self.cells.len();
+        let candidates = self.members[members.clone()].iter().map(|&v| v as NodeId);
         let leader = topology
-            .nearest_node_among(&bounds.center(), &self.members[members.clone()])
+            .nearest_node_among(&bounds.center(), candidates)
             .expect("non-empty cell has a leader"); // simlint: allow(no-panic-in-protocol): setup, not a handler; only an empty topology has an empty cell
         self.sentinel_level[leader] = self.sentinel_level[leader].min(level);
         let first_child = self.children.len();
         self.cells.push(Cell {
-            level,
+            leader: leader as u32,
             parent,
-            leader,
+            first_child: first_child as u32,
+            members: [members.start as u32, members.end as u32],
+            level,
             subtree_max_level: level,
-            children: first_child..first_child,
-            members: members.clone(),
+            child_count: 0,
         });
-        if members.len() < 2 || level >= MAX_DEPTH {
+        if members.len() < 2 || usize::from(level) >= MAX_DEPTH {
             return level;
         }
         // Counting sort of the members by quadrant, stable. Nodes in no
@@ -116,7 +162,7 @@ impl QuadInfo {
         let mut next = [members.start; 5]; // where each quadrant's group starts
         scratch.clear();
         for &v in &self.members[members.clone()] {
-            let p = topology.position(v);
+            let p = topology.position(v as NodeId);
             let q = quadrants.iter().position(|r| r.contains(&p)).unwrap_or(4);
             scratch.push((q, v));
             for start in &mut next[q + 1..] {
@@ -135,11 +181,11 @@ impl QuadInfo {
             .filter(|(_, span)| !span.is_empty());
         let count = children.clone().count();
         self.children.resize(first_child + count, 0);
-        self.cells[id].children = first_child..self.children.len();
+        self.cells[id].child_count = count as u8;
         let mut deepest = level;
         for (slot, (quadrant, span)) in (first_child..).zip(children) {
-            self.children[slot] = self.cells.len();
-            let sub = self.subdivide(topology, quadrant, span, level + 1, Some(id), scratch);
+            self.children[slot] = self.cells.len() as u32;
+            let sub = self.subdivide(topology, quadrant, span, level + 1, id as u32, scratch);
             deepest = deepest.max(sub);
         }
         self.cells[id].subtree_max_level = deepest;
@@ -158,37 +204,43 @@ impl QuadInfo {
 
     /// The depth α (deepest level).
     pub fn depth(&self) -> usize {
-        self.cells[ROOT].subtree_max_level
+        self.cells[ROOT].subtree_max_level()
     }
 
     /// A cell's non-empty children, in quadrant order SW, SE, NW, NE.
-    pub fn children(&self, id: CellId) -> &[CellId] {
-        &self.children[self.cells[id].children.clone()]
+    pub fn children(&self, id: CellId) -> impl ExactSizeIterator<Item = CellId> + '_ {
+        let cell = &self.cells[id];
+        let first = cell.first_child as usize;
+        self.children[first..first + usize::from(cell.child_count)]
+            .iter()
+            .map(|&child| child as CellId)
     }
 
     /// The nodes inside a cell.
-    pub fn members(&self, id: CellId) -> &[NodeId] {
-        &self.members[self.cells[id].members.clone()]
+    pub fn members(&self, id: CellId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let [start, end] = self.cells[id].members;
+        self.members[start as usize..end as usize]
+            .iter()
+            .map(|&v| v as NodeId)
     }
 
     /// Whether `node` leads cell `id`.
     pub fn leads(&self, node: NodeId, id: CellId) -> bool {
-        self.cells.get(id).is_some_and(|cell| cell.leader == node)
+        self.cells.get(id).is_some_and(|cell| cell.leader() == node)
     }
 
     /// The shallowest level at which `node` leads a cell — its scheduling
     /// level for implicit signalling (the depth α if it leads none, which
     /// only duplicate positions allow).
     pub fn sentinel_level(&self, node: NodeId) -> usize {
-        self.sentinel_level[node]
+        self.sentinel_level[node].into()
     }
 
     /// Number of `id`'s children whose subtree contains cells at `level` —
     /// the `phase 1` fan-in count for that level.
     pub fn phase1_fanin(&self, id: CellId, level: usize) -> usize {
         self.children(id)
-            .iter()
-            .filter(|&&child| self.cells[child].subtree_max_level >= level)
+            .filter(|&child| self.cells[child].subtree_max_level() >= level)
             .count()
     }
 }
@@ -215,7 +267,9 @@ mod tests {
             out: &mut Cells,
         ) {
             let id = out.len();
-            let leader = t.nearest_node_among(&bounds.center(), &nodes).unwrap();
+            let leader = t
+                .nearest_node_among(&bounds.center(), nodes.iter().copied())
+                .unwrap();
             out.push(((level, parent, leader, nodes.clone()), vec![]));
             if nodes.len() < 2 || level >= MAX_DEPTH {
                 return;
@@ -245,11 +299,11 @@ mod tests {
         let expected = oracle(t);
         let built: Cells = (0..q.cell_count())
             .map(|c| {
-                let (cell, mut members) = (q.cell(c), q.members(c).to_vec());
+                let (cell, mut members) = (q.cell(c), q.members(c).collect::<Vec<_>>());
                 members.sort_unstable();
                 (
-                    (cell.level, cell.parent, cell.leader, members),
-                    q.children(c).to_vec(),
+                    (cell.level(), cell.parent(), cell.leader(), members),
+                    q.children(c).collect(),
                 )
             })
             .collect();
@@ -270,7 +324,12 @@ mod tests {
                 .iter()
                 .map(|&c| subtree_max[c])
                 .fold(*level, usize::max);
-            prop_assert_eq!(q.cell(id).subtree_max_level, subtree_max[id], "cell {}", id);
+            prop_assert_eq!(
+                q.cell(id).subtree_max_level(),
+                subtree_max[id],
+                "cell {}",
+                id
+            );
             sentinel[*leader] = sentinel[*leader].min(*level);
         }
         let levels: Vec<usize> = (0..t.n()).map(|v| q.sentinel_level(v)).collect();
@@ -283,30 +342,33 @@ mod tests {
         let q = QuadInfo::build(t);
         let root = q.cell(ROOT);
         prop_assert_eq!(
-            (root.level, root.parent, q.members(ROOT).len()),
+            (root.level(), root.parent(), q.members(ROOT).len()),
             (0, None, t.n())
         );
-        prop_assert_eq!(q.sentinel_level(root.leader), 0);
+        prop_assert_eq!(q.sentinel_level(root.leader()), 0);
         let mut seen = vec![vec![false; t.n()]; q.depth() + 1];
         let mut shallowest = vec![usize::MAX; t.n()];
         for c in 0..q.cell_count() {
-            let (cell, members, children) = (q.cell(c), q.members(c), q.children(c));
-            prop_assert_eq!(cell.level == 0, c == ROOT);
-            prop_assert!(q.leads(cell.leader, c) && members.contains(&cell.leader));
-            shallowest[cell.leader] = shallowest[cell.leader].min(cell.level);
-            for &v in members {
-                let twice = std::mem::replace(&mut seen[cell.level][v], true);
-                prop_assert!(!twice, "node {} in two level-{} cells", v, cell.level);
+            let cell = q.cell(c);
+            let (level, leader) = (cell.level(), cell.leader());
+            let members: Vec<NodeId> = q.members(c).collect();
+            let children: Vec<CellId> = q.children(c).collect();
+            prop_assert_eq!(level == 0, c == ROOT);
+            prop_assert!(q.leads(leader, c) && members.contains(&leader));
+            shallowest[leader] = shallowest[leader].min(level);
+            for &v in &members {
+                let twice = std::mem::replace(&mut seen[level][v], true);
+                prop_assert!(!twice, "node {} in two level-{} cells", v, level);
             }
             if children.is_empty() {
-                prop_assert_eq!(members, &[cell.leader]);
+                prop_assert_eq!(&members, &[leader]);
             }
             let covered: usize = children.iter().map(|&ch| q.members(ch).len()).sum();
             prop_assert!(children.is_empty() || covered == members.len());
-            for &ch in children {
+            for &ch in &children {
                 let child = q.cell(ch);
-                prop_assert_eq!((child.level, child.parent), (cell.level + 1, Some(c)));
-                prop_assert!(q.members(ch).iter().all(|v| members.contains(v)));
+                prop_assert_eq!((child.level(), child.parent()), (level + 1, Some(c)));
+                prop_assert!(q.members(ch).all(|v| members.contains(&v)));
             }
         }
         for (v, &level) in shallowest.iter().enumerate() {
@@ -316,9 +378,9 @@ mod tests {
         // The sentinel sets partition the nodes: Σ_l |S_l| = N.
         let set_size = |l| (0..t.n()).filter(|&v| q.sentinel_level(v) == l).count();
         prop_assert_eq!((0..=q.depth()).map(set_size).sum::<usize>(), t.n());
-        let deepest = (0..q.cell_count()).map(|c| q.cell(c).level).max();
+        let deepest = (0..q.cell_count()).map(|c| q.cell(c).level()).max();
         prop_assert_eq!(
-            (Some(root.subtree_max_level), Some(q.depth())),
+            (Some(root.subtree_max_level()), Some(q.depth())),
             (deepest, deepest)
         );
         Ok(())
@@ -337,6 +399,17 @@ mod tests {
         ] {
             check_invariants(&t).unwrap();
         }
+    }
+
+    #[test]
+    fn cells_are_packed() {
+        // 87,381 cells on a 64k-node grid: their width is most of the
+        // quadtree's memory (DESIGN.md §11.4).
+        let size = std::mem::size_of::<Cell>();
+        assert!(
+            size <= 32,
+            "a quadtree cell is {size} bytes, above the 32 of DESIGN.md §11.4"
+        );
     }
 
     #[test]
@@ -370,11 +443,15 @@ mod tests {
         let t = Topology::from_parts(positions, CommGraph::new(5), Rect::new(0.0, 0.0, 4.0, 4.0));
         matches_oracle(&t).unwrap();
         let q = QuadInfo::build(&t);
-        let deepest = (0..q.cell_count()).find(|&c| q.cell(c).level == MAX_DEPTH);
+        let deepest = (0..q.cell_count()).find(|&c| q.cell(c).level() == MAX_DEPTH);
         let deepest = deepest.unwrap();
         assert_eq!(
-            (q.depth(), q.members(deepest), q.cell(deepest).leader),
-            (MAX_DEPTH, &[0, 2, 4][..], 0)
+            (
+                q.depth(),
+                q.members(deepest).collect::<Vec<_>>(),
+                q.cell(deepest).leader()
+            ),
+            (MAX_DEPTH, vec![0, 2, 4], 0)
         );
         assert_eq!(
             (q.sentinel_level(2), q.sentinel_level(4)),

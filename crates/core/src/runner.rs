@@ -109,19 +109,7 @@ pub fn build_sim(
     let n = topo.n();
     assert_eq!(features.len(), n, "one feature per node");
     let quad = Arc::new(QuadInfo::build(topo));
-    let nodes: Vec<ElinkNode> = (0..n)
-        .map(|id| {
-            ElinkNode::new(
-                id,
-                n,
-                features[id].clone(),
-                Arc::clone(&metric),
-                config,
-                mode,
-                Arc::clone(&quad),
-            )
-        })
-        .collect();
+    let nodes = ElinkNode::fleet(features, metric, config, mode, quad);
     Simulator::new(network.clone(), link, seed, nodes)
 }
 

@@ -120,21 +120,12 @@ enum EventKind<M> {
         scheduled: SimTime,
     },
     /// ARQ data copy arriving at `node` over one link (engine-internal).
+    /// The copy itself waits in [`ArqState`]'s copy slab, so this variant
+    /// is no larger than a delivery.
     ArqData {
-        seq: u64,
         /// Logical origin — what the protocol sees as `from`.
         src: usize,
-        /// The radio that transmitted this copy (link-level sender).
-        link_from: usize,
-        /// Final destination of the logical message.
-        dst: usize,
-        msg: M,
-        kind: &'static str,
-        scalars: u64,
-        query: Option<QueryId>,
-        /// The sender's slab slot for this transfer, echoed back in the
-        /// ack so the sender can clear it without a map lookup.
-        xfer: u32,
+        copy: CopyRef,
     },
     /// ARQ link-level acknowledgment arriving back at a link sender.
     ArqAck {
@@ -340,19 +331,12 @@ impl<M: std::fmt::Debug> McEvent<M> {
                 self.node, from, query, msg
             ),
             EventKind::Timer { id, .. } => format!("timer n{} t{rel} id{id}", self.node),
-            EventKind::ArqData {
-                seq,
-                src,
-                link_from,
-                dst,
-                msg,
-                kind,
-                scalars,
-                query,
-                ..
-            } => format!(
-                "arqdata n{} t{rel} seq{seq} src{src} lf{link_from} dst{dst} k{kind} s{scalars} q{query:?} {msg:?}",
-                self.node
+            // The copy's payload lives in the engine's slab, so a copy is
+            // named by its slot. Branching exploration refuses ARQ, so no
+            // fingerprint depends on this form.
+            EventKind::ArqData { src, copy } => format!(
+                "arqdata n{} t{rel} src{src} copy{}.{}",
+                self.node, copy.slot, copy.gen
             ),
             EventKind::ArqAck { seq, .. } => format!("arqack n{} t{rel} seq{seq}", self.node),
             EventKind::ArqRetx { seq, .. } => format!("arqretx n{} t{rel} seq{seq}", self.node),
@@ -414,6 +398,41 @@ struct LinkXfer<M> {
     rto: Option<EventHandle>,
 }
 
+/// One ARQ data copy on its way over one link: what its receiver needs to
+/// ack, dedup, deliver or relay it. Copies wait in [`ArqState::copies`]
+/// rather than in their events, so every queued event pays only for a
+/// delivery, and growth (which never enables ARQ) pays nothing.
+struct ArqCopy<M> {
+    seq: u64,
+    /// The radio that transmitted this copy (link-level sender).
+    link_from: usize,
+    /// Final destination of the logical message.
+    dst: usize,
+    msg: M,
+    kind: &'static str,
+    scalars: u64,
+    query: Option<QueryId>,
+    /// The sender's slab slot for this transfer, echoed back in the ack so
+    /// the sender can clear it without a map lookup.
+    xfer: u32,
+}
+
+/// Generation-tagged address of an [`ArqCopy`] in the copy slab, carried by
+/// its `ArqData` event. Taking the copy bumps the slot's generation, so an
+/// event dispatched a second time (a cloned capture event) is caught
+/// instead of reading the slot's next occupant.
+#[derive(Debug, Clone, Copy)]
+struct CopyRef {
+    slot: u32,
+    gen: u32,
+}
+
+/// A slot of the copy slab.
+struct CopySlot<M> {
+    gen: u32,
+    copy: Option<ArqCopy<M>>,
+}
+
 /// Engine-side state of the ARQ sublayer (present when
 /// [`Simulator::enable_arq`] was called).
 struct ArqState<M> {
@@ -424,6 +443,11 @@ struct ArqState<M> {
     pending: Vec<Option<LinkXfer<M>>>,
     /// Recycled `pending` slots.
     free: Vec<u32>,
+    /// Data copies in flight, one per transmission that survived its
+    /// fate; each is taken exactly once, when its event is dispatched.
+    copies: Vec<CopySlot<M>>,
+    /// Recycled `copies` slots.
+    free_copies: Vec<u32>,
     /// Receiver-side dedup.
     seen: AcceptedSeqs,
 }
@@ -496,6 +520,56 @@ impl<M> ArqState<M> {
         self.get(h, seq, holder)?;
         self.free.push(h);
         self.pending[h as usize].take()
+    }
+
+    /// Takes the copy `r` names, freeing its slot under a new generation.
+    ///
+    /// # Panics
+    /// Panics if the copy was already taken: each `ArqData` event is
+    /// dispatched once, and a second dispatch must not deliver whatever
+    /// copy reuses the slot.
+    fn take_copy(&mut self, r: CopyRef) -> ArqCopy<M> {
+        let s = &mut self.copies[r.slot as usize];
+        let copy = if s.gen == r.gen { s.copy.take() } else { None };
+        let Some(copy) = copy else {
+            panic!("ARQ copy {r:?} dispatched twice"); // simlint: allow(no-panic-in-protocol): a copy event dispatches once; a second dispatch is a capture-seam caller bug (a cloned event), and delivering the slot's next copy instead would corrupt the run silently
+        };
+        s.gen = s.gen.wrapping_add(1);
+        self.free_copies.push(r.slot);
+        copy
+    }
+}
+
+impl<M: Clone> ArqState<M> {
+    /// Copies transfer `xfer`'s payload into the copy slab for one
+    /// transmission; `None` if the transfer is gone.
+    fn new_copy(&mut self, xfer: u32, seq: u64, holder: usize) -> Option<CopyRef> {
+        let x = self.get(xfer, seq, holder)?;
+        let copy = ArqCopy {
+            seq,
+            link_from: holder,
+            dst: x.dst,
+            msg: x.msg.clone(),
+            kind: x.kind,
+            scalars: x.scalars,
+            query: x.query,
+            xfer,
+        };
+        Some(match self.free_copies.pop() {
+            Some(slot) => {
+                let s = &mut self.copies[slot as usize];
+                s.copy = Some(copy);
+                CopyRef { slot, gen: s.gen }
+            }
+            None => {
+                let slot = u32::try_from(self.copies.len()).expect("ARQ copy slab overflow"); // simlint: allow(no-panic-in-protocol): structural capacity invariant (u32 ids), not a fault path
+                self.copies.push(CopySlot {
+                    gen: 0,
+                    copy: Some(copy),
+                });
+                CopyRef { slot, gen: 0 }
+            }
+        })
     }
 }
 
@@ -728,6 +802,15 @@ impl<M> Core<M> {
         });
     }
 
+    /// Takes the ARQ copy an `ArqData` event names (see
+    /// [`ArqState::take_copy`]); `None` only without ARQ, where no such
+    /// event exists.
+    fn take_copy(&mut self, copy: CopyRef) -> Option<ArqCopy<M>> {
+        let arq = self.arq.as_mut();
+        debug_assert!(arq.is_some(), "ARQ data event without ARQ enabled");
+        arq.map(|a| a.take_copy(copy))
+    }
+
     /// Worst-case ticks for one hop of a `scalars`-sized copy: the link's
     /// static bound, or on a flow link the solo sojourn, stretched to the
     /// current contention horizon when `contended`.
@@ -849,9 +932,8 @@ impl<M: Clone> Core<M> {
         let Some(x) = arq.get(xfer, seq, holder) else {
             return;
         };
-        let (next, src, dst, kind, scalars, query, attempt) =
-            (x.next, x.src, x.dst, x.kind, x.scalars, x.query, x.attempt);
-        let msg = x.msg.clone();
+        let (next, src, kind, scalars, query, attempt) =
+            (x.next, x.src, x.kind, x.scalars, x.query, x.attempt);
         let now = self.now;
         let billing_kind = if attempt == 0 { kind } else { KIND_RETX };
         if attempt > 0 {
@@ -865,22 +947,22 @@ impl<M: Clone> Core<M> {
             });
         }
         self.bill(holder, billing_kind, scalars, query);
-        let data = EventKind::ArqData {
-            seq,
-            src,
-            link_from: holder,
-            dst,
-            msg,
-            kind,
-            scalars,
-            query,
-            xfer,
-        };
         // RTO base: the copy's delivery bound. A copy lost before it enters
         // a flow queue is sized from the contention envelope its retry
-        // will face.
+        // will face. Only a copy that survives its fate takes a slab slot.
         let delay_estimate = match self.fate(holder, next, now, None) {
-            Some(arrive) => self.transmit(holder, next, scalars, arrive, data),
+            Some(arrive) => {
+                let copy = self
+                    .arq
+                    .as_mut()
+                    .and_then(|a| a.new_copy(xfer, seq, holder));
+                let Some(copy) = copy else {
+                    debug_assert!(false, "transfer vanished within its own attempt");
+                    return;
+                };
+                let data = EventKind::ArqData { src, copy };
+                self.transmit(holder, next, scalars, arrive, data)
+            }
             None => self.hop_envelope(scalars, true),
         };
         let mut rto = config.rto(attempt, delay_estimate);
@@ -1049,6 +1131,20 @@ impl<'a, M: Clone> Ctx<'a, M> {
             to,
             self.node
         );
+        self.send_to_neighbor(to, msg, kind, scalars, query);
+    }
+
+    /// [`Ctx::send_internal`] without its adjacency check, for a `to` read
+    /// from this node's own adjacency list.
+    // simlint: hot
+    fn send_to_neighbor(
+        &mut self,
+        to: usize,
+        msg: M,
+        kind: &'static str,
+        scalars: u64,
+        query: Option<QueryId>,
+    ) {
         let from = self.node;
         if self.core.arq.is_some() {
             self.core
@@ -1070,13 +1166,14 @@ impl<'a, M: Clone> Ctx<'a, M> {
         }
     }
 
-    /// Sends a message to every neighbor (clones the payload). Iterates the
-    /// borrowed adjacency slice directly — the hottest loop in every
-    /// flood-style phase allocates nothing.
+    /// Sends a message to every neighbor (clones the payload). Walks the
+    /// adjacency slice by index — the hottest loop in every flood-style
+    /// phase allocates nothing, and skips [`Ctx::send`]'s neighbour check,
+    /// since each recipient comes from that very list.
     pub fn broadcast_neighbors(&mut self, msg: &M, kind: &'static str, scalars: u64) {
-        let topology = Arc::clone(self.core.network.topology_arc());
-        for &to in topology.graph().neighbors(self.node) {
-            self.send(to as usize, msg.clone(), kind, scalars);
+        for i in 0..self.neighbors().len() {
+            let to = self.neighbors()[i] as usize;
+            self.send_to_neighbor(to, msg.clone(), kind, scalars, None);
         }
     }
 
@@ -1313,6 +1410,8 @@ impl<P: Protocol> Simulator<P> {
             next_seq: 0,
             pending: Vec::new(),
             free: Vec::new(),
+            copies: Vec::new(),
+            free_copies: Vec::new(),
             seen: AcceptedSeqs::new(self.nodes.len()),
         });
     }
@@ -1328,6 +1427,15 @@ impl<P: Protocol> Simulator<P> {
     /// The ARQ configuration in force, if reliable delivery is enabled.
     pub fn arq_config(&self) -> Option<ArqConfig> {
         self.core.arq.as_ref().map(|a| a.config)
+    }
+
+    /// ARQ data copies in the copy slab whose events are still undispatched.
+    #[cfg(test)]
+    fn live_arq_copies(&self) -> usize {
+        self.core
+            .arq
+            .as_ref()
+            .map_or(0, |a| a.copies.iter().filter(|s| s.copy.is_some()).count())
     }
 
     /// Attaches a [`TraceSink`] observing every engine event. Wrap the sink
@@ -1417,9 +1525,10 @@ impl<P: Protocol> Simulator<P> {
                     return;
                 }
                 EventKind::ArqAck { .. } => return,
-                EventKind::ArqData {
-                    link_from, query, ..
-                } => (*link_from, *query),
+                EventKind::ArqData { copy, .. } => match self.core.take_copy(*copy) {
+                    Some(c) => (c.link_from, c.query),
+                    None => return,
+                },
                 EventKind::Deliver { from, query, .. } => (*from, *query),
                 _ => (node, None),
             };
@@ -1469,17 +1578,20 @@ impl<P: Protocol> Simulator<P> {
                 };
                 self.nodes[node].on_timer(id, &mut ctx);
             }
-            EventKind::ArqData {
-                seq,
-                src,
-                link_from,
-                dst,
-                msg,
-                kind,
-                scalars,
-                query,
-                xfer,
-            } => {
+            EventKind::ArqData { src, copy } => {
+                let Some(ArqCopy {
+                    seq,
+                    link_from,
+                    dst,
+                    msg,
+                    kind,
+                    scalars,
+                    query,
+                    xfer,
+                }) = self.core.take_copy(copy)
+                else {
+                    return;
+                };
                 self.core.costs.record_rx(node);
                 // Ack every copy — the sender may be retrying because a
                 // previous ack was lost.
@@ -2464,6 +2576,7 @@ mod tests {
         // First attempt of each of the 3 links is billed under the
         // message's own kind, exactly like an unreliable run.
         assert_eq!(sim.stats().kind("uni").packets, 3);
+        assert_eq!(sim.live_arq_copies(), 0, "every copy is taken once");
     }
 
     #[test]
@@ -2481,6 +2594,7 @@ mod tests {
             sim.stats().kind(crate::reliable::KIND_RETX).packets,
             retries
         );
+        assert_eq!(sim.live_arq_copies(), 0, "lost copies take no slot");
     }
 
     #[test]
@@ -2495,6 +2609,11 @@ mod tests {
             for node in sim.nodes() {
                 assert!(node.got <= 1, "seed {seed}: duplicate delivery");
             }
+            assert_eq!(
+                sim.live_arq_copies(),
+                0,
+                "seed {seed}: duplicates are taken too"
+            );
             if sim.metrics().counter("net.ack.dup") > 0 {
                 hit = true;
                 break;
@@ -2649,6 +2768,7 @@ mod tests {
         assert_eq!(sim.nodes()[3].got, 1, "delivery must resume after heal");
         assert!(sim.metrics().counter("net.retx") > 0);
         assert_eq!(sim.metrics().counter("net.timeout"), 0);
+        assert_eq!(sim.live_arq_copies(), 0);
     }
 
     #[test]
@@ -2669,6 +2789,60 @@ mod tests {
         assert_eq!(sim.metrics().counter("net.drops.node_down"), expected);
         let trace = *shared.lock().unwrap();
         assert_eq!(trace.drops, expected);
+        assert_eq!(
+            sim.live_arq_copies(),
+            0,
+            "a dead radio's copies are dropped"
+        );
+    }
+
+    #[test]
+    fn arq_crash_mid_transfer_leaves_no_live_copy() {
+        // Node 1 relays at t=1, then is down over [2, 30): the ack for its
+        // relay copy and its own retransmission timeout reach a dead radio,
+        // so its transfer dies with it, while node 2 carries the message on.
+        let link = LossyLink::new(1, 1).with_crash(1, 2, Some(30));
+        let mut sim = arq_uni_sim(link, 0, 4);
+        sim.run_to_completion();
+        assert_eq!(sim.nodes()[3].got, 1);
+        assert_eq!(sim.live_arq_copies(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dispatched twice")]
+    fn arq_copy_event_dispatched_twice_is_caught() {
+        // A captured data copy cloned and dispatched again must not deliver
+        // the relay copy that took over its slab slot.
+        let mut sim = arq_uni_sim(SyncLink, 0, 3);
+        let boot = sim.capture_boot();
+        let data = boot
+            .iter()
+            .find(|ev| ev.is_message() && ev.origin() != Some(ev.node()))
+            .expect("node 0's first data copy")
+            .clone();
+        let first = sim.capture_dispatch(data.time(), &data);
+        assert!(first.events.iter().any(|ev| ev.is_message()), "relayed");
+        let _ = sim.capture_dispatch(data.time(), &data);
+    }
+
+    #[test]
+    fn event_records_are_delivery_sized() {
+        // A queued event costs what a delivery costs (a sender, the payload
+        // and a query tag); ARQ copy metadata lives in the copy slab
+        // instead. See DESIGN.md §11.4.
+        fn check<M>() {
+            let (event, payload) = (
+                std::mem::size_of::<EventKind<M>>(),
+                std::mem::size_of::<M>(),
+            );
+            assert!(
+                event <= payload + 24,
+                "EventKind over a {payload}-byte payload is {event} bytes, \
+                 above the {payload} + 24 of a delivery (DESIGN.md §11.4)"
+            );
+        }
+        check::<[u64; 7]>();
+        check::<[u64; 12]>();
     }
 
     /// Regression for the crash-clearing rule: a timer armed before a crash
@@ -2899,6 +3073,7 @@ mod tests {
         assert_eq!(sim.nodes()[3].got, 1);
         assert_eq!(sim.metrics().counter("net.retx"), 0);
         assert_eq!(sim.metrics().counter("net.timeout"), 0);
+        assert_eq!(sim.live_arq_copies(), 0, "flow completions take copies");
     }
 
     #[test]

@@ -151,15 +151,19 @@ impl Topology {
     /// The node closest to a point (ties broken by lower id). Used for
     /// cell-leader election (§3.2 footnote 1) and base-station placement.
     pub fn nearest_node(&self, p: &Point) -> NodeId {
-        self.nearest_node_among(p, (0..self.n()).collect::<Vec<_>>().as_slice())
+        self.nearest_node_among(p, 0..self.n())
             .expect("topology has at least one node")
     }
 
-    /// The node closest to `p` among `candidates`; `None` if empty.
-    pub fn nearest_node_among(&self, p: &Point, candidates: &[NodeId]) -> Option<NodeId> {
+    /// The node closest to `p` among `candidates` (ties broken by lower
+    /// id); `None` if there are none.
+    pub fn nearest_node_among(
+        &self,
+        p: &Point,
+        candidates: impl IntoIterator<Item = NodeId>,
+    ) -> Option<NodeId> {
         candidates
-            .iter()
-            .copied()
+            .into_iter()
             .map(|v| (v, self.positions[v].dist_sq(p)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
             .map(|(v, _)| v)
@@ -247,8 +251,8 @@ mod tests {
     fn nearest_among_subset() {
         let t = Topology::grid(1, 5);
         let p = Point::new(0.0, 0.0);
-        assert_eq!(t.nearest_node_among(&p, &[3, 4]), Some(3));
-        assert_eq!(t.nearest_node_among(&p, &[]), None);
+        assert_eq!(t.nearest_node_among(&p, [3, 4]), Some(3));
+        assert_eq!(t.nearest_node_among(&p, []), None);
     }
 
     #[test]
