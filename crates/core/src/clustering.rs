@@ -3,7 +3,6 @@
 use crate::node_table::NodeTable;
 use elink_metric::{Feature, Metric};
 use elink_topology::{NodeId, Topology};
-use std::collections::VecDeque;
 
 /// Information about one cluster.
 #[derive(Debug, Clone)]
@@ -51,47 +50,80 @@ impl Clustering {
         let n = topology.n();
         assert_eq!(states.len(), n);
         let table = NodeTable::new(n);
-        // Group nodes by recorded root id: one sort of dense handles by
-        // `(root, id)` replaces the old BTreeMap-of-Vecs grouping and
-        // yields the identical (ascending root, ascending member) visit
-        // order with a single allocation.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&v| (states[v as usize].0, v));
+        // Group nodes by recorded root id with one counting sort: groups
+        // come in ascending root order, members in ascending id order.
+        // Until the sort is done, `assignment[r]` is where root `r`'s next
+        // member goes in `order`, so the sort needs no offsets array of its
+        // own.
+        let mut order = table.column(0u32);
+        let mut assignment = vec![0usize; n];
+        for &(root, _) in states {
+            assert!(root < n, "recorded root {root} is not a node id");
+            assignment[root] += 1;
+        }
+        let mut start = 0;
+        for next in &mut assignment {
+            (start, *next) = (start + *next, start);
+        }
+        for (v, &(root, _)) in states.iter().enumerate() {
+            order[assignment[root]] = v as u32;
+            assignment[root] += 1;
+        }
+        assignment.fill(usize::MAX);
 
-        let mut assignment = vec![usize::MAX; n];
         let mut clusters = Vec::new();
         let mut tree_parent = vec![None; n];
         let graph = topology.graph();
-        // Struct-of-arrays scratch reused across components: cleared by
-        // touched index, so the whole build does O(Σ|C|) scratch work
-        // instead of O(n · #clusters) fresh allocations.
-        let mut in_cluster = table.column(false);
+        // Struct-of-arrays scratch reused across groups and cleared by
+        // touched index, so the whole build is O(n + E).
+        let mut in_group = table.column(false);
         let mut seen = table.column(false);
-        let mut queue = VecDeque::new();
+        let mut queue = Vec::new();
 
         let mut lo = 0;
         while lo < n {
             let root_id = states[order[lo] as usize].0;
-            let mut hi = lo;
-            while hi < n && states[order[hi] as usize].0 == root_id {
-                hi += 1;
+            let len = order[lo..]
+                .iter()
+                .take_while(|&&v| states[v as usize].0 == root_id)
+                .count();
+            let group = &order[lo..lo + len];
+            lo += len;
+            let root_feature = &states[group[0] as usize].1;
+            for &v in group {
+                in_group[v as usize] = true;
             }
-            let members: Vec<NodeId> = order[lo..hi].iter().map(|&v| v as usize).collect();
-            lo = hi;
-            let root_feature = states[members[0]].1.clone();
-            for component in graph.induced_components(&members) {
+            // Components in order of their least member; each is listed in
+            // BFS order from that member.
+            for &start in group {
+                let start = start as usize;
+                if seen[start] {
+                    continue;
+                }
+                let mut component = vec![start];
+                seen[start] = true;
+                let mut head = 0;
+                while let Some(&v) = component.get(head) {
+                    head += 1;
+                    for &w in graph.neighbors(v) {
+                        let w = w as usize;
+                        if in_group[w] && !seen[w] {
+                            seen[w] = true;
+                            component.push(w);
+                        }
+                    }
+                }
                 // Root: the recorded root if present, else the member
-                // nearest the recorded root feature.
+                // nearest the recorded root feature (ties broken by node
+                // id via `total_cmp`; an explicit scan avoids any panicking
+                // path here).
                 let root = if component.contains(&root_id) {
                     root_id
                 } else {
-                    // Components from `induced_components` are non-empty, so
-                    // an explicit scan (ties broken by node id via
-                    // `total_cmp`) avoids any panicking path here.
-                    let mut best = component[0];
-                    let mut best_d = metric.distance(&states[best].1, &root_feature);
+                    let mut best = start;
+                    let mut best_d = metric.distance(&states[best].1, root_feature);
                     for &v in &component[1..] {
-                        let d = metric.distance(&states[v].1, &root_feature);
+                        let d = metric.distance(&states[v].1, root_feature);
                         if d.total_cmp(&best_d).then(v.cmp(&best)).is_lt() {
                             best = v;
                             best_d = d;
@@ -103,26 +135,24 @@ impl Clustering {
                 for &m in &component {
                     assignment[m] = cluster_id;
                 }
-                // BFS tree from the root, restricted to the component.
-                for &m in &component {
-                    in_cluster[m] = true;
-                }
-                seen[root] = true;
-                queue.push_back(root);
-                while let Some(v) = queue.pop_front() {
+                // BFS tree from the root. The group's other components are
+                // not adjacent to this one, so staying inside the group
+                // stays inside the component; each visit clears the
+                // member's `in_group` mark.
+                in_group[root] = false;
+                queue.clear();
+                queue.push(root);
+                let mut head = 0;
+                while let Some(&v) = queue.get(head) {
+                    head += 1;
                     for &w in graph.neighbors(v) {
                         let w = w as usize;
-                        if in_cluster[w] && !seen[w] {
-                            seen[w] = true;
+                        if in_group[w] {
+                            in_group[w] = false;
                             tree_parent[w] = Some(v);
-                            queue.push_back(w);
+                            queue.push(w);
                         }
                     }
-                }
-                // Reset scratch for the next component (touched cells only).
-                for &m in &component {
-                    in_cluster[m] = false;
-                    seen[m] = false;
                 }
                 let mut members = component;
                 members.sort_unstable();
@@ -132,8 +162,14 @@ impl Clustering {
                     members,
                 });
             }
+            // Every member was cleared from `in_group` by its component's
+            // tree BFS; reset `seen` for the next group.
+            for &v in group {
+                seen[v as usize] = false;
+            }
         }
         debug_assert!(assignment.iter().all(|&c| c != usize::MAX));
+        debug_assert!(!in_group.contains(&true) && !seen.contains(&true));
         Clustering {
             assignment,
             clusters,
@@ -299,9 +335,31 @@ pub fn validate_delta_clustering(
     }
 
     let graph = topology.graph();
+    // Connectivity scratch shared by every cluster: the partition check
+    // left every `seen` mark set, a BFS from a cluster's first member over
+    // its own members clears the marks it reaches, and clusters are
+    // disjoint, so no mark needs a reset.
+    let mut queue = Vec::new();
     for (cid, cluster) in clustering.clusters.iter().enumerate() {
         // Connectivity.
-        if graph.induced_components(&cluster.members).len() != 1 {
+        let Some(&first) = cluster.members.first() else {
+            return Err(ValidationError::Disconnected { cluster: cid });
+        };
+        seen[first] = false;
+        queue.clear();
+        queue.push(first);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &w in graph.neighbors(v) {
+                let w = w as usize;
+                if seen[w] && clustering.assignment[w] == cid {
+                    seen[w] = false;
+                    queue.push(w);
+                }
+            }
+        }
+        if queue.len() != cluster.members.len() {
             return Err(ValidationError::Disconnected { cluster: cid });
         }
         // δ-compactness.
@@ -483,5 +541,181 @@ mod tests {
         c.clusters[cid].members.retain(|&m| m != 1);
         let err = validate_delta_clustering(&c, &topo, &features, &Absolute, 2.0).unwrap_err();
         assert!(matches!(err, ValidationError::NotAPartition { node: 1 }));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use elink_metric::Absolute;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The extraction `from_node_states` replaced: a sort by `(root, id)`
+    /// groups the nodes, and `CommGraph::induced_components` splits every
+    /// group with two fresh `n`-sized marks.
+    fn oracle(
+        states: &[(NodeId, Feature)],
+        topology: &Topology,
+        metric: &dyn Metric,
+    ) -> Clustering {
+        let n = topology.n();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by_key(|&v| (states[v as usize].0, v));
+        let mut assignment = vec![usize::MAX; n];
+        let mut clusters = Vec::new();
+        let mut tree_parent = vec![None; n];
+        let graph = topology.graph();
+        let mut in_cluster = vec![false; n];
+        let mut seen = vec![false; n];
+        let mut queue = VecDeque::new();
+        let mut lo = 0;
+        while lo < n {
+            let root_id = states[order[lo] as usize].0;
+            let mut hi = lo;
+            while hi < n && states[order[hi] as usize].0 == root_id {
+                hi += 1;
+            }
+            let members: Vec<NodeId> = order[lo..hi].iter().map(|&v| v as usize).collect();
+            lo = hi;
+            let root_feature = states[members[0]].1.clone();
+            for component in graph.induced_components(&members) {
+                let root = if component.contains(&root_id) {
+                    root_id
+                } else {
+                    let mut best = component[0];
+                    let mut best_d = metric.distance(&states[best].1, &root_feature);
+                    for &v in &component[1..] {
+                        let d = metric.distance(&states[v].1, &root_feature);
+                        if d.total_cmp(&best_d).then(v.cmp(&best)).is_lt() {
+                            best = v;
+                            best_d = d;
+                        }
+                    }
+                    best
+                };
+                let cluster_id = clusters.len();
+                for &m in &component {
+                    assignment[m] = cluster_id;
+                    in_cluster[m] = true;
+                }
+                seen[root] = true;
+                queue.push_back(root);
+                while let Some(v) = queue.pop_front() {
+                    for &w in graph.neighbors(v) {
+                        let w = w as usize;
+                        if in_cluster[w] && !seen[w] {
+                            seen[w] = true;
+                            tree_parent[w] = Some(v);
+                            queue.push_back(w);
+                        }
+                    }
+                }
+                for &m in &component {
+                    in_cluster[m] = false;
+                    seen[m] = false;
+                }
+                let mut members = component;
+                members.sort_unstable();
+                clusters.push(ClusterInfo {
+                    root,
+                    root_feature: states[root].1.clone(),
+                    members,
+                });
+            }
+        }
+        Clustering {
+            assignment,
+            clusters,
+            tree_parent,
+        }
+    }
+
+    /// Per-node states drawn from a few candidate roots. A candidate that
+    /// records another root has switched away, and a root's group is
+    /// scattered over the deployment, so groups split. Integer features
+    /// make distance ties, which the replacement root breaks by id.
+    fn random_states(n: usize, roots: usize, mut seed: u64) -> Vec<(NodeId, Feature)> {
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let candidates: Vec<NodeId> = (0..roots).map(|_| next() % n).collect();
+        let features: Vec<Feature> = (0..n)
+            .map(|_| Feature::scalar((next() % 8) as f64))
+            .collect();
+        (0..n)
+            .map(|_| {
+                let root = candidates[next() % roots];
+                (root, features[root].clone())
+            })
+            .collect()
+    }
+
+    fn assert_same(got: &Clustering, want: &Clustering) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&got.assignment, &want.assignment);
+        prop_assert_eq!(&got.tree_parent, &want.tree_parent);
+        prop_assert_eq!(got.clusters.len(), want.clusters.len());
+        for (g, w) in got.clusters.iter().zip(&want.clusters) {
+            prop_assert_eq!(g.root, w.root);
+            prop_assert_eq!(&g.members, &w.members);
+            prop_assert_eq!(&g.root_feature, &w.root_feature);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn extraction_matches_the_sorting_oracle_on_grids(
+            rows in 1usize..12,
+            cols in 1usize..12,
+            roots in 1usize..10,
+            seed in 0u64..1 << 32,
+        ) {
+            let topology = Topology::grid(rows, cols);
+            let states = random_states(topology.n(), roots, seed);
+            let got = Clustering::from_node_states(&states, &topology, &Absolute);
+            assert_same(&got, &oracle(&states, &topology, &Absolute))?;
+
+            // Validation: an extraction is valid at δ = ∞, and folding the
+            // last cluster into the first is reported as disconnected
+            // exactly when `induced_components` splits the union.
+            let features: Vec<Feature> = states.iter().map(|s| s.1.clone()).collect();
+            let validate = |c: &Clustering| {
+                validate_delta_clustering(c, &topology, &features, &Absolute, f64::INFINITY)
+            };
+            prop_assert_eq!(validate(&got), Ok(()));
+            if got.cluster_count() > 1 {
+                let mut merged = got.clone();
+                let last = merged.clusters.len() - 1;
+                let moved = std::mem::take(&mut merged.clusters[last].members);
+                for &m in &moved {
+                    merged.assignment[m] = 0;
+                }
+                merged.clusters[0].members.extend(moved);
+                let split = topology.graph().induced_components(&merged.clusters[0].members).len() > 1;
+                let verdict = validate(&merged);
+                if split {
+                    prop_assert_eq!(verdict, Err(ValidationError::Disconnected { cluster: 0 }));
+                } else {
+                    prop_assert!(matches!(verdict, Err(ValidationError::BrokenTree { .. })));
+                }
+            }
+        }
+
+        #[test]
+        fn extraction_matches_the_sorting_oracle_on_random_deployments(
+            n in 2usize..120,
+            roots in 1usize..16,
+            seed in 0u64..1 << 32,
+        ) {
+            let topology = Topology::random_synthetic(n, seed);
+            let states = random_states(n, roots, seed ^ 0x5eed);
+            let got = Clustering::from_node_states(&states, &topology, &Absolute);
+            assert_same(&got, &oracle(&states, &topology, &Absolute))?;
+        }
     }
 }

@@ -63,10 +63,11 @@ pub trait Protocol {
 /// A topology plus its (expensive, shareable) routing table.
 ///
 /// Build once per topology and share across simulator runs with `clone()`
-/// (both members are `Arc`s). The routing table — `O(n²)` storage, one BFS
-/// per node to build — is constructed lazily on first use: protocols that
-/// only ever `send`/`broadcast_neighbors` (e.g. implicit-mode ELink, the
-/// regime of the 64k-node scaling bench) never pay for it.
+/// (both members are `Arc`s). The routing table — 2 bytes per node pair,
+/// one BFS per node to build — is constructed lazily on first use:
+/// protocols that only ever `send`/`broadcast_neighbors` (e.g.
+/// implicit-mode ELink, the regime of the 64k-node scaling bench) never pay
+/// for it.
 #[derive(Clone)]
 pub struct SimNetwork {
     topology: Arc<Topology>,

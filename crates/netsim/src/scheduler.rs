@@ -49,10 +49,11 @@ use std::collections::BinaryHeap;
 /// arena, returned by [`Scheduler::push`] and taken by
 /// [`Scheduler::cancel`].
 ///
-/// The slot index addresses a free-listed `Vec` of records: allocating an
-/// event never moves existing records, and a freed slot is recycled for a
-/// later push. Each free bumps the slot's generation, so a handle whose
-/// event popped or was cancelled never reaches the slot's next occupant.
+/// The slot index addresses a free-listed arena of records kept in
+/// fixed-size chunks: allocating an event never moves existing records,
+/// and a freed slot is recycled for a later push. Each free bumps the
+/// slot's generation, so a handle whose event popped or was cancelled never
+/// reaches the slot's next occupant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventHandle {
     slot: u32,
@@ -91,6 +92,63 @@ struct Slot<T> {
     payload: Option<T>,
 }
 
+/// The slot arena, in chunks of [`Slab::CHUNK`] slots, each allocated at
+/// its final size. Growing the arena adds a chunk: no record moves, and
+/// at most one partly filled chunk is reserved beyond the slots in use. A
+/// doubling `Vec` would reserve up to twice its high-water mark, and where
+/// that never-written half lands in the heap decides the peak RSS of a
+/// process that builds one simulator after another (DESIGN.md §11.4).
+struct Slab<T> {
+    chunks: Vec<Vec<Slot<T>>>,
+}
+
+impl<T> Slab<T> {
+    const SHIFT: u32 = 10;
+    const CHUNK: usize = 1 << Self::SHIFT;
+
+    fn new() -> Self {
+        Slab { chunks: Vec::new() }
+    }
+
+    /// Slots ever allocated (live, cancelled-in-wheel and free).
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |c| (self.chunks.len() - 1) * Self::CHUNK + c.len())
+    }
+
+    fn push(&mut self, slot: Slot<T>) {
+        match self.chunks.last_mut() {
+            Some(c) if c.len() < Self::CHUNK => c.push(slot),
+            _ => {
+                let mut c = Vec::with_capacity(Self::CHUNK);
+                c.push(slot);
+                self.chunks.push(c);
+            }
+        }
+    }
+
+    fn get_mut(&mut self, i: usize) -> Option<&mut Slot<T>> {
+        self.chunks
+            .get_mut(i >> Self::SHIFT)?
+            .get_mut(i & (Self::CHUNK - 1))
+    }
+}
+
+impl<T> std::ops::Index<usize> for Slab<T> {
+    type Output = Slot<T>;
+
+    fn index(&self, i: usize) -> &Slot<T> {
+        &self.chunks[i >> Self::SHIFT][i & (Self::CHUNK - 1)]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Slab<T> {
+    fn index_mut(&mut self, i: usize) -> &mut Slot<T> {
+        &mut self.chunks[i >> Self::SHIFT][i & (Self::CHUNK - 1)]
+    }
+}
+
 /// One wheel bucket: slot indices in insertion (= seq) order with a pop
 /// cursor, so draining never shifts elements. The backing `Vec` is reused
 /// across wheel rotations.
@@ -106,7 +164,7 @@ pub struct Scheduler<T> {
     seq: u64,
     live: usize,
     peak_live: usize,
-    slots: Vec<Slot<T>>,
+    slots: Slab<T>,
     free: Vec<u32>,
     buckets: Vec<Bucket>,
     /// Far-future events (`time ≥ cur + B`), ordered by `(time, seq)`, with
@@ -141,7 +199,7 @@ impl<T> Scheduler<T> {
             seq: 0,
             live: 0,
             peak_live: 0,
-            slots: Vec::new(),
+            slots: Slab::new(),
             free: Vec::new(),
             buckets: (0..Self::WHEEL_BUCKETS)
                 .map(|_| Bucket::default())
@@ -457,6 +515,43 @@ mod tests {
             assert_eq!(e.payload, round);
         }
         assert!(s.slots.len() <= 2, "arena grew: {} slots", s.slots.len());
+    }
+
+    #[test]
+    fn arena_grows_by_whole_chunks_across_boundaries() {
+        // Two and a half chunks of live events, pushed out of time order,
+        // some cancelled in the wheel and some in the overflow heap: the
+        // arena holds exactly the pushed slots, chunk by chunk, and the
+        // survivors pop in time order.
+        let chunk = Slab::<u64>::CHUNK;
+        let far = Scheduler::<u64>::WHEEL_BUCKETS as SimTime;
+        let n = 2 * chunk + chunk / 2;
+        let mut s = Scheduler::new();
+        let mut want = Vec::new();
+        let mut dead = Vec::new();
+        for i in 0..n as u64 {
+            let t = (i * 7919) % (2 * far);
+            let h = s.push(t, 0, i);
+            if i % 3 == 0 {
+                dead.push(h);
+            } else {
+                want.push((t, i));
+            }
+        }
+        assert_eq!(s.slots.len(), n);
+        assert_eq!(s.slots.chunks.len(), 3);
+        assert!(s.slots.chunks.iter().all(|c| c.capacity() == chunk));
+        for h in dead {
+            assert!(s.cancel(h));
+        }
+        want.sort_unstable();
+        let got: Vec<(SimTime, u64)> = drain(&mut s).into_iter().map(|(t, _, p)| (t, p)).collect();
+        assert_eq!(got, want);
+        // Every slot is free again and is reused before the arena grows.
+        for i in 0..n as u64 {
+            s.push(2 * far + i, 0, i);
+        }
+        assert_eq!(s.slots.len(), n);
     }
 
     #[test]

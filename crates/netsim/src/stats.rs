@@ -142,7 +142,88 @@ impl NodeStats {
 pub struct CostBook {
     kinds: MessageStats,
     nodes: Vec<NodeStats>,
-    queries: FlatMap<u64, KindStats>,
+    queries: QueryLedger,
+}
+
+/// The per-query ledger, indexed densely by the `QID_SUB_*` namespace
+/// scheme: one row per namespace (one-shot, push, repair, control),
+/// indexed by payload, for payloads below [`QueryLedger::DENSE_PAYLOADS`];
+/// any other `u64` id goes to a sorted map. An id is attributed exactly
+/// when its entry has `packets > 0` (attribution bills at least one hop),
+/// and every row ends at an attributed id, so two ledgers holding the
+/// same attributions are equal field by field.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct QueryLedger {
+    dense: [Vec<KindStats>; 4],
+    sparse: FlatMap<u64, KindStats>,
+}
+
+impl QueryLedger {
+    /// Payloads with a dense slot: far above the query, subscription and
+    /// template counts the serving layer issues, and small enough that a
+    /// stray large payload costs at most 16 MiB per namespace.
+    const DENSE_PAYLOADS: u64 = 1 << 20;
+
+    /// The namespace ids that have a dense row, in ascending id order: a
+    /// one-shot id has no namespace bit, a standing-query id exactly one.
+    const NAMESPACES: [u64; 4] = [0, QID_SUB_PUSH, QID_SUB_REPAIR, QID_SUB_CONTROL];
+
+    /// The dense row and payload of `qid`, if it has one.
+    fn slot(qid: u64) -> Option<(usize, usize)> {
+        let row = match qid >> 40 {
+            0 => 0,
+            1 => 1,
+            2 => 2,
+            4 => 3,
+            _ => return None,
+        };
+        let payload = qid & (QID_SUB_PUSH - 1);
+        (payload < Self::DENSE_PAYLOADS).then_some((row, payload as usize))
+    }
+
+    /// The entry of `qid`, created zeroed if absent.
+    fn entry(&mut self, qid: u64) -> &mut KindStats {
+        match Self::slot(qid) {
+            Some((row, payload)) => {
+                let row = &mut self.dense[row];
+                if row.len() <= payload {
+                    row.resize(payload + 1, KindStats::default());
+                }
+                &mut row[payload]
+            }
+            None => self.sparse.or_insert_with(qid, KindStats::default),
+        }
+    }
+
+    fn get(&self, qid: u64) -> KindStats {
+        match Self::slot(qid) {
+            Some((row, payload)) => self.dense[row].get(payload).copied(),
+            None => self.sparse.get(&qid).copied(),
+        }
+        .unwrap_or_default()
+    }
+
+    /// Attributed ids in ascending order: the dense rows in namespace
+    /// order, merged with the sorted map.
+    fn iter(&self) -> impl Iterator<Item = (u64, KindStats)> + '_ {
+        let mut dense = self
+            .dense
+            .iter()
+            .zip(Self::NAMESPACES)
+            .flat_map(|(row, ns)| {
+                row.iter()
+                    .enumerate()
+                    .filter(|(_, k)| k.packets > 0)
+                    .map(move |(payload, &k)| (ns | payload as u64, k))
+            })
+            .peekable();
+        let mut sparse = self.sparse.iter().map(|(&q, &k)| (q, k)).peekable();
+        std::iter::from_fn(move || match (dense.peek(), sparse.peek()) {
+            (Some(d), Some(s)) if s.0 < d.0 => sparse.next(),
+            (Some(_), _) => dense.next(),
+            (None, _) => sparse.next(),
+        })
+    }
 }
 
 impl CostBook {
@@ -156,7 +237,7 @@ impl CostBook {
         CostBook {
             kinds: MessageStats::new(),
             nodes: vec![NodeStats::default(); n],
-            queries: FlatMap::new(),
+            queries: QueryLedger::default(),
         }
     }
 
@@ -200,25 +281,23 @@ impl CostBook {
         if hops == 0 {
             return;
         }
-        self.queries
-            .or_insert_with(qid, KindStats::default)
-            .bill(hops, scalars);
+        self.queries.entry(qid).bill(hops, scalars);
     }
 
     /// Cost attributed to query `qid` (zero if never attributed).
     pub fn query(&self, qid: u64) -> KindStats {
-        self.queries.get(&qid).copied().unwrap_or_default()
+        self.queries.get(qid)
     }
 
     /// Iterates over `(query id, stats)` pairs in id order.
     pub fn queries(&self) -> impl Iterator<Item = (u64, KindStats)> + '_ {
-        self.queries.iter().map(|(&q, &v)| (q, v))
+        self.queries.iter()
     }
 
     /// Total cost attributed across all queries (co-billed: batched packets
     /// count once per rider, so this can exceed the wire total).
     pub fn total_query_cost(&self) -> u64 {
-        self.queries.values().map(|k| k.cost).sum()
+        self.queries.iter().map(|(_, k)| k.cost).sum()
     }
 
     /// Statistics for one kind (zero if never recorded).
@@ -277,9 +356,7 @@ impl CostBook {
             mine.tx_cost += theirs.tx_cost;
         }
         for (qid, stats) in other.queries() {
-            self.queries
-                .or_insert_with(qid, KindStats::default)
-                .merge(stats);
+            self.queries.entry(qid).merge(stats);
         }
     }
 }

@@ -2,6 +2,7 @@
 //! `Metrics`, `MessageStats` and the `CostBook` query ledger against
 //! `BTreeMap` oracles, driven by an LCG.
 
+use elink_netsim::flat::FlatMap;
 use elink_netsim::{
     CostBook, Histogram, KindStats, MessageStats, Metrics, PhaseStats, QID_SUB_CONTROL,
     QID_SUB_PUSH, QID_SUB_REPAIR,
@@ -271,4 +272,85 @@ fn query_ledger_matches_btreemap() {
     assert_eq!(left.queries().collect::<Vec<_>>(), want);
     left.attribute_query(QID_SUB_CONTROL | (1 << 20), 1, 1);
     assert_ne!(left, book);
+}
+
+/// The per-query ledger against a `FlatMap` oracle over ids in all four
+/// namespaces (dense payloads, the first payloads past the dense range) and
+/// ids outside the scheme (two namespace bits, bits above 42, `u64::MAX`):
+/// lookups, ascending iteration, totals, merges in either order, `==`.
+#[test]
+fn dense_query_ledger_matches_flatmap_oracle() {
+    let mut pool = Vec::new();
+    for ns in [0, QID_SUB_PUSH, QID_SUB_REPAIR, QID_SUB_CONTROL] {
+        for payload in [
+            0,
+            1,
+            2,
+            7,
+            63,
+            64,
+            1000,
+            (1 << 20) - 1,
+            1 << 20,
+            (1 << 40) - 1,
+        ] {
+            pool.push(ns | payload);
+        }
+    }
+    pool.extend([
+        QID_SUB_PUSH | QID_SUB_REPAIR | 3,
+        QID_SUB_REPAIR | QID_SUB_CONTROL,
+        QID_SUB_PUSH | QID_SUB_REPAIR | QID_SUB_CONTROL | 5,
+        (1 << 43) | 2,
+        1 << 50,
+        (1 << 63) | 1,
+        u64::MAX,
+    ]);
+    let mut rng = Lcg(23);
+    let mut books = [CostBook::new(), CostBook::new(), CostBook::new()];
+    let mut whole = CostBook::new();
+    let mut oracle: FlatMap<u64, KindStats> = FlatMap::new();
+    for _ in 0..6000 {
+        let r = rng.next();
+        let qid = pool[(r as usize >> 3) % pool.len()];
+        let (hops, scalars) = ((r >> 12) % 4, (r >> 16) % 9);
+        books[r as usize % 3].attribute_query(qid, hops, scalars);
+        whole.attribute_query(qid, hops, scalars);
+        if hops > 0 {
+            let k = oracle.or_insert_with(qid, KindStats::default);
+            k.packets += hops;
+            k.cost += hops * scalars.max(1);
+        }
+    }
+    let want: Vec<(u64, KindStats)> = oracle.iter().map(|(&q, &k)| (q, k)).collect();
+    assert_eq!(whole.queries().collect::<Vec<_>>(), want);
+    for q in pool
+        .iter()
+        .copied()
+        .chain([3, 1 << 41, QID_SUB_PUSH | 99, 6 << 40])
+    {
+        assert_eq!(whole.query(q), oracle.get(&q).copied().unwrap_or_default());
+    }
+    let total: u64 = oracle.values().map(|k| k.cost).sum();
+    assert_eq!(whole.total_query_cost(), total);
+
+    // Merged in two orders, the parts equal each other and the whole;
+    // one more attribution anywhere makes a book differ.
+    let [a, b, c] = books;
+    let mut abc = a.clone();
+    abc.merge(&b);
+    abc.merge(&c);
+    let mut cba = c.clone();
+    cba.merge(&b);
+    cba.merge(&a);
+    assert_eq!(abc, cba);
+    assert_eq!(abc, whole);
+    assert_eq!(abc.queries().collect::<Vec<_>>(), want);
+    for q in [5, QID_SUB_REPAIR | 2000, 1 << 20, u64::MAX - 1] {
+        let mut more = abc.clone();
+        more.attribute_query(q, 1, 1);
+        assert_ne!(more, whole, "qid {q:#x}");
+        more.attribute_query(q, 0, 1);
+        assert_eq!(more.query(q).packets, whole.query(q).packets + 1);
+    }
 }

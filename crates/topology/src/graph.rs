@@ -166,59 +166,115 @@ impl CommGraph {
     }
 }
 
-/// All-pairs shortest-path next-hop routing, built with one BFS per node.
+/// All-pairs shortest-path next-hop routing, built with one BFS per
+/// destination.
 ///
-/// `next_hop(src, dst)` gives the neighbor of `src` on a shortest path to
-/// `dst`; `hops(src, dst)` gives the path length. Storage is `O(n²)` which is
-/// fine for the ≤ 4096-node networks in the experiments.
+/// Storage is one `u16` next-hop row per destination, 2 bytes per ordered
+/// pair: 2 MiB at 1,024 nodes, 512 MiB at 16,384 and 8 GiB at 65,536. Entry
+/// `v` of row `dst` is `v`'s parent in the BFS tree rooted at `dst`, i.e.
+/// the next hop from `v` towards `dst`. "No route" (`v == dst`, or `dst`
+/// unreachable) is stored as `v` itself, so node ids use all 16 bits and a
+/// table covers up to 65,536 nodes; [`RoutingTable::build`] asserts that
+/// before it allocates a row. There is no hop matrix:
+/// [`RoutingTable::hops`] and [`RoutingTable::path`] walk the row in
+/// O(route length), and [`RoutingTable::diameter`] is the deepest BFS level
+/// the build reached.
 ///
-/// Each destination's row is its own allocation. Two flat `n²` buffers are
-/// large enough for glibc to map and unmap them on every build, and each
+/// Each destination's row is its own allocation. One flat `n²` buffer is
+/// large enough for glibc to map and unmap it on every build, and each
 /// unmap raises its mmap threshold, so a process that builds one table per
 /// deployment fragments its heap and its peak RSS creeps up run after run;
 /// `n`-sized rows stay on the ordinary heap and are reused.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
-    /// `parent_towards[dst][v]` is the parent of `v` in the BFS tree rooted
-    /// at `dst` (i.e. the next hop from `v` towards `dst`).
-    parent_towards: Vec<Vec<u32>>,
-    /// `hops[dst][v]` is the hop count from `v` to `dst`.
-    hops: Vec<Vec<u32>>,
+    /// `next_towards[dst][v]` is the next hop from `v` towards `dst`, or
+    /// `v` itself when there is none.
+    next_towards: Vec<Vec<u16>>,
+    /// The largest finite hop count between two nodes.
+    diameter: u32,
 }
 
 impl RoutingTable {
-    /// Builds the routing table for a graph: one BFS per destination fills
-    /// both of its rows.
+    /// The most nodes a table can route: a next hop is a `u16` node id.
+    const MAX_NODES: usize = 1 << 16;
+
+    /// Builds the routing table for a graph: one FIFO BFS per destination,
+    /// visiting neighbours in adjacency order, so a node's next hop is the
+    /// neighbour through which the BFS from `dst` first reached it (the
+    /// parent [`CommGraph::bfs_tree`] gives). The BFS passes read a flat
+    /// copy of the adjacency lists.
+    ///
+    /// # Panics
+    /// Panics if the graph has more than 65,536 nodes.
     pub fn build(graph: &CommGraph) -> Self {
-        let (parent_towards, hops) = (0..graph.n()).map(|dst| graph.bfs(dst)).unzip();
+        let n = graph.n();
+        assert!(
+            n <= Self::MAX_NODES,
+            "RoutingTable: {n} nodes exceed the 65,536 that u16 next hops can name"
+        );
+        // The adjacency as one flat array: n BFS passes read every list n
+        // times, and the per-node lists lie wherever the heap put them.
+        let mut first = Vec::with_capacity(n + 1);
+        let mut targets: Vec<u16> = Vec::with_capacity(2 * graph.edge_count());
+        first.push(0);
+        for v in 0..n {
+            targets.extend(graph.neighbors(v).iter().map(|&w| w as u16));
+            first.push(targets.len());
+        }
+        let mut queue: Vec<u16> = Vec::with_capacity(n);
+        let mut diameter = 0;
+        let next_towards = (0..n)
+            .map(|dst| {
+                let mut row: Vec<u16> = (0..n).map(|v| v as u16).collect();
+                queue.clear();
+                queue.push(dst as u16);
+                // `level` is the BFS depth of `queue[head]`; the level ends
+                // at `level_end`.
+                let (mut head, mut level, mut level_end) = (0, 0, 1);
+                while head < queue.len() {
+                    if head == level_end {
+                        level += 1;
+                        level_end = queue.len();
+                    }
+                    let v = queue[head];
+                    head += 1;
+                    for &w in &targets[first[usize::from(v)]..first[usize::from(v) + 1]] {
+                        if w as usize != dst && row[usize::from(w)] == w {
+                            row[usize::from(w)] = v;
+                            queue.push(w);
+                        }
+                    }
+                }
+                diameter = diameter.max(level);
+                row
+            })
+            .collect();
         RoutingTable {
-            parent_towards,
-            hops,
+            next_towards,
+            diameter,
         }
     }
 
     /// Next hop from `src` towards `dst`. `None` if `src == dst` or
     /// unreachable.
     pub fn next_hop(&self, src: usize, dst: usize) -> Option<usize> {
-        if src == dst {
-            return None;
-        }
-        let p = self.parent_towards[dst][src];
-        if p == u32::MAX {
-            None
-        } else {
-            Some(p as usize)
-        }
+        let next = usize::from(self.next_towards[dst][src]);
+        (next != src).then_some(next)
     }
 
-    /// Hop count from `src` to `dst`; `None` if unreachable.
+    /// Hop count from `src` to `dst`; `None` if unreachable. Walks the
+    /// route, so it costs O(hops).
     pub fn hops(&self, src: usize, dst: usize) -> Option<u32> {
-        let h = self.hops[dst][src];
-        if h == u32::MAX {
-            None
-        } else {
-            Some(h)
+        let row = &self.next_towards[dst];
+        let (mut cur, mut hops) = (src, 0);
+        while cur != dst {
+            let next = usize::from(row[cur]);
+            if next == cur {
+                return None;
+            }
+            (cur, hops) = (next, hops + 1);
         }
+        Some(hops)
     }
 
     /// The full node sequence of a shortest path (inclusive of endpoints).
@@ -228,11 +284,14 @@ impl RoutingTable {
         while cur != dst {
             cur = self.next_hop(cur, dst)?;
             path.push(cur);
-            if path.len() > self.hops.len() {
-                return None; // corrupted table; defensive
-            }
         }
         Some(path)
+    }
+
+    /// The network's hop diameter: the largest finite hop count between
+    /// two nodes (0 when no two nodes are connected).
+    pub fn diameter(&self) -> u32 {
+        self.diameter
     }
 }
 
@@ -325,6 +384,26 @@ mod tests {
     }
 
     #[test]
+    fn routing_diameter_is_the_deepest_bfs_level() {
+        assert_eq!(RoutingTable::build(&path4()).diameter(), 3);
+        // Two components: a path of 3 and an isolated node.
+        let mut g = CommGraph::new(4);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
+        assert_eq!(RoutingTable::build(&g).diameter(), 2);
+        assert_eq!(RoutingTable::build(&CommGraph::new(3)).diameter(), 0);
+        assert_eq!(RoutingTable::build(&CommGraph::new(0)).diameter(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 65,536")]
+    fn routing_rejects_more_nodes_than_u16_can_name() {
+        // The assertion fires before any row is allocated; the 65,537 rows
+        // it guards against would take 8 GiB.
+        RoutingTable::build(&CommGraph::new((1 << 16) + 1));
+    }
+
+    #[test]
     fn max_degree() {
         let mut g = CommGraph::new(4);
         g.add_edge(0, 1);
@@ -357,8 +436,104 @@ mod proptests {
             })
     }
 
+    /// Graphs with disconnected parts and isolated nodes: random edges
+    /// only, no spanning path.
+    fn random_sparse_graph() -> impl Strategy<Value = CommGraph> {
+        (
+            1usize..40,
+            proptest::collection::vec((0usize..1000, 0usize..1000), 0..50),
+        )
+            .prop_map(|(n, edges)| {
+                let mut g = CommGraph::new(n);
+                for (a, b) in edges {
+                    g.add_edge(a % n, b % n);
+                }
+                g
+            })
+    }
+
+    /// The two-matrix table `RoutingTable` replaced: per destination, one
+    /// FIFO BFS fills a `u32` parent row and a `u32` hop row, with
+    /// `u32::MAX` for "unreachable".
+    struct Oracle {
+        parent_towards: Vec<Vec<u32>>,
+        hops: Vec<Vec<u32>>,
+    }
+
+    impl Oracle {
+        fn build(g: &CommGraph) -> Self {
+            let mut oracle = Oracle {
+                parent_towards: Vec::new(),
+                hops: Vec::new(),
+            };
+            for dst in 0..g.n() {
+                let mut parent = vec![u32::MAX; g.n()];
+                let mut dist = vec![u32::MAX; g.n()];
+                let mut queue = VecDeque::new();
+                parent[dst] = dst as u32;
+                dist[dst] = 0;
+                queue.push_back(dst);
+                while let Some(v) = queue.pop_front() {
+                    for &w in g.neighbors(v) {
+                        if parent[w as usize] == u32::MAX {
+                            parent[w as usize] = v as u32;
+                            dist[w as usize] = dist[v] + 1;
+                            queue.push_back(w as usize);
+                        }
+                    }
+                }
+                oracle.parent_towards.push(parent);
+                oracle.hops.push(dist);
+            }
+            oracle
+        }
+
+        fn next_hop(&self, src: usize, dst: usize) -> Option<usize> {
+            let p = self.parent_towards[dst][src];
+            (src != dst && p != u32::MAX).then_some(p as usize)
+        }
+
+        fn hops(&self, src: usize, dst: usize) -> Option<u32> {
+            let h = self.hops[dst][src];
+            (h != u32::MAX).then_some(h)
+        }
+
+        fn path(&self, src: usize, dst: usize) -> Option<Vec<usize>> {
+            let mut path = vec![src];
+            while *path.last()? != dst {
+                path.push(self.next_hop(*path.last()?, dst)?);
+            }
+            Some(path)
+        }
+
+        /// The old O(n²) diameter scan.
+        fn diameter(&self) -> u32 {
+            self.hops
+                .iter()
+                .flatten()
+                .filter(|&&h| h != u32::MAX)
+                .max()
+                .copied()
+                .unwrap_or(0)
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn u16_rows_route_like_the_two_matrix_bfs(g in random_sparse_graph()) {
+            let rt = RoutingTable::build(&g);
+            let oracle = Oracle::build(&g);
+            for src in 0..g.n() {
+                for dst in 0..g.n() {
+                    prop_assert_eq!(rt.next_hop(src, dst), oracle.next_hop(src, dst));
+                    prop_assert_eq!(rt.hops(src, dst), oracle.hops(src, dst));
+                    prop_assert_eq!(rt.path(src, dst), oracle.path(src, dst));
+                }
+            }
+            prop_assert_eq!(rt.diameter(), oracle.diameter());
+        }
+
         #[test]
         fn bfs_distances_satisfy_edge_relaxation(g in random_connected_graph()) {
             let d = g.bfs_hops(0);

@@ -150,9 +150,9 @@ impl WorkloadSim {
         link: impl Into<Box<dyn LinkModel>>,
         arq: Option<ArqConfig>,
     ) -> WorkloadSim {
-        // One network for the whole deployment: clustering, the backbone,
-        // the diameter scan and the serving simulator share its routing
-        // table, which is therefore built once.
+        // One network for the whole deployment: the backbone, the
+        // diameter and the serving simulator share its routing table,
+        // which is therefore built once.
         let net = SimNetwork::new(topology);
         let outcome = run_implicit(
             &net,
@@ -203,11 +203,6 @@ impl WorkloadSim {
                     .collect()
             })
             .collect();
-        let diameter: u64 = (0..n)
-            .flat_map(|a| (0..n).map(move |b| (a, b)))
-            .filter_map(|(a, b)| routing.hops(a, b))
-            .max()
-            .unwrap_or(0) as u64;
         let shared = Arc::new(Shared {
             templates: schedule.templates.clone(),
             metric,
@@ -223,7 +218,7 @@ impl WorkloadSim {
             tree_parent,
             tree_children,
             backbone_peers_of,
-            diameter,
+            diameter: u64::from(routing.diameter()),
             n_clusters,
             load_admission: opts.load_admission,
             expect_subs: opts.subscriptions || !schedule.subscriptions.is_empty(),

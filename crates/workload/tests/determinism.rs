@@ -2,6 +2,7 @@
 
 use elink_datasets::TerrainDataset;
 use elink_metric::{Absolute, Feature};
+use elink_topology::RoutingTable;
 use elink_workload::{expected_matches, ServeOptions, SloReport, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
 
@@ -192,4 +193,25 @@ fn closed_loop_same_seed_determinism() {
     assert_eq!(a.costs, b.costs);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.completed, b.completed);
+}
+
+/// The serving deployment's routing rows (the deployment of the serving
+/// benchmarks and reports), pinned as one FNV-1a digest over every next
+/// hop, so a change to the BFS tie-breaks fails here and not only at the
+/// benchmark's digest pins.
+#[test]
+fn serving_deployment_routes_are_pinned() {
+    let data = TerrainDataset::generate(1024, 6, 0.55, 7);
+    let routing = RoutingTable::build(data.topology().graph());
+    let n = data.topology().n();
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    for dst in 0..n {
+        for v in 0..n {
+            let next = routing.next_hop(v, dst).unwrap_or(v) as u16;
+            for byte in next.to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!((digest, routing.diameter()), (0x4919_01f9_fab4_19e1, 25));
 }
