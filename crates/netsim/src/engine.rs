@@ -459,9 +459,12 @@ struct ArqState<M> {
 /// order, so a receiver mostly accepts them in ascending order: a new seq
 /// is appended at the tail, and a late or duplicate copy is found by a
 /// short scan back from the tail. Nothing is ever pruned: a duplicate may
-/// arrive any time after the original, and dedup must stay exact.
+/// arrive any time after the original, and dedup must stay exact. Rows
+/// hold seqs as `u32`, half the bytes of the engine's `u64` counter, so a
+/// receiver accepting a seq above `u32::MAX` (a run of more than 2³² ARQ
+/// transfers) panics.
 struct AcceptedSeqs {
-    per_node: Vec<Vec<u64>>,
+    per_node: Vec<Vec<u32>>,
 }
 
 impl AcceptedSeqs {
@@ -474,6 +477,7 @@ impl AcceptedSeqs {
     /// Records `seq` as accepted at `node`; `false` if it already was.
     // simlint: hot
     fn insert(&mut self, node: usize, seq: u64) -> bool {
+        let seq = u32::try_from(seq).expect("ARQ seq beyond the dedup rows' u32 range"); // simlint: allow(no-panic-in-protocol): structural capacity invariant (u32 seqs in the dedup rows), not a fault path
         let seen = &mut self.per_node[node];
         let at = seen.iter().rposition(|&s| s <= seq).map_or(0, |i| i + 1);
         if at > 0 && seen[at - 1] == seq {
@@ -2628,39 +2632,56 @@ mod tests {
         // LCG-driven stream over 4 receivers: mostly fresh seqs in issue
         // order, plus late copies (a seq issued a while ago, possibly never
         // seen here) and duplicates (a seq this receiver already accepted).
-        let mut flat = AcceptedSeqs::new(4);
-        let mut oracle: BTreeSet<(usize, u64)> = BTreeSet::new();
-        let mut accepted: Vec<(usize, u64)> = Vec::new();
-        let mut next_seq = 0u64;
-        let mut x: u64 = 0x243F6A8885A308D3;
-        for _ in 0..4000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let r = x >> 33;
-            let node = (r % 4) as usize;
-            let (node, seq) = match (r >> 2) % 8 {
-                0..=3 => {
-                    next_seq += 1 + (r >> 5) % 3;
-                    (node, next_seq)
+        // Once from seq 0, once ending at `u32::MAX`, the last seq the
+        // rows can hold (4,000 steps advance the seq by at most 12,000).
+        let top = u64::from(u32::MAX);
+        for start in [0, top - 12_000] {
+            let mut flat = AcceptedSeqs::new(4);
+            let mut oracle: BTreeSet<(usize, u64)> = BTreeSet::new();
+            let mut accepted: Vec<(usize, u64)> = Vec::new();
+            let mut next_seq = start;
+            let mut x: u64 = 0x243F6A8885A308D3;
+            for _ in 0..4000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = x >> 33;
+                let node = (r % 4) as usize;
+                let (node, seq) = match (r >> 2) % 8 {
+                    0..=3 => {
+                        next_seq += 1 + (r >> 5) % 3;
+                        (node, next_seq)
+                    }
+                    4 | 5 => (node, next_seq.saturating_sub((r >> 5) % 40)),
+                    _ if accepted.is_empty() => (node, next_seq),
+                    _ => accepted[(r >> 5) as usize % accepted.len()],
+                };
+                let fresh = oracle.insert((node, seq));
+                assert_eq!(flat.insert(node, seq), fresh, "({node}, {seq})");
+                if fresh {
+                    accepted.push((node, seq));
                 }
-                4 | 5 => (node, next_seq.saturating_sub((r >> 5) % 40)),
-                _ if accepted.is_empty() => (node, next_seq),
-                _ => accepted[(r >> 5) as usize % accepted.len()],
-            };
-            let fresh = oracle.insert((node, seq));
-            assert_eq!(flat.insert(node, seq), fresh, "({node}, {seq})");
-            if fresh {
-                accepted.push((node, seq));
+            }
+            for (node, seq) in [(0, top), (1, top), (0, top)] {
+                assert_eq!(flat.insert(node, seq), oracle.insert((node, seq)));
+            }
+            for (node, seen) in flat.per_node.iter().enumerate() {
+                let want: Vec<u64> = oracle
+                    .range((node, 0)..(node + 1, 0))
+                    .map(|&(_, s)| s)
+                    .collect();
+                let got: Vec<u64> = seen.iter().map(|&s| u64::from(s)).collect();
+                assert_eq!(got, want, "receiver {node} from seq {start}");
             }
         }
-        for (node, seen) in flat.per_node.iter().enumerate() {
-            let want: Vec<u64> = oracle
-                .range((node, 0)..(node + 1, 0))
-                .map(|&(_, s)| s)
-                .collect();
-            assert_eq!(seen, &want, "receiver {node}");
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 range")]
+    fn accepted_seqs_refuse_a_seq_past_u32_max() {
+        let mut seen = AcceptedSeqs::new(1);
+        assert!(seen.insert(0, u64::from(u32::MAX)));
+        seen.insert(0, u64::from(u32::MAX) + 1);
     }
 
     #[test]

@@ -10,16 +10,32 @@
 //! `O(1)` amortized, and events scheduled beyond the wheel horizon wait in
 //! an overflow heap.
 //!
+//! # Memory
+//!
+//! The queue's bookkeeping follows its live events, not the length of the
+//! run. A wheel bucket is a `(head, tail)` pair of slot indices: its events
+//! are linked through their slots' `next` field and appended at the tail,
+//! so a bucket holds them in push order and owns no storage of its own.
+//! The free list is linked through the same field from one head index.
+//! While an event waits in the overflow heap its `next` holds a sentinel
+//! instead, which is how [`Scheduler::cancel`] tells the two places apart.
+//! So the scheduler owns the chunked slab, 8 bytes of bucket heads per
+//! bucket and the overflow heap, and nothing else.
+//!
 //! # Cancellation
 //!
 //! [`Scheduler::cancel`] drops an event's payload at once. A cancelled
 //! event is never popped and never counted: `len`, `is_empty`,
 //! `next_time` and `peak_live` see live events only. A wheel bucket names
 //! its events by bare slot index, so a cancelled wheel event keeps its
-//! slot until the wheel reaches its tick, where the slot is freed and
-//! skipped. An overflow entry carries its slot's generation, so a
-//! cancelled far-future event frees its slot at once, and the entry is
-//! discarded when it surfaces with a generation its slot no longer has.
+//! slot, linked in its bucket, until the wheel reaches its tick, where the
+//! slot is freed and skipped. An overflow entry carries its slot's
+//! generation, so a cancelled far-future event frees its slot at once; its
+//! entry becomes stale. The heap counts its stale entries exactly: a cancel
+//! adds one, and each stale entry discarded at migration or as the heap
+//! minimum takes one away. Once they are more than half of the heap, every
+//! stale entry is dropped in one pass, so the heap holds at most twice its
+//! live entries (plus one) after any cancel, at amortized O(1) per cancel.
 //!
 //! # Determinism
 //!
@@ -39,7 +55,9 @@
 //!    entries included.
 //!
 //! Cancellation removes entries and never reorders the rest, so the live
-//! events keep their `(time, seq)` order.
+//! events keep their `(time, seq)` order. Dropping the stale overflow
+//! entries rebuilds the heap, but its keys are unique, so the survivors pop
+//! in the same order.
 
 use crate::engine::SimTime;
 use std::cmp::Reverse;
@@ -81,14 +99,23 @@ pub struct PoppedEvent<T> {
     pub payload: T,
 }
 
+/// End of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
+/// `Slot::next` of an event waiting in the overflow heap.
+const IN_OVERFLOW: u32 = u32::MAX - 1;
+
 /// Arena slot. `payload` is `Some` while the event is live; pop and cancel
-/// take it. The seq tiebreak is not stored here: within a bucket it is the
-/// insertion order, and the overflow heap carries it in its key.
+/// take it. Neither the time nor the seq tiebreak is stored here: a
+/// bucket stands for one tick and keeps its slots in insertion order, and
+/// the overflow heap carries both in its key.
 struct Slot<T> {
-    time: SimTime,
     node: u32,
-    /// Bumped each time the slot is freed (it shares `node`'s word).
+    /// Bumped each time the slot is freed.
     gen: u32,
+    /// The next slot in this slot's wheel bucket or in the free list
+    /// ([`NIL`] at the end), or [`IN_OVERFLOW`] while the event waits in
+    /// the overflow heap.
+    next: u32,
     payload: Option<T>,
 }
 
@@ -149,13 +176,20 @@ impl<T> std::ops::IndexMut<usize> for Slab<T> {
     }
 }
 
-/// One wheel bucket: slot indices in insertion (= seq) order with a pop
-/// cursor, so draining never shifts elements. The backing `Vec` is reused
-/// across wheel rotations.
-#[derive(Default)]
+/// One wheel bucket: the first and last slot of its list ([`NIL`] when
+/// empty). Pushes append at `tail` and pops take `head`, so the list is in
+/// insertion (= seq) order.
+#[derive(Clone, Copy)]
 struct Bucket {
-    items: Vec<u32>,
-    head: usize,
+    head: u32,
+    tail: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
 }
 
 /// The engine's future-event set: push with an auto-assigned global
@@ -165,12 +199,15 @@ pub struct Scheduler<T> {
     live: usize,
     peak_live: usize,
     slots: Slab<T>,
-    free: Vec<u32>,
+    /// Head of the free list, linked through `Slot::next`.
+    free: u32,
     buckets: Vec<Bucket>,
     /// Far-future events (`time ≥ cur + B`), ordered by `(time, seq)`, with
     /// the slot and its generation at push. An entry whose slot has moved
-    /// to a later generation was cancelled.
+    /// to a later generation was cancelled (stale).
     overflow: BinaryHeap<Reverse<(SimTime, u64, u32, u32)>>,
+    /// Stale entries in `overflow`.
+    overflow_dead: usize,
     /// Lower bound on every queued event's time; the wheel window is
     /// `[cur, cur + B)`.
     cur: SimTime,
@@ -200,11 +237,10 @@ impl<T> Scheduler<T> {
             live: 0,
             peak_live: 0,
             slots: Slab::new(),
-            free: Vec::new(),
-            buckets: (0..Self::WHEEL_BUCKETS)
-                .map(|_| Bucket::default())
-                .collect(),
+            free: NIL,
+            buckets: vec![Bucket::EMPTY; Self::WHEEL_BUCKETS],
             overflow: BinaryHeap::new(),
+            overflow_dead: 0,
             cur: 0,
             in_wheel: 0,
             wheel_dead: 0,
@@ -234,24 +270,27 @@ impl<T> Scheduler<T> {
         (time & (self.buckets.len() as SimTime - 1)) as usize
     }
 
-    fn alloc(&mut self, time: SimTime, node: usize, payload: T) -> EventHandle {
+    /// Takes a slot for `payload` with the given `next` link.
+    fn alloc(&mut self, node: usize, next: u32, payload: T) -> EventHandle {
         let node = node as u32;
-        match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                (s.time, s.node, s.payload) = (time, node, Some(payload));
-                EventHandle { slot, gen: s.gen }
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("event arena overflow"); // simlint: allow(no-panic-in-protocol): structural capacity invariant (u32 slot indices), not a fault path
-                self.slots.push(Slot {
-                    time,
-                    node,
-                    gen: 0,
-                    payload: Some(payload),
-                });
-                EventHandle { slot, gen: 0 }
-            }
+        if self.free != NIL {
+            let slot = self.free;
+            let s = &mut self.slots[slot as usize];
+            self.free = s.next;
+            (s.node, s.next, s.payload) = (node, next, Some(payload));
+            EventHandle { slot, gen: s.gen }
+        } else {
+            let slot = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i < IN_OVERFLOW)
+                .expect("event arena overflow"); // simlint: allow(no-panic-in-protocol): structural capacity invariant (u32 slot indices below the link sentinels), not a fault path
+            self.slots.push(Slot {
+                node,
+                gen: 0,
+                next,
+                payload: Some(payload),
+            });
+            EventHandle { slot, gen: 0 }
         }
     }
 
@@ -259,12 +298,27 @@ impl<T> Scheduler<T> {
     fn release(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
         s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
+        s.next = self.free;
+        self.free = slot;
+    }
+
+    /// Appends `slot`, whose `next` is [`NIL`], to the bucket of `time`
+    /// and counts it in `in_wheel`.
+    fn link(&mut self, time: SimTime, slot: u32) {
+        let b = self.bucket_of(time);
+        let bucket = &mut self.buckets[b];
+        match bucket.tail {
+            NIL => bucket.head = slot,
+            tail => self.slots[tail as usize].next = slot,
+        }
+        bucket.tail = slot;
+        self.in_wheel += 1;
     }
 
     /// Queues `payload` for `node` at `time`, assigning the next global
     /// sequence number (the same-tick FIFO tiebreak). The handle stays
     /// valid for [`Scheduler::cancel`] until the event pops.
+    // simlint: hot
     pub fn push(&mut self, time: SimTime, node: usize, payload: T) -> EventHandle {
         debug_assert!(time >= self.cur, "push into the past breaks the wheel");
         let seq = self.seq;
@@ -273,23 +327,23 @@ impl<T> Scheduler<T> {
         if self.live > self.peak_live {
             self.peak_live = self.live;
         }
-        let h = self.alloc(time, node, payload);
         if time < self.horizon() {
-            let b = self.bucket_of(time);
-            self.buckets[b].items.push(h.slot);
-            self.in_wheel += 1;
+            let h = self.alloc(node, NIL, payload);
+            self.link(time, h.slot);
+            h
         } else {
+            let h = self.alloc(node, IN_OVERFLOW, payload);
             self.overflow.push(Reverse((time, seq, h.slot, h.gen)));
+            h
         }
-        h
     }
 
     /// Cancels a queued event and drops its payload; `false` (and no
     /// change) if the event already popped or was cancelled. A wheel event
     /// keeps its slot until the wheel reaches its tick; an overflow event
     /// frees its slot at once.
+    // simlint: hot
     pub fn cancel(&mut self, h: EventHandle) -> bool {
-        let horizon = self.horizon();
         let Some(s) = self.slots.get_mut(h.slot as usize) else {
             return false;
         };
@@ -297,34 +351,50 @@ impl<T> Scheduler<T> {
             return false;
         }
         self.live -= 1;
-        // Every live event before the horizon sits in the wheel
-        // (invariant 2); every later one is in the overflow heap.
-        if s.time < horizon {
+        if s.next != IN_OVERFLOW {
             self.wheel_dead += 1;
-        } else {
-            self.release(h.slot);
+            return true;
+        }
+        self.release(h.slot);
+        self.overflow_dead += 1;
+        if 2 * self.overflow_dead > self.overflow.len() {
+            self.compact_overflow();
         }
         true
+    }
+
+    /// Drops every stale overflow entry: those whose slot has moved on to
+    /// a later generation since the push.
+    fn compact_overflow(&mut self) {
+        let before = self.overflow.len();
+        let slots = &self.slots;
+        self.overflow
+            .retain(|&Reverse((_, _, slot, gen))| slots[slot as usize].gen == gen);
+        debug_assert_eq!(
+            before - self.overflow.len(),
+            self.overflow_dead,
+            "stale overflow count out of sync"
+        );
+        self.overflow_dead = 0;
     }
 
     /// Drops the cancelled entries at the head of bucket `b`; whether a
     /// live entry remains there.
     fn skip_dead(&mut self, b: usize) -> bool {
-        let bucket = &mut self.buckets[b];
-        while let Some(&slot) = bucket.items.get(bucket.head) {
-            let s = &mut self.slots[slot as usize];
+        let mut slot = self.buckets[b].head;
+        while slot != NIL {
+            let s = &self.slots[slot as usize];
             if s.payload.is_some() {
+                self.buckets[b].head = slot;
                 return true;
             }
-            bucket.head += 1;
+            let next = s.next;
             self.in_wheel -= 1;
             self.wheel_dead -= 1;
-            s.gen = s.gen.wrapping_add(1);
-            self.free.push(slot);
+            self.release(slot);
+            slot = next;
         }
-        // Drained: reset for reuse one rotation later.
-        bucket.items.clear();
-        bucket.head = 0;
+        self.buckets[b] = Bucket::EMPTY;
         false
     }
 
@@ -339,12 +409,13 @@ impl<T> Scheduler<T> {
                 break;
             }
             self.overflow.pop();
-            if self.slots[slot as usize].gen != gen {
-                continue; // cancelled: its slot was freed at the cancel
+            let s = &mut self.slots[slot as usize];
+            if s.gen != gen {
+                self.overflow_dead -= 1; // cancelled: its slot was freed at the cancel
+                continue;
             }
-            let b = self.bucket_of(t);
-            self.buckets[b].items.push(slot);
-            self.in_wheel += 1;
+            s.next = NIL;
+            self.link(t, slot);
         }
     }
 
@@ -353,6 +424,7 @@ impl<T> Scheduler<T> {
     /// so `run_until` can stop at a deadline and a later `inject` between
     /// the deadline and the next queued event stays legal (`push` requires
     /// `time ≥ cur`, and `cur` only advances on [`Scheduler::pop`]).
+    // simlint: hot
     pub fn next_time(&mut self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
@@ -372,6 +444,7 @@ impl<T> Scheduler<T> {
                     return Some(t);
                 }
                 self.overflow.pop();
+                self.overflow_dead -= 1;
             }
             debug_assert!(false, "live events unaccounted");
             return None;
@@ -389,6 +462,7 @@ impl<T> Scheduler<T> {
     }
 
     /// Removes and returns the earliest live event (`(time, seq)` order).
+    // simlint: hot
     pub fn pop(&mut self) -> Option<PoppedEvent<T>> {
         let t = self.next_time()?;
         if t != self.cur {
@@ -398,21 +472,19 @@ impl<T> Scheduler<T> {
             self.set_cur(t);
         }
         let b = self.bucket_of(t);
+        let slot = self.buckets[b].head;
+        let s = &mut self.slots[slot as usize];
+        let payload = s.payload.take().expect("next_time left a cancelled head"); // simlint: allow(no-panic-in-protocol): arena bookkeeping invariant; next_time stops only at a live head
+        let node = s.node as usize;
+        // Unlink the head; same-tick pushes from the handler append to
+        // what is left and pop in seq order.
         let bucket = &mut self.buckets[b];
-        let slot = bucket.items[bucket.head];
-        bucket.head += 1;
-        if bucket.head == bucket.items.len() {
-            // Reset for reuse one rotation later; same-tick pushes from the
-            // handler simply re-populate it and are popped in seq order.
-            bucket.items.clear();
-            bucket.head = 0;
+        bucket.head = s.next;
+        if bucket.head == NIL {
+            bucket.tail = NIL;
         }
         self.in_wheel -= 1;
         self.live -= 1;
-        let s = &mut self.slots[slot as usize];
-        debug_assert_eq!(s.time, t, "bucket held a foreign-time slot");
-        let payload = s.payload.take().expect("next_time left a cancelled head"); // simlint: allow(no-panic-in-protocol): arena bookkeeping invariant; next_time stops only at a live head
-        let node = s.node as usize;
         self.release(slot);
         Some(PoppedEvent {
             time: t,
@@ -432,6 +504,33 @@ mod tests {
             out.push((e.time, e.node, e.payload));
         }
         out
+    }
+
+    /// Slots on the free list.
+    fn free_len<T>(s: &Scheduler<T>) -> usize {
+        let (mut n, mut slot) = (0, s.free);
+        while slot != NIL {
+            n += 1;
+            slot = s.slots[slot as usize].next;
+        }
+        n
+    }
+
+    #[test]
+    fn slots_carry_twelve_bytes_beside_the_payload() {
+        // Node, generation and link; the time lives in the bucket or the
+        // overflow key (DESIGN.md §11.4). Over an 8-byte-aligned payload
+        // that is 16 bytes with padding.
+        fn check<T>() {
+            let (slot, payload) = (
+                std::mem::size_of::<Slot<T>>(),
+                std::mem::size_of::<Option<T>>(),
+            );
+            assert_eq!(slot, payload + 16, "slot over a {payload}-byte payload");
+        }
+        check::<[u64; 10]>();
+        check::<[u64; 15]>();
+        assert_eq!(std::mem::size_of::<Bucket>(), 8);
     }
 
     #[test]
@@ -607,7 +706,7 @@ mod tests {
         let got: Vec<(SimTime, u32)> = drain(&mut s).into_iter().map(|(t, _, p)| (t, p)).collect();
         assert_eq!(got, vec![(7, 5), (10, 3), (far, 4)]);
         // The dead wheel slot was freed when the wheel reached tick 10.
-        assert_eq!(s.free.len(), s.slots.len(), "a slot leaked");
+        assert_eq!(free_len(&s), s.slots.len(), "a slot leaked");
     }
 
     #[test]
@@ -644,6 +743,13 @@ mod tests {
             let h = s.push(far + 50 + i, 0, i);
             assert!(s.cancel(h));
             assert_eq!(s.slots.len(), keep.len() + 1, "slot {i} was not freed");
+            // Stale entries are compacted out once they are the majority.
+            assert!(
+                s.overflow.len() <= 2 * keep.len() + 1,
+                "overflow heap holds {} entries for {} live after cancel {i}",
+                s.overflow.len(),
+                keep.len()
+            );
         }
         assert_eq!(s.len(), keep.len());
         assert_eq!(s.peak_live(), keep.len() + 1);
@@ -656,7 +762,11 @@ mod tests {
     /// workloads (deterministic LCG per seed; same-tick bursts, in-window
     /// and far-future overflow times, pop-while-pushing churn, `next_time`
     /// peeks, and cancellation of random live events in the wheel and the
-    /// overflow heap, which the oracle drops too).
+    /// overflow heap, which the oracle drops too). Every seed also has a
+    /// cancel-heavy far-future phase, bursts of overflow events most of
+    /// which are cancelled again between pops, so the overflow heap
+    /// compacts mid-run; the stale-entry count is checked after each of
+    /// those cancels.
     #[test]
     fn heap_and_calendar_agree_on_random_workloads() {
         use std::collections::BTreeMap;
@@ -690,7 +800,8 @@ mod tests {
                 }
                 got
             };
-            for _ in 0..500 {
+            let mut compactions = 0;
+            for round in 0..500 {
                 // Burst of pushes at assorted offsets from `now`.
                 for _ in 0..(next() % 8) {
                     let r = next();
@@ -717,6 +828,43 @@ mod tests {
                     assert!(!s.cancel(h), "seed {seed}: double cancel accepted");
                     oracle.retain(|&Reverse((_, t, ..))| t != victim);
                 }
+                // Every 20th round: a far-future burst, seven in eight of
+                // it cancelled again, with pops in between.
+                if round % 20 == 10 {
+                    let first = tag;
+                    for _ in 0..(16 + next() % 48) {
+                        let r = next();
+                        let (t, node) = (now + 8192 + r % 50_000, (r % 64) as usize);
+                        handles.insert(tag, s.push(t, node, tag));
+                        oracle.push(Reverse((t, tag, node, tag)));
+                        tag += 1;
+                    }
+                    for victim in first..tag {
+                        if next() % 8 == 0 {
+                            continue;
+                        }
+                        let Some(h) = handles.remove(&victim) else {
+                            continue; // popped in between
+                        };
+                        let before = s.overflow.len();
+                        assert!(s.cancel(h), "seed {seed}: live cancel refused");
+                        oracle.retain(|&Reverse((_, t, ..))| t != victim);
+                        compactions += usize::from(s.overflow.len() < before);
+                        let stale = s
+                            .overflow
+                            .iter()
+                            .filter(|&&Reverse((_, _, slot, gen))| {
+                                s.slots[slot as usize].gen != gen
+                            })
+                            .count();
+                        assert_eq!(s.overflow_dead, stale, "seed {seed}: stale count");
+                        if victim % 4 == 0 {
+                            if let Some((t, ..)) = check_pop(&mut s, &mut oracle, &mut handles) {
+                                now = t;
+                            }
+                        }
+                    }
+                }
                 // Drain a few.
                 for _ in 0..(next() % 6) {
                     if let Some((t, ..)) = check_pop(&mut s, &mut oracle, &mut handles) {
@@ -726,6 +874,10 @@ mod tests {
                 }
             }
             while check_pop(&mut s, &mut oracle, &mut handles).is_some() {}
+            assert!(
+                compactions > 0,
+                "seed {seed}: the overflow heap never compacted"
+            );
             assert!(s.is_empty());
             assert!(handles.is_empty(), "seed {seed}: live handles left over");
         }
