@@ -9,10 +9,9 @@
 //! the accounting used by the experiment harness (DESIGN.md §2).
 
 use crate::BaselineOutcome;
-use elink_core::node_table::{FlatMap, NodeHandle, NodeTable};
 use elink_core::Clustering;
 use elink_metric::{Feature, Metric};
-use elink_netsim::{Ctx, Protocol, SimNetwork, Simulator, SyncLink};
+use elink_netsim::{Ctx, FlatMap, Protocol, SimNetwork, Simulator, SyncLink};
 use elink_topology::NodeId;
 use std::sync::Arc;
 
@@ -42,10 +41,8 @@ pub struct SfNode {
     feature: Feature,
     metric: Arc<dyn Metric>,
     delta: f64,
-    /// Registry translating neighbor ids to the dense handles keying
-    /// `neighbor_features`.
-    nodes: NodeTable,
-    neighbor_features: FlatMap<NodeHandle, Feature>,
+    /// Neighbor features, keyed by neighbor id.
+    neighbor_features: FlatMap<u32, Feature>,
     parent: Option<NodeId>,
     children: Vec<NodeId>,
     pending_reports: usize,
@@ -57,12 +54,11 @@ pub struct SfNode {
 }
 
 impl SfNode {
-    fn new(n: usize, feature: Feature, metric: Arc<dyn Metric>, delta: f64) -> SfNode {
+    fn new(feature: Feature, metric: Arc<dyn Metric>, delta: f64) -> SfNode {
         SfNode {
             feature,
             metric,
             delta,
-            nodes: NodeTable::new(n),
             neighbor_features: FlatMap::new(),
             parent: None,
             children: Vec::new(),
@@ -128,7 +124,7 @@ impl Protocol for SfNode {
                 let best = self
                     .neighbor_features
                     .iter()
-                    .map(|(&w, f)| (self.nodes.id(w), f))
+                    .map(|(&w, f)| (w as NodeId, f))
                     .filter(|&(w, _)| w < me)
                     .map(|(w, f)| (w, self.metric.distance(&self.feature, f)))
                     .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -149,7 +145,7 @@ impl Protocol for SfNode {
     fn on_message(&mut self, from: NodeId, msg: SfMsg, ctx: &mut Ctx<'_, SfMsg>) {
         match msg {
             SfMsg::Feature(f) => {
-                self.neighbor_features.insert(self.nodes.handle(from), f);
+                self.neighbor_features.insert(from as u32, f);
             }
             SfMsg::ParentNotify => {
                 self.children.push(from);
@@ -191,8 +187,10 @@ pub fn spanning_forest_protocol(
 ) -> BaselineOutcome {
     let n = network.topology().n();
     assert_eq!(features.len(), n);
+    // Neighbor tables key node ids as `u32`.
+    assert!(u32::try_from(n).is_ok(), "fleet too large for u32 node ids");
     let nodes: Vec<SfNode> = (0..n)
-        .map(|v| SfNode::new(n, features[v].clone(), Arc::clone(&metric), delta))
+        .map(|v| SfNode::new(features[v].clone(), Arc::clone(&metric), delta))
         .collect();
     let mut sim = Simulator::new(network.clone(), SyncLink, 0, nodes);
     sim.run_to_completion();

@@ -1,6 +1,5 @@
 //! Clustering results and δ-clustering validation (Definition 1).
 
-use crate::node_table::NodeTable;
 use elink_metric::{Feature, Metric};
 use elink_topology::{NodeId, Topology};
 
@@ -49,13 +48,13 @@ impl Clustering {
     ) -> Clustering {
         let n = topology.n();
         assert_eq!(states.len(), n);
-        let table = NodeTable::new(n);
+        assert!(u32::try_from(n).is_ok(), "fleet too large for u32 node ids");
         // Group nodes by recorded root id with one counting sort: groups
         // come in ascending root order, members in ascending id order.
         // Until the sort is done, `assignment[r]` is where root `r`'s next
         // member goes in `order`, so the sort needs no offsets array of its
         // own.
-        let mut order = table.column(0u32);
+        let mut order = vec![0u32; n];
         let mut assignment = vec![0usize; n];
         for &(root, _) in states {
             assert!(root < n, "recorded root {root} is not a node id");
@@ -76,8 +75,8 @@ impl Clustering {
         let graph = topology.graph();
         // Struct-of-arrays scratch reused across groups and cleared by
         // touched index, so the whole build is O(n + E).
-        let mut in_group = table.column(false);
-        let mut seen = table.column(false);
+        let mut in_group = vec![false; n];
+        let mut seen = vec![false; n];
         let mut queue = Vec::new();
 
         let mut lo = 0;

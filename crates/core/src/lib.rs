@@ -43,8 +43,6 @@ pub mod config;
 pub mod maintenance;
 /// Message-passing maintenance layer (updates, re-anchoring, failover).
 pub mod maintenance_protocol;
-/// Per-node neighbor/cluster bookkeeping tables.
-pub mod node_table;
 /// The ELink growth protocol (§4–§5): expand, merge, switch waves.
 pub mod protocol;
 /// The §3.2 quadtree, flat: pre-order cells, leaders, sentinel levels.
@@ -56,7 +54,6 @@ pub use clustering::{validate_delta_clustering, ClusterInfo, Clustering, Validat
 pub use config::ElinkConfig;
 pub use maintenance::{MaintenanceSim, UpdateOutcome};
 pub use maintenance_protocol::{maintenance_nodes, slack_conditions_hold, MaintMsg, MaintNode};
-pub use node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
 pub use protocol::{stray, ElinkMsg, ElinkNode, SignalMode};
 pub use runner::{
     build_sim, run_explicit, run_implicit, run_unordered, run_with_link, ElinkOutcome,

@@ -16,9 +16,8 @@
 //! is also how the experiment harness replays measurements.
 
 use crate::clustering::Clustering;
-use crate::node_table::{FlatMap, NodeHandle, NodeTable};
 use elink_metric::{Feature, Metric};
-use elink_netsim::{Ctx, Protocol};
+use elink_netsim::{Ctx, FlatMap, Protocol};
 use elink_topology::NodeId;
 use std::sync::Arc;
 
@@ -132,11 +131,8 @@ pub struct MaintNode {
     pub tree_parent: Option<NodeId>,
     /// Cluster-tree children.
     tree_children: Vec<NodeId>,
-    /// Registry translating fetch-origin ids to the dense handles keying
-    /// `fetch_return`.
-    nodes: NodeTable,
-    /// In-flight fetch return paths: origin → the child to reply to.
-    fetch_return: FlatMap<NodeHandle, NodeId>,
+    /// In-flight fetch return paths: origin id → the child to reply to.
+    fetch_return: FlatMap<u32, NodeId>,
     /// Pending update awaiting the fetched root feature.
     pending_update: Option<Feature>,
     /// Pending merge state: collected neighbor root info.
@@ -321,7 +317,7 @@ impl Protocol for MaintNode {
                         dim,
                     );
                 } else {
-                    self.fetch_return.insert(self.nodes.handle(origin), from);
+                    self.fetch_return.insert(origin as u32, from);
                     let Some(parent) = self.tree_parent else {
                         debug_assert!(false, "non-root {} lost its parent", ctx.id());
                         return;
@@ -357,7 +353,7 @@ impl Protocol for MaintNode {
                     }
                     self.start_merge(new_feature, ctx);
                 } else {
-                    let Some(child) = self.fetch_return.remove(&self.nodes.handle(origin)) else {
+                    let Some(child) = self.fetch_return.remove(&(origin as u32)) else {
                         debug_assert!(false, "fetch reply at {} with no recorded path", ctx.id());
                         return;
                     };
@@ -511,6 +507,11 @@ pub fn maintenance_nodes(
     slack: f64,
 ) -> Vec<MaintNode> {
     assert!(slack >= 0.0 && 2.0 * slack < delta, "need 0 ≤ 2Δ < δ");
+    // Fetch return paths key origin ids as `u32`.
+    assert!(
+        u32::try_from(clustering.n()).is_ok(),
+        "fleet too large for u32 node ids"
+    );
     let children = clustering.tree_children();
     (0..clustering.n())
         .map(|v| {
@@ -526,7 +527,6 @@ pub fn maintenance_nodes(
                 cached_root_feature: features[root].clone(),
                 tree_parent: clustering.tree_parent[v],
                 tree_children: children[v].clone(),
-                nodes: NodeTable::new(clustering.n()),
                 fetch_return: FlatMap::new(),
                 pending_update: None,
                 pending_merge: None,

@@ -23,10 +23,9 @@
 //! back into a cluster it has left (see DESIGN.md for the rationale).
 
 use crate::config::ElinkConfig;
-use crate::node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
 use crate::quadinfo::{CellId, QuadInfo, ROOT};
 use elink_metric::{Feature, Metric};
-use elink_netsim::{canon_f64, Canonicalize, Ctx, Protocol};
+use elink_netsim::{canon_f64, Canonicalize, Ctx, FlatMap, FlatSet, Protocol};
 use elink_topology::NodeId;
 use std::sync::Arc;
 
@@ -207,9 +206,6 @@ struct Shared {
     mode: SignalMode,
     quad: Arc<QuadInfo>,
     n: usize,
-    /// Registry translating cluster-root [`NodeId`]s to the dense
-    /// [`NodeHandle`]s that key the per-node tables.
-    nodes: NodeTable,
 }
 
 impl Shared {
@@ -220,13 +216,14 @@ impl Shared {
         mode: SignalMode,
         quad: Arc<QuadInfo>,
     ) -> Arc<Shared> {
+        // Cluster roots key the per-node tables as `u32` ids.
+        assert!(u32::try_from(n).is_ok(), "fleet too large for u32 node ids");
         Arc::new(Shared {
             metric,
             config,
             mode,
             quad,
             n,
-            nodes: NodeTable::new(n),
         })
     }
 }
@@ -235,7 +232,8 @@ impl Shared {
 /// allocated on first use, so implicit and unordered runs never pay for it.
 #[derive(Debug, Clone, Default)]
 struct Explicit {
-    subtrees: FlatMap<NodeHandle, Subtree>,
+    /// Keyed by cluster root id.
+    subtrees: FlatMap<u32, Subtree>,
     /// Keyed by `(cell, level)` packed into one `u64` (see
     /// [`phase1_key`]) — one contiguous allocation instead of a tree of
     /// two-word tuples.
@@ -252,8 +250,8 @@ struct Explicit {
 /// `c = 4`.
 const JOINED_INLINE: usize = 5;
 
-/// The roots of every cluster a node has joined, as dense handle indices in
-/// ascending order: inline up to [`JOINED_INLINE`] entries, on the heap
+/// The roots of every cluster a node has joined, as `u32` ids in ascending
+/// order: inline up to [`JOINED_INLINE`] entries, on the heap
 /// beyond (only for `c > 4`).
 #[derive(Debug, Clone)]
 enum JoinedRoots {
@@ -278,14 +276,11 @@ impl JoinedRoots {
         }
     }
 
-    fn contains(&self, root: NodeHandle) -> bool {
-        self.as_slice()
-            .binary_search(&(root.index() as u32))
-            .is_ok()
+    fn contains(&self, root: u32) -> bool {
+        self.as_slice().binary_search(&root).is_ok()
     }
 
-    fn insert(&mut self, root: NodeHandle) {
-        let root = root.index() as u32;
+    fn insert(&mut self, root: u32) {
         let Err(at) = self.as_slice().binary_search(&root) else {
             return;
         };
@@ -410,8 +405,7 @@ impl ElinkNode {
 
     /// The subtree entry of the cluster rooted at `root`, if any.
     fn subtree(&mut self, root: NodeId) -> Option<&mut Subtree> {
-        let h = self.shared.nodes.handle(root);
-        self.explicit.as_mut()?.subtrees.get_mut(&h)
+        self.explicit.as_mut()?.subtrees.get_mut(&(root as u32))
     }
 
     /// Extraction hook: `(root, root_feature)`; unclustered nodes (possible
@@ -458,7 +452,7 @@ impl ElinkNode {
         self.root_feature = self.feature.clone(); // simlint: allow(no-hot-path-alloc): Feature dim <= 4 is inline storage; clone is a memcpy
         self.joined_level = level;
         self.parent = id;
-        let h = self.shared.nodes.handle(id);
+        let h = id as u32;
         self.ever_joined.insert(h);
         let explicit = self.shared.mode == SignalMode::Explicit;
         if explicit {
@@ -498,7 +492,7 @@ impl ElinkNode {
         ctx: &mut Ctx<'_, ElinkMsg>,
     ) {
         let shared = &*self.shared;
-        let h = shared.nodes.handle(root);
+        let h = root as u32;
         if (self.clustered && self.root == root) || self.ever_joined.contains(h) {
             return; // current or former member; re-joining gains nothing
         }
@@ -838,7 +832,7 @@ impl Protocol for ElinkNode {
 /// merged, so an omitted behavior-relevant field would unsoundly prune
 /// genuinely distinct schedules. Covered: the Fig 16 join state
 /// (`clustered`, `root`, `root_feature`, `joined_level`, `parent`,
-/// `switches_left`), `ever_joined` (ascending handle indices, whether
+/// `switches_left`), `ever_joined` (ascending root ids, whether
 /// inline or spilled), the explicit-mode bookkeeping (`subtrees`,
 /// `phase1_pending`, `phase1_done`; a node that never allocated its box
 /// renders them empty, exactly like an allocated empty box), and the
@@ -847,8 +841,8 @@ impl Protocol for ElinkNode {
 /// render an empty `|st:` section.
 ///
 /// Deliberately excluded, with why the exclusion is sound: `feature` and
-/// the shared per-run block (`metric`, `config`, `mode`, `quad`, `n`,
-/// `nodes`) — fixed at construction and never written by any handler;
+/// the shared per-run block (`metric`, `config`, `mode`, `quad`, `n`) —
+/// fixed at construction and never written by any handler;
 /// identical across all states of one exploration.
 impl Canonicalize for ElinkNode {
     fn canonicalize(&self, out: &mut String) {
@@ -868,7 +862,7 @@ impl Canonicalize for ElinkNode {
             let _ = write!(
                 out,
                 "[{}>{:?}c{}w{}a{}s{:?}]",
-                h.index(),
+                h,
                 sub.parent,
                 sub.pending_children,
                 sub.wait_done as u8,
@@ -1075,24 +1069,22 @@ mod tests {
 
     #[test]
     fn joined_roots_match_a_sorted_set_inline_and_spilled() {
-        let table = NodeTable::new(64);
-        for stride in [1usize, 7, 13, 29] {
+        for stride in [1u32, 7, 13, 29] {
             let mut roots = JoinedRoots::EMPTY;
             let mut oracle = FlatSet::new();
             for i in 0..12 {
-                let h = table.handle((i * stride + 5) % 64);
+                let h = (i * stride + 5) % 64;
                 // Re-inserting is a no-op, inline and spilled alike.
                 for _ in 0..2 {
                     roots.insert(h);
-                    oracle.insert(h.index() as u32);
+                    oracle.insert(h);
                 }
                 let want: Vec<u32> = oracle.iter().copied().collect();
                 assert_eq!(roots.as_slice(), &want[..], "stride {stride}");
                 let spilled = matches!(roots, JoinedRoots::Spilled(_));
                 assert_eq!(spilled, want.len() > JOINED_INLINE);
                 for v in 0..64 {
-                    let h = table.handle(v);
-                    assert_eq!(roots.contains(h), oracle.contains(&(v as u32)));
+                    assert_eq!(roots.contains(v), oracle.contains(&v));
                 }
             }
         }

@@ -13,30 +13,35 @@
 //!                      │  on_start / on_message / on_timer
 //!                      ▼
 //!  ┌──────────────────────────────────────────────────────────────────┐
-//!  │ engine   calendar-queue scheduler + run loop; Ctx handle (send,  │
-//!  │          unicast, broadcast_neighbors, timers, neighbors &[u32],│
-//!  │          metrics/phase_enter/phase_exit)                        │
-//!  └────┬──────────────┬────────────────┬───────────────┬────────────┘
+//!  │ engine   calendar-queue scheduler + run loop + dispatch; one     │
+//!  │          transmission path (bill, fate, transmit, forward)       │
+//!  │  ├ ctx      Ctx handle (send, unicast, broadcast_neighbors,      │
+//!  │  │          timers, neighbors &[u32], metrics/phase_enter/exit)  │
+//!  │  └ capture  model-checker seam (McEvent, Captured, snapshots)    │
+//!  │ reliable ARQ sublayer: config, transfer/copy slabs, dedup, and   │
+//!  │          every ARQ event behind one dispatch entry               │
+//!  └────┬──────────────┬────────────────┬───────────────┬─────────────┘
 //!       │ hop()/       │ record_tx/     │ every event   │ counters,
 //!       │ is_alive()   │ record_rx      │               │ histograms,
 //!       ▼              ▼                ▼               ▼ phase spans
 //!  ┌──────────┐  ┌───────────┐   ┌─────────────┐  ┌─────────────┐
 //!  │ link     │  │ stats     │   │ trace       │  │ metrics     │
 //!  │ SyncLink │  │ CostBook  │   │ TraceSink   │  │ Metrics     │
-//!  │ LossyLink│  │ ├ per-kind│   │ ├ RingBuffer│  │ ├ Histogram │
-//!  │ FairShare│  │ │ (§8.2)  │   │ ├ Counting  │  │ └ PhaseStats│
-//!  │ (+crash, │  │ └ per-node│   │ └ Jsonl     │  │  (sim-time  │
-//!  │  loss,   │  │   tx/rx/  │   │  (optional) │  │   only)     │
-//!  │  partition)  │   energy  │   └─────────────┘  └─────────────┘
+//!  │ LossyLink│  │ ├ per-kind│   │ └ Jsonl     │  │ ├ Histogram │
+//!  │ FairShare│  │ │ (§8.2)  │   │  (optional) │  │ └ PhaseStats│
+//!  │ (+crash, │  │ └ per-node│   └─────────────┘  │  (sim-time  │
+//!  │  loss,   │  │   tx/rx/  │                    │   only)     │
+//!  │  partition)  │   energy  │                    └─────────────┘
 //!  └──────────┘  └───────────┘
 //! ```
 //!
 //! * [`engine`] owns the dispatch loop over the [`scheduler`]'s calendar
-//!   queue. Protocols implement [`Protocol`] and interact through [`Ctx`].
-//!   Every radio transmission — a send, a unicast leg, an ARQ data copy
-//!   or ack — takes one path: it is billed once and asks the link for its
-//!   fate once (one [`LinkModel::hop`] call). Multi-hop [`Ctx::unicast`]
-//!   walks the shortest path hop by hop.
+//!   queue. Protocols implement [`Protocol`] and interact through [`Ctx`]
+//!   (its own child module, as is the model checker's capture seam,
+//!   [`McEvent`]). Every radio transmission — a send, a unicast leg, an
+//!   ARQ data copy or ack — takes one path: it is billed once and asks the
+//!   link for its fate once (one [`LinkModel::hop`] call). Multi-hop
+//!   [`Ctx::unicast`] walks the shortest path hop by hop.
 //! * [`link`] decides per-hop fate: [`SyncLink`] (one tick per hop, §4)
 //!   and [`LossyLink`] (bounded uniform delays, §5, plus drop probability,
 //!   scheduled node crash/recover windows and partition masks) — both
@@ -58,16 +63,16 @@
 //!   non-protocol baselines, §6 maintenance) record through the same API, so
 //!   simulated and analytic bills merge and report identically.
 //! * [`trace`] is an optional observer: a [`TraceSink`] receives every
-//!   send/deliver/drop/timer event for tests ([`RingBufferTrace`]), cheap
-//!   experiment instrumentation ([`CountingTrace`]), or offline analysis
+//!   send/deliver/drop/timer event, e.g. for offline analysis
 //!   ([`JsonlTrace`] streams JSON Lines). Traces count per *logical
 //!   message*; `CostBook` bills per *hop* — see the [`trace`] module docs
 //!   for the contract.
-//! * [`reliable`] holds the configuration and timing policy of the engine's
-//!   optional ARQ sublayer ([`Simulator::enable_arq`]): per-link
-//!   ack/retransmit/dedup that makes `send`/`unicast` survive lossy links
-//!   without any protocol changes, billed first-class through [`CostBook`]
-//!   (`net.retx`/`net.ack` kinds).
+//! * [`reliable`] is the engine's optional ARQ sublayer
+//!   ([`Simulator::enable_arq`]): its configuration and timing policy, its
+//!   transfer and copy state, and the handling of every ARQ event —
+//!   per-link ack/retransmit/dedup that makes `send`/`unicast` survive
+//!   lossy links without any protocol changes, billed first-class through
+//!   [`CostBook`] (`net.retx`/`net.ack` kinds).
 //! * [`metrics`] is the deterministic observability registry: named
 //!   counters, gauges, [`Histogram`]s (e.g. `net.unicast_hops`) and
 //!   [`PhaseStats`] simulated-time phase envelopes, fed by the engine and
@@ -88,7 +93,7 @@
 #![warn(missing_docs)]
 
 pub mod canon;
-/// Event queue, dispatch loop and the `Ctx` protocol handle.
+/// Dispatch loop and transmission path; the `Ctx` handle and the capture seam.
 pub mod engine;
 /// Sorted-vector map and set (`FlatMap`, `FlatSet`).
 pub mod flat;
@@ -98,13 +103,13 @@ pub mod flow;
 pub mod link;
 /// Deterministic counters, gauges, histograms and phase spans.
 pub mod metrics;
-/// ARQ sublayer configuration and retransmission timing policy.
+/// The ARQ sublayer: configuration, timing policy, state and event handling.
 pub mod reliable;
 /// The calendar-queue event scheduler, with O(1) cancellation.
 pub mod scheduler;
 /// Unified cost accounting (`CostBook`): per-kind and per-node bills.
 pub mod stats;
-/// Optional event-stream observers (ring buffer, counting, JSONL).
+/// Optional event-stream observers (the `TraceSink` trait, JSONL).
 pub mod trace;
 
 pub use canon::{canon_f64, fnv1a, Canonicalize};
@@ -122,4 +127,4 @@ pub use stats::{
     qid_kind, CostBook, KindStats, MessageStats, NodeStats, QID_SUB_CONTROL, QID_SUB_PUSH,
     QID_SUB_REPAIR,
 };
-pub use trace::{CountingTrace, DropReason, JsonlTrace, RingBufferTrace, TraceEvent, TraceSink};
+pub use trace::{DropReason, JsonlTrace, TraceEvent, TraceSink};

@@ -1,14 +1,11 @@
 //! Optional observer layer: engine-level event traces.
 //!
 //! A [`TraceSink`] attached via `Simulator::set_trace` receives every
-//! send/deliver/drop/timer event the engine processes. Three
-//! implementations cover the common cases: [`RingBufferTrace`] keeps the
-//! last `N` events for test assertions, [`CountingTrace`] keeps only totals
-//! for cheap experiment-scale instrumentation, and [`JsonlTrace`] streams
-//! every event as one JSON object per line for offline analysis (the
-//! `trace_summary` binary in `elink-bench` renders such logs as per-node
-//! tables). Wrap a sink in `Arc<Mutex<_>>` to keep a handle for inspection
-//! after the simulator takes ownership.
+//! send/deliver/drop/timer event the engine processes. [`JsonlTrace`]
+//! streams every event as one JSON object per line for offline analysis
+//! (the `trace_summary` binary in `elink-bench` renders such logs as
+//! per-node tables). Wrap a sink in `Arc<Mutex<_>>` to keep a handle for
+//! inspection after the simulator takes ownership.
 //!
 //! # Granularity contract: traces vs the cost book
 //!
@@ -22,14 +19,13 @@
 //!   books `hops` packets, one for each radio that fired (§8.2 charges the
 //!   transmitting side of every link).
 //!
-//! So on a 3-hop line, one unicast yields `CountingTrace { sends: 1,
-//! delivers: 1, .. }` but `costs().kind(k).packets == 3`. Use traces to
+//! So on a 3-hop line, one unicast traces one `Send` and one `Deliver`
+//! but `costs().kind(k).packets == 3`. Use traces to
 //! reason about protocol-level message flow, the cost book to reason about
 //! radio energy and the paper's message-cost metric; the engine test
 //! `multi_hop_contract_trace_per_message_book_per_hop` pins both numbers.
 
 use crate::engine::SimTime;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -121,88 +117,6 @@ impl<T: TraceSink> TraceSink for Arc<Mutex<T>> {
     fn record(&mut self, event: TraceEvent) {
         // simlint: allow(no-panic-in-protocol): a poisoned mutex means a sibling thread already panicked; propagating preserves that original failure
         self.lock().expect("trace sink poisoned").record(event);
-    }
-}
-
-/// Keeps the most recent `capacity` events.
-#[derive(Debug, Clone)]
-pub struct RingBufferTrace {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-}
-
-impl RingBufferTrace {
-    /// A buffer retaining the last `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        RingBufferTrace {
-            capacity,
-            events: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for RingBufferTrace {
-    fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-    }
-}
-
-/// Counts events by category; constant memory.
-///
-/// Counts are per *logical message*, not per hop: a multi-hop unicast
-/// contributes one send and one deliver however many relays it crosses,
-/// whereas `CostBook` bills each relay transmission (see the
-/// [module docs](self) for the full contract).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingTrace {
-    /// Logical messages sent (one per `Ctx::send`/`Ctx::unicast`, not per
-    /// hop; ARQ retransmissions are counted in `retx` instead).
-    pub sends: u64,
-    /// Messages delivered to protocol callbacks.
-    pub delivers: u64,
-    /// Messages/timers lost to the link layer or dead nodes.
-    pub drops: u64,
-    /// Timers fired.
-    pub timers: u64,
-    /// ARQ retransmission events (`Send` with the retx flag).
-    pub retx: u64,
-}
-
-impl CountingTrace {
-    /// All counters at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for CountingTrace {
-    fn record(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::Send { retx: true, .. } => self.retx += 1,
-            TraceEvent::Send { .. } => self.sends += 1,
-            TraceEvent::Deliver { .. } => self.delivers += 1,
-            TraceEvent::Drop { .. } => self.drops += 1,
-            TraceEvent::Timer { .. } => self.timers += 1,
-        }
     }
 }
 
@@ -353,8 +267,25 @@ impl<W: Write> TraceSink for JsonlTrace<W> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The engine tests' sink: every event, in order.
+    #[derive(Debug, Default)]
+    pub(crate) struct Collect(pub(crate) Vec<TraceEvent>);
+
+    impl Collect {
+        /// How many recorded events `pick` selects.
+        pub(crate) fn count(&self, pick: impl Fn(&TraceEvent) -> bool) -> u64 {
+            self.0.iter().filter(|e| pick(e)).count() as u64
+        }
+    }
+
+    impl TraceSink for Collect {
+        fn record(&mut self, event: TraceEvent) {
+            self.0.push(event);
+        }
+    }
 
     fn ev(i: u64) -> TraceEvent {
         TraceEvent::Timer {
@@ -365,74 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_keeps_most_recent() {
-        let mut trace = RingBufferTrace::new(3);
-        assert!(trace.is_empty());
-        for i in 0..5 {
-            trace.record(ev(i));
-        }
-        assert_eq!(trace.len(), 3);
-        let ids: Vec<u64> = trace
-            .events()
-            .map(|e| match e {
-                TraceEvent::Timer { id, .. } => *id,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn counting_trace_categorizes() {
-        let mut trace = CountingTrace::new();
-        trace.record(TraceEvent::Send {
-            time: 0,
-            from: 0,
-            to: 1,
-            query: None,
-            retx: false,
-        });
-        trace.record(TraceEvent::Send {
-            time: 3,
-            from: 0,
-            to: 1,
-            query: None,
-            retx: true,
-        });
-        trace.record(TraceEvent::Deliver {
-            time: 1,
-            from: 0,
-            to: 1,
-            query: None,
-        });
-        trace.record(TraceEvent::Drop {
-            time: 2,
-            from: 1,
-            to: 0,
-            reason: DropReason::Loss,
-            query: None,
-        });
-        trace.record(ev(3));
-        trace.record(ev(4));
-        assert_eq!(
-            trace,
-            CountingTrace {
-                sends: 1,
-                delivers: 1,
-                drops: 1,
-                timers: 2,
-                retx: 1,
-            }
-        );
-    }
-
-    #[test]
     fn arc_mutex_sink_shares_state() {
-        let shared = Arc::new(Mutex::new(CountingTrace::new()));
+        let shared = Arc::new(Mutex::new(Collect::default()));
         let mut handle = Arc::clone(&shared);
         handle.record(ev(0));
         handle.record(ev(1));
-        assert_eq!(shared.lock().unwrap().timers, 2);
+        assert_eq!(shared.lock().unwrap().0, vec![ev(0), ev(1)]);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! information from all its children to compute its own routing feature and
 //! covering radius," recursively to the cluster root.
 
-use elink_core::node_table::NodeTable;
 use elink_core::Clustering;
 use elink_metric::{Feature, Metric};
 use elink_netsim::CostBook;
@@ -66,16 +65,15 @@ impl DistributedIndex {
     ) -> (DistributedIndex, CostBook) {
         let n = clustering.n();
         assert_eq!(features.len(), n);
-        let table = NodeTable::new(n);
         let children = clustering.tree_children();
-        let mut covering_radius = table.column(0.0_f64);
+        let mut covering_radius = vec![0.0_f64; n];
         let mut stats = CostBook::new();
         let dim = features.first().map_or(1, Feature::scalar_cost);
 
         // Depths as a dense column in O(n): memoized parent-chain walks
         // (each node is labelled exactly once) instead of one
         // root-to-leaf walk per node.
-        let mut depths: Vec<u32> = table.column(u32::MAX);
+        let mut depths = vec![u32::MAX; n];
         let mut chain: Vec<NodeId> = Vec::new();
         for v in 0..n {
             let mut cur = v;

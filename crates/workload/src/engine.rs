@@ -203,6 +203,8 @@ impl WorkloadSim {
                     .collect()
             })
             .collect();
+        // Adopted failover children key a node's table as `u32` ids.
+        assert!(u32::try_from(n).is_ok(), "fleet too large for u32 node ids");
         let shared = Arc::new(Shared {
             templates: schedule.templates.clone(),
             metric,

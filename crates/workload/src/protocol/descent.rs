@@ -5,10 +5,9 @@
 use super::{Deadline, ServeMsg, ServeNode, Timer};
 use crate::gen::Template;
 use crate::nodeset::NodeSet;
-use elink_core::node_table::FlatSet;
 use elink_core::slack_conditions_hold;
 use elink_metric::Feature;
-use elink_netsim::{Ctx, QueryId, QID_SUB_REPAIR};
+use elink_netsim::{Ctx, FlatSet, QueryId, QID_SUB_REPAIR};
 use elink_query::{cluster_decision, descend_decision, ClusterDecision, DescendDecision};
 use elink_topology::NodeId;
 
@@ -269,7 +268,7 @@ impl ServeNode {
             template,
             riders: riders.to_vec(),
         };
-        if self.adopted.contains(&self.nodes.handle(child)) {
+        if self.adopted.contains(&(child as u32)) {
             ctx.unicast_tagged(child, msg, "wl_descend", scalars, riders[0])
         } else {
             ctx.send_tagged(child, msg, "wl_descend", scalars, riders[0]);

@@ -199,7 +199,7 @@ impl ServeNode {
             return;
         }
         let required = self.shared.metric.distance(&self.anchor, &feature) + radius;
-        self.adopted.insert(self.nodes.handle(from));
+        self.adopted.insert(from as u32);
         if let Some(e) = self.plan.entries.iter_mut().find(|e| e.child == from) {
             e.feature = feature;
             e.radius = radius;

@@ -95,9 +95,10 @@ use crate::qos::{self, Admission};
 use crate::subscribe::{ClientSub, SubState};
 use descent::EvalState;
 use echo::{EchoState, PendingQuery};
-use elink_core::node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
 use elink_metric::{Feature, Metric};
-use elink_netsim::{canon_f64, Canonicalize, Ctx, Protocol, QueryId, SimTime, TimerHandle};
+use elink_netsim::{
+    canon_f64, Canonicalize, Ctx, FlatMap, FlatSet, Protocol, QueryId, SimTime, TimerHandle,
+};
 use elink_topology::{NodeId, Topology};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -401,9 +402,6 @@ pub struct ServeNode {
     /// Bumped whenever this node's subtree state changes (own re-anchor or
     /// a descendant's invalidation climb).
     inval_epoch: u64,
-    /// Registry translating adopted-child ids to the dense handles keying
-    /// `adopted`.
-    nodes: NodeTable,
     /// Per-template cached subtree answers with their covered-node count.
     cache: FlatMap<u16, (NodeSet, u64)>,
     /// Single-flight descents, keyed by template.
@@ -420,7 +418,7 @@ pub struct ServeNode {
     /// Children adopted through failover (`Reattach`/`Adopt`). Adopted
     /// children are generally not topology neighbors, so descents to them
     /// go as routed unicasts instead of link sends.
-    adopted: FlatSet<NodeHandle>,
+    adopted: FlatSet<u32>,
     /// True once this node has been re-attached under a failover successor:
     /// the new parent is generally not a neighbor, so subtree replies go as
     /// routed unicasts.
@@ -546,7 +544,6 @@ impl ServeNode {
         root_feature: Feature,
         script: Vec<ScriptEntry>,
     ) -> ServeNode {
-        let nodes = NodeTable::new(shared.topology.n());
         ServeNode {
             id,
             plan,
@@ -556,7 +553,6 @@ impl ServeNode {
             root_feature,
             anchor_epoch: 0,
             inval_epoch: 0,
-            nodes,
             cache: FlatMap::new(),
             evals: FlatMap::new(),
             echo: FlatMap::new(),
@@ -868,8 +864,8 @@ impl Canonicalize for ServeNode {
         }
         let _ = write!(out, "|dr{:?}rp{}", self.dead_root, self.routed_parent as u8);
         out.push_str("|ad:");
-        for h in self.adopted.iter() {
-            let _ = write!(out, "{},", h.index());
+        for child in self.adopted.iter() {
+            let _ = write!(out, "{child},");
         }
         let _ = write!(out, "|sc{:?}", self.script);
         out.push_str("|cq:");

@@ -11,8 +11,7 @@ use crate::qos::{self, Admission};
 use crate::subscribe::{
     end_reason, ClientSub, PushVerdict, SentPush, SubEntry, TemplateView, WatchState,
 };
-use elink_core::node_table::FlatSet;
-use elink_netsim::{Ctx, SimTime, QID_SUB_CONTROL, QID_SUB_PUSH, QID_SUB_REPAIR};
+use elink_netsim::{Ctx, FlatSet, SimTime, QID_SUB_CONTROL, QID_SUB_PUSH, QID_SUB_REPAIR};
 use elink_topology::NodeId;
 
 /// Arms a watch's repair flush through its adaptive window, unless one is

@@ -37,8 +37,7 @@
 
 use crate::nodeset::NodeSet;
 use crate::qos::AdaptiveWindow;
-use elink_core::node_table::{apply_diff_sorted, FlatMap, FlatSet};
-use elink_netsim::SimTime;
+use elink_netsim::{FlatMap, FlatSet, SimTime};
 use elink_topology::NodeId;
 
 /// Why a subscription ended, as carried by `ServeMsg::SubEnd`.
@@ -138,6 +137,23 @@ impl ClientSub {
         self.covered = covered;
         self.pushes += 1;
         PushVerdict::Applied
+    }
+}
+
+/// Applies a `(adds, removes)` delta to a sorted view in place, preserving
+/// sortedness. Adds and removes are set operations (idempotent), so a delta
+/// applied to the exact base it was computed against reproduces the new
+/// set.
+fn apply_diff_sorted(view: &mut Vec<NodeId>, adds: &[NodeId], removes: &[NodeId]) {
+    for &r in removes {
+        if let Ok(i) = view.binary_search(&r) {
+            view.remove(i);
+        }
+    }
+    for &a in adds {
+        if let Err(i) = view.binary_search(&a) {
+            view.insert(i, a);
+        }
     }
 }
 

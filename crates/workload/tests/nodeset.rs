@@ -1,9 +1,8 @@
 //! Differential test: `NodeSet` against a `BTreeSet<NodeId>` oracle,
 //! driven by an LCG over ids that span several bitmap words.
 
-use elink_core::node_table::apply_diff_sorted;
 use elink_topology::NodeId;
-use elink_workload::NodeSet;
+use elink_workload::{ClientSub, NodeSet, PushVerdict};
 use std::collections::BTreeSet;
 
 /// Ids are drawn from `0..IDS`: five 64-bit words.
@@ -75,14 +74,17 @@ fn bitmap_matches_btreeset() {
             }
             4 => {
                 // A push delta: adds and removes between an old and a new
-                // view, applied to the old view's ascending vector.
+                // view, applied to the old view's ascending vector by a
+                // client applying the push.
                 let (old, new) = (&sets[i], &sets[j]);
                 let (adds, removes) = (new.difference(old), old.difference(new));
                 assert_same(&adds, &difference(&oracle[j], &oracle[i]));
                 assert_same(&removes, &difference(&oracle[i], &oracle[j]));
-                let mut view = old.to_vec();
-                apply_diff_sorted(&mut view, &adds.to_vec(), &removes.to_vec());
-                assert_eq!(view, new.to_vec());
+                let mut sub = ClientSub::new(0);
+                sub.view = old.to_vec();
+                let verdict = sub.apply_push(1, 0, false, &adds.to_vec(), &removes.to_vec(), 0);
+                assert_eq!(verdict, PushVerdict::Applied);
+                assert_eq!(sub.view, new.to_vec());
             }
             5 => {
                 sets[i] = sets[i].difference(&sets[j]);
