@@ -37,11 +37,12 @@ echo "== cargo test --release -p elink-workload (serving suites without debug as
 cargo test --release -q -p elink-workload
 
 # The scheduler's arena and cancellation invariants, the growth protocol's
-# and the model checker's are debug_assert!s too, and the routing table's
-# u16 rows are checked against their two-matrix oracle in the profile that
-# builds every BENCH number (~45 s build on 2 cores).
-echo "== cargo test --release -p elink-netsim -p elink-core -p elink-mc -p elink-topology (without debug assertions)"
-cargo test --release -q -p elink-netsim -p elink-core -p elink-mc -p elink-topology
+# and the model checker's are debug_assert!s too, the routing table's u16
+# rows and the flat adjacency are checked against their oracles, and the
+# 16-byte `Feature` layout and its copy-on-write in the profile that builds
+# every BENCH number (~45 s build on 2 cores).
+echo "== cargo test --release -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric (without debug assertions)"
+cargo test --release -q -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric
 
 # The --check smokes below need release binaries: debug builds are ~10x
 # slower and `cargo run --release -q` would silently rebuild half the

@@ -127,10 +127,8 @@ mod tests {
         // Fig 3: a 5-node communication graph where c–e and c–d exceed δ=5;
         // the two minimal clusterings have exactly 2 clusters.
         // Graph: a-b, b-c, b-d, c-d, d-e, c-e (a chain into a diamond).
-        let mut g = elink_topology::CommGraph::new(5);
-        for (x, y) in [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4)] {
-            g.add_edge(x, y);
-        }
+        let edges = [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4)];
+        let g = elink_topology::CommGraph::from_edges(5, edges);
         let positions = (0..5)
             .map(|i| elink_topology::Point::new(i as f64, 0.0))
             .collect();

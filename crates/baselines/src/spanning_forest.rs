@@ -188,9 +188,7 @@ mod tests {
     #[test]
     fn detachment_respects_delta_strictly() {
         // Adversarial: a star where the center is between two far leaves.
-        let mut g = elink_topology::CommGraph::new(3);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
+        let g = elink_topology::CommGraph::from_edges(3, [(0, 1), (0, 2)]);
         let topo = Topology::from_parts(
             vec![
                 elink_topology::Point::new(0.0, 0.0),

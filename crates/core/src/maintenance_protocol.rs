@@ -213,12 +213,12 @@ impl MaintNode {
     // simlint: hot
     fn on_root_update(&mut self, new_feature: Feature, ctx: &mut Ctx<'_, MaintMsg>) {
         let drift = self.metric.distance(&self.anchor, &new_feature);
-        self.feature = new_feature.clone(); // simlint: allow(no-hot-path-alloc): Feature dim <= 4 is inline storage; clone is a memcpy
-        self.cached_root_feature = new_feature.clone(); // simlint: allow(no-hot-path-alloc): inline Feature memcpy
+        self.feature = new_feature.clone(); // simlint: allow(no-hot-path-alloc): Feature clone never allocates (scalar copy or Arc increment)
+        self.cached_root_feature = new_feature.clone(); // simlint: allow(no-hot-path-alloc): allocation-free Feature clone
         if drift <= self.slack {
             return;
         }
-        self.set_anchor(new_feature.clone()); // simlint: allow(no-hot-path-alloc): inline Feature memcpy
+        self.set_anchor(new_feature.clone()); // simlint: allow(no-hot-path-alloc): allocation-free Feature clone
         if self.tree_children.is_empty() {
             // Singleton root: §6 merge attempt via neighbor probes.
             self.start_merge(new_feature, ctx);
@@ -230,7 +230,7 @@ impl MaintNode {
         for &c in &self.tree_children {
             ctx.send(
                 c,
-                MaintMsg::NewRootFeature(new_feature.clone()), // simlint: allow(no-hot-path-alloc): inline Feature memcpy into each child's payload
+                MaintMsg::NewRootFeature(new_feature.clone()), // simlint: allow(no-hot-path-alloc): allocation-free Feature clone into each child's payload
                 "maint_root_bcast",
                 dim,
             );

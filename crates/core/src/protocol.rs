@@ -449,7 +449,7 @@ impl ElinkNode {
         ctx.phase_enter(growth_phase(level));
         self.clustered = true;
         self.root = id;
-        self.root_feature = self.feature.clone(); // simlint: allow(no-hot-path-alloc): Feature dim <= 4 is inline storage; clone is a memcpy
+        self.root_feature = self.feature.clone(); // simlint: allow(no-hot-path-alloc): Feature clone never allocates (scalar copy or Arc increment)
         self.joined_level = level;
         self.parent = id;
         let h = id as u32;
@@ -468,7 +468,7 @@ impl ElinkNode {
         }
         let msg = ElinkMsg::Expand {
             root: id,
-            root_feature: self.feature.clone(), // simlint: allow(no-hot-path-alloc): inline Feature memcpy into the broadcast payload
+            root_feature: self.feature.clone(), // simlint: allow(no-hot-path-alloc): allocation-free Feature clone into the broadcast payload
             level,
         };
         let scalars = self.feature.scalar_cost();
@@ -522,7 +522,7 @@ impl ElinkNode {
         }
         self.clustered = true;
         self.root = root;
-        self.root_feature = root_feature.clone(); // simlint: allow(no-hot-path-alloc): Feature dim <= 4 is inline storage; clone is a memcpy
+        self.root_feature = root_feature.clone(); // simlint: allow(no-hot-path-alloc): Feature clone never allocates (scalar copy or Arc increment)
         self.joined_level = level;
         self.parent = from;
         self.ever_joined.insert(h);
@@ -960,8 +960,8 @@ mod tests {
     fn node_state_fits_its_layout_bound() {
         let size = std::mem::size_of::<ElinkNode>();
         assert!(
-            size <= 192,
-            "ElinkNode is {size} bytes, above the 192 of DESIGN.md §11.4"
+            size <= 128,
+            "ElinkNode is {size} bytes, above the 128 of DESIGN.md §11.4"
         );
     }
 

@@ -440,7 +440,8 @@ mod tests {
         // that lead no cell are scheduled at the depth.
         let positions = [(1.0, 1.0), (3.0, 3.0), (1.0, 1.0), (2.5, 0.5), (1.0, 1.0)];
         let positions = positions.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let t = Topology::from_parts(positions, CommGraph::new(5), Rect::new(0.0, 0.0, 4.0, 4.0));
+        let graph = CommGraph::from_edges(5, []);
+        let t = Topology::from_parts(positions, graph, Rect::new(0.0, 0.0, 4.0, 4.0));
         matches_oracle(&t).unwrap();
         let q = QuadInfo::build(&t);
         let deepest = (0..q.cell_count()).find(|&c| q.cell(c).level() == MAX_DEPTH);

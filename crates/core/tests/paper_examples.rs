@@ -18,11 +18,8 @@ use std::sync::Arc;
 /// communication edges implied by the expansion narrative:
 /// D–F, D–B, D–E, F–G, B–A, B–C.
 fn fig5_topology() -> Topology {
-    let mut g = CommGraph::new(7);
     let edges = [(3, 5), (3, 1), (3, 4), (5, 6), (1, 0), (1, 2)];
-    for (a, b) in edges {
-        g.add_edge(a, b);
-    }
+    let g = CommGraph::from_edges(7, edges);
     let positions = vec![
         Point::new(0.0, 2.0), // A
         Point::new(1.0, 2.0), // B
@@ -136,10 +133,7 @@ fn fig3_elink_matches_minimal_clustering() {
     // exceed δ = 5, everything else is within. Minimal clusterings have 2
     // clusters; ELink must produce a valid clustering with ≤ 3 (it can
     // split sub-optimally but not violate validity).
-    let mut g = CommGraph::new(5);
-    for (a, b) in [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4)] {
-        g.add_edge(a, b);
-    }
+    let g = CommGraph::from_edges(5, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4)]);
     let positions = vec![
         Point::new(0.0, 1.0),
         Point::new(1.0, 1.0),

@@ -10,7 +10,8 @@ use crate::common::ScenarioBuilder;
 use elink_core::Clustering;
 use elink_metric::{Euclidean, Feature};
 use elink_netsim::CostBook;
-use elink_topology::{CommGraph, Point, Rect, Topology};
+use elink_topology::topo::unit_disk_graph;
+use elink_topology::{Point, Rect, Topology};
 use std::sync::Arc;
 
 /// A parsed deployment: positions plus per-node features.
@@ -124,16 +125,7 @@ pub fn parse_deployment(text: &str) -> Result<CsvDeployment, CsvError> {
 /// Builds a unit-disk topology over the deployment; the extent is the
 /// bounding box padded by one radio range.
 pub fn deployment_topology(dep: &CsvDeployment, radio_range: f64) -> Topology {
-    let n = dep.positions.len();
-    let mut graph = CommGraph::new(n);
-    let r2 = radio_range * radio_range;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if dep.positions[i].dist_sq(&dep.positions[j]) <= r2 {
-                graph.add_edge(i, j);
-            }
-        }
-    }
+    let graph = unit_disk_graph(&dep.positions, radio_range);
     let (mut lo_x, mut lo_y, mut hi_x, mut hi_y) = (
         f64::INFINITY,
         f64::INFINITY,

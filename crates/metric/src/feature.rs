@@ -1,27 +1,30 @@
 //! Node features: the model-coefficient vectors that clustering operates on.
 
-/// Inline capacity of [`Feature`]: the paper's AR models use order ≤ 4
-/// (§2.2/§8.1), so four coefficients cover every experiment without heap
-/// storage.
-const INLINE_DIM: usize = 4;
+use std::sync::Arc;
 
-/// Backing storage for a [`Feature`]: a fixed inline buffer for the common
-/// small dimensions, a heap vector beyond [`INLINE_DIM`].
+/// Backing storage for a [`Feature`]. Dimension 1 is always `Scalar`, and
+/// `Many` never holds exactly one component, so the derived equality
+/// compares content, not storage.
 #[derive(Debug, Clone, PartialEq)]
 enum Repr {
-    /// `len` live components at the front of a fixed array.
-    Inline { len: u8, buf: [f64; INLINE_DIM] },
-    /// Arbitrary dimension (rare — only synthetic high-dim tests).
-    Heap(Vec<f64>),
+    /// The one component of a 1-dimensional feature (Death Valley
+    /// elevation, every benchmark field).
+    Scalar(f64),
+    /// Every other dimension (Tao's AR coefficients, synthetic high-dim
+    /// tests), shared between clones and copied on write.
+    Many(Arc<[f64]>),
 }
 
 /// A feature vector at a sensor node — typically the coefficients of its AR
-/// model (§2.2). Small (order ≤ 4 in the paper's experiments), cloneable and
-/// comparable.
+/// model (§2.2): one elevation on the Death Valley terrain, at most four AR
+/// coefficients on Tao (§8.1). Cloneable and comparable.
 ///
-/// Features up to dimension 4 are stored inline — no heap allocation —
-/// which makes [`Clone`] on the expand/descent broadcast hot paths a plain
-/// memcpy. Higher dimensions transparently fall back to a heap vector.
+/// A feature is 16 bytes. A scalar is stored in place; any other
+/// dimension lives in one shared, reference-counted block. So [`Clone`]
+/// never allocates at any dimension (a copy, or a reference-count
+/// increment), which keeps the per-message clone on the expand/descent
+/// broadcast hot paths off the allocator, and
+/// [`Feature::components_mut`] copies a shared block before writing to it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Feature {
     repr: Repr,
@@ -30,50 +33,41 @@ pub struct Feature {
 impl Feature {
     /// Creates a feature from its components.
     pub fn new(components: Vec<f64>) -> Self {
+        if components.len() == 1 {
+            return Feature::scalar(components[0]);
+        }
         Feature {
-            repr: if components.len() <= INLINE_DIM {
-                let mut buf = [0.0; INLINE_DIM];
-                buf[..components.len()].copy_from_slice(&components);
-                Repr::Inline {
-                    len: components.len() as u8,
-                    buf,
-                }
-            } else {
-                Repr::Heap(components)
-            },
+            repr: Repr::Many(components.into()),
         }
     }
 
     /// Creates a 1-dimensional feature (e.g. Death Valley elevation).
     pub fn scalar(value: f64) -> Self {
-        let mut buf = [0.0; INLINE_DIM];
-        buf[0] = value;
         Feature {
-            repr: Repr::Inline { len: 1, buf },
+            repr: Repr::Scalar(value),
         }
     }
 
     /// Dimension (number of model coefficients).
     pub fn dim(&self) -> usize {
-        match &self.repr {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap(v) => v.len(),
-        }
+        self.components().len()
     }
 
     /// Borrow the components.
     pub fn components(&self) -> &[f64] {
         match &self.repr {
-            Repr::Inline { len, buf } => &buf[..*len as usize],
-            Repr::Heap(v) => v,
+            Repr::Scalar(value) => std::slice::from_ref(value),
+            Repr::Many(values) => values,
         }
     }
 
-    /// Mutably borrow the components (used by online model updates).
+    /// Mutably borrow the components (used by online model updates). A
+    /// block shared with a clone is copied first, so the clone keeps its
+    /// values.
     pub fn components_mut(&mut self) -> &mut [f64] {
         match &mut self.repr {
-            Repr::Inline { len, buf } => &mut buf[..*len as usize],
-            Repr::Heap(v) => v,
+            Repr::Scalar(value) => std::slice::from_mut(value),
+            Repr::Many(values) => Arc::make_mut(values),
         }
     }
 
@@ -139,21 +133,38 @@ mod tests {
         assert_eq!(f.components(), &[2.0]);
     }
 
-    /// Inline and heap representations must behave identically across the
-    /// capacity boundary — equality compares components, not storage.
+    /// Scalar and shared representations must behave identically across
+    /// the dimension-1 boundary — equality compares components, not
+    /// storage — and writing through a clone must never reach the
+    /// original (copy-on-write).
     #[test]
     fn inline_and_heap_agree_across_boundary() {
-        for dim in 1..=8usize {
+        for dim in 0..=8usize {
             let v: Vec<f64> = (0..dim).map(|i| i as f64 * 0.5).collect();
             let f = Feature::new(v.clone());
             assert_eq!(f.dim(), dim);
             assert_eq!(f.components(), v.as_slice());
             assert_eq!(f.scalar_cost(), dim as u64);
-            let g = f.clone();
+            let mut g = f.clone();
             assert_eq!(f, g);
+            for c in g.components_mut() {
+                *c += 1.0;
+            }
+            let shifted: Vec<f64> = v.iter().map(|c| c + 1.0).collect();
+            assert_eq!(g.components(), shifted.as_slice(), "dim {dim}");
+            assert_eq!(f.components(), v.as_slice(), "dim {dim}: original");
+            assert_eq!(f == g, dim == 0, "dim {dim}");
         }
-        // Padding must not leak into equality: same prefix, different
-        // construction path.
+        // Same content, different construction path.
         assert_eq!(Feature::scalar(2.0), Feature::new(vec![2.0]));
+    }
+
+    #[test]
+    fn feature_is_sixteen_bytes() {
+        let size = std::mem::size_of::<Feature>();
+        assert_eq!(
+            size, 16,
+            "Feature is {size} bytes, not the 16 of DESIGN.md §11.4"
+        );
     }
 }

@@ -389,6 +389,20 @@ impl<M> Core<M> {
         }
     }
 
+    /// Counts and traces a timer, or a node's boot, that fires while its
+    /// node is down (or, for a timer, after a crash window since it was
+    /// armed): no message is lost, so it is not a `net.drops.node_down`.
+    pub(crate) fn clear_timer(&mut self, at: SimTime, node: usize) {
+        self.metrics.inc("net.timers.cleared");
+        self.trace(TraceEvent::Drop {
+            time: at,
+            from: node,
+            to: node,
+            reason: DropReason::NodeDown,
+            query: None,
+        });
+    }
+
     /// Counts and traces a message lost to a receiver or relay that is
     /// down when it arrives.
     pub(crate) fn drop_node_down(
@@ -589,8 +603,9 @@ impl<P: Protocol> Simulator<P> {
     /// single delivery path shared by the run loop and the model checker's
     /// capture mode. Every event but a flow completion first asks whether
     /// its node is up: a message reaching a down node is a
-    /// `net.drops.node_down` loss, a timer reaching one is cleared like a
-    /// timer armed before a crash window (`net.timers.cleared`).
+    /// `net.drops.node_down` loss; a timer or the boot reaching one is
+    /// cleared like a timer armed before a crash window
+    /// (`net.timers.cleared`). Both keep a `NodeDown` drop trace record.
     fn dispatch_event(&mut self, time: SimTime, node: usize, event_kind: EventKind<P::Msg>) {
         self.core.now = time;
         self.core.events_processed += 1;
@@ -613,7 +628,7 @@ impl<P: Protocol> Simulator<P> {
             }
             EventKind::Start => {
                 if !self.core.alive(node, time) {
-                    self.core.drop_node_down(time, node, node, None);
+                    self.core.clear_timer(time, node);
                     return;
                 }
                 let mut ctx = Ctx {
@@ -637,14 +652,7 @@ impl<P: Protocol> Simulator<P> {
                     // The node is down, or rebooted between arming and
                     // firing: the timer died with the volatile state that
                     // armed it.
-                    self.core.metrics.inc("net.timers.cleared");
-                    self.core.trace(TraceEvent::Drop {
-                        time,
-                        from: node,
-                        to: node,
-                        reason: DropReason::NodeDown,
-                        query: None,
-                    });
+                    self.core.clear_timer(time, node);
                     return;
                 }
                 self.core.trace(TraceEvent::Timer { time, node, id });
@@ -1096,6 +1104,9 @@ pub(crate) mod tests {
         );
         // The attempted transmission into the dead node was still charged.
         assert_eq!(sim.costs().kind("flood").packets, 1);
+        // Node 1's boot at t=0 is cleared; only the token is a lost message.
+        assert_eq!(sim.metrics().counter("net.timers.cleared"), 1);
+        assert_eq!(sim.metrics().counter("net.drops.node_down"), 1);
     }
 
     #[test]

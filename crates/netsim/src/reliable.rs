@@ -914,14 +914,15 @@ pub(crate) mod tests {
         sim.run_to_completion();
         assert_eq!(sim.nodes()[3].got, 0);
         assert_eq!(sim.metrics().counter("net.timeout"), 1);
-        // max_retries + 1 data copies die at the dead radio, plus node 1's
-        // own swallowed Start event.
-        let expected = u64::from(ArqConfig::default().max_retries) + 2;
-        assert_eq!(sim.metrics().counter("net.drops.node_down"), expected);
+        // max_retries + 1 data copies die at the dead radio; node 1's own
+        // Start is a cleared boot, not a lost message, but is traced too.
+        let copies = u64::from(ArqConfig::default().max_retries) + 1;
+        assert_eq!(sim.metrics().counter("net.drops.node_down"), copies);
+        assert_eq!(sim.metrics().counter("net.timers.cleared"), 1);
         let trace = shared.lock().unwrap();
         assert_eq!(
             trace.count(|e| matches!(e, TraceEvent::Drop { .. })),
-            expected
+            copies + 1
         );
         assert_eq!(
             sim.live_arq_copies(),

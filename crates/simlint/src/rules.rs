@@ -913,7 +913,7 @@ mod tests {
 
     #[test]
     fn hot_path_alloc_allow_comment_suppresses() {
-        let src = "// simlint: hot\nfn f(&self) {\n    let c = self.feature.clone(); // simlint: allow(no-hot-path-alloc): Feature dim <= 4 is inline, clone is a memcpy\n}\n";
+        let src = "// simlint: hot\nfn f(&self) {\n    let c = self.feature.clone(); // simlint: allow(no-hot-path-alloc): Feature clone never allocates\n}\n";
         let report = check_file("crates/core/src/x.rs", src);
         assert!(report.violations.is_empty());
         assert_eq!(report.allowed.len(), 1);

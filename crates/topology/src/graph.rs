@@ -7,61 +7,124 @@
 
 use std::collections::VecDeque;
 
-/// Undirected communication graph over `n` nodes, stored as adjacency lists.
+/// Undirected communication graph over `n` nodes, stored as one flat
+/// (CSR) adjacency: node `v`'s neighbours are
+/// `targets[first[v]..first[v + 1]]`, in the order their edges were given
+/// to [`CommGraph::from_edges`]. Two `u32` arrays, `n + 1` offsets and two
+/// ids per edge, so every BFS reads its lists from one block.
 #[derive(Debug, Clone)]
 pub struct CommGraph {
-    adj: Vec<Vec<u32>>,
-    edge_count: usize,
+    /// `n + 1` ascending offsets into `targets`; `first[0] == 0`.
+    first: Vec<u32>,
+    /// Each node's neighbours, node after node.
+    targets: Vec<u32>,
 }
 
 impl CommGraph {
-    /// Creates a graph with `n` isolated nodes.
-    pub fn new(n: usize) -> Self {
-        CommGraph {
-            adj: vec![Vec::new(); n],
-            edge_count: 0,
+    /// Builds the graph on nodes `0..n` from an undirected edge list.
+    /// Self loops and repeated edges (in either direction) are dropped,
+    /// keeping the first occurrence, so each node lists its neighbours in
+    /// the order of the edges that first named them.
+    ///
+    /// `edges` is read twice, a counting pass and then a filling pass, so
+    /// no edge list is buffered: a transient block of 8 bytes per edge
+    /// raised glibc's mmap threshold and, with it, the peak RSS of a 64k
+    /// growth field by 1 MiB (DESIGN.md §11.4).
+    ///
+    /// # Panics
+    /// Panics if an endpoint is `n` or more, or if `n` or twice the number
+    /// of edges does not fit a `u32`.
+    pub fn from_edges<I>(n: usize, edges: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+        I::IntoIter: Clone,
+    {
+        assert!(u32::try_from(n).is_ok(), "CommGraph: {n} nodes exceed u32");
+        let edges = edges.into_iter().filter(|&(a, b)| {
+            assert!(
+                a < n && b < n,
+                "edge ({a}, {b}) has an endpoint out of range for {n} nodes"
+            );
+            a != b
+        });
+        // Degrees (repeats included) shifted by one, then their prefix sums.
+        let mut first = vec![0u32; n + 1];
+        let mut len = 0usize;
+        for (a, b) in edges.clone() {
+            first[a + 1] += 1;
+            first[b + 1] += 1;
+            len += 2;
         }
+        let len = u32::try_from(len).expect("CommGraph: 2 × edges exceed u32");
+        for v in 0..n {
+            first[v + 1] += first[v];
+        }
+        let mut targets = vec![0u32; len as usize];
+        // `first[v]` is `v`'s write cursor; afterwards it has moved to
+        // where `v + 1`'s list begins.
+        for (a, b) in edges {
+            for (from, to) in [(a, b), (b, a)] {
+                targets[first[from] as usize] = to as u32;
+                first[from] += 1;
+            }
+        }
+        first.copy_within(0..n, 1);
+        first[0] = 0;
+        // Drop repeats in place, keeping each neighbour's first occurrence:
+        // `seen[w] == v` marks `w` as already listed for `v`.
+        let mut seen = vec![u32::MAX; n];
+        let (mut start, mut kept) = (0, 0);
+        for v in 0..n {
+            let end = first[v + 1] as usize;
+            for i in start..end {
+                let w = targets[i];
+                if seen[w as usize] != v as u32 {
+                    seen[w as usize] = v as u32;
+                    targets[kept] = w;
+                    kept += 1;
+                }
+            }
+            // `kept <= end <= len`, which fits a `u32`.
+            first[v + 1] = kept as u32;
+            start = end;
+        }
+        targets.truncate(kept);
+        targets.shrink_to_fit();
+        CommGraph { first, targets }
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.adj.len()
+        self.first.len() - 1
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Adds an undirected edge. Duplicate and self edges are ignored.
-    pub fn add_edge(&mut self, a: usize, b: usize) {
-        assert!(a < self.n() && b < self.n(), "edge endpoint out of range");
-        if a == b || self.adj[a].contains(&(b as u32)) {
-            return;
-        }
-        self.adj[a].push(b as u32);
-        self.adj[b].push(a as u32);
-        self.edge_count += 1;
+        self.targets.len() / 2
     }
 
     /// Neighbors of `v`.
     pub fn neighbors(&self, v: usize) -> &[u32] {
-        &self.adj[v]
+        &self.targets[self.first[v] as usize..self.first[v + 1] as usize]
     }
 
     /// Degree of `v`.
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
+        (self.first[v + 1] - self.first[v]) as usize
     }
 
     /// Maximum degree over all nodes (the paper's constant `d`).
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.first
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Whether an edge exists.
     pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        self.adj[a].contains(&(b as u32))
+        self.neighbors(a).contains(&(b as u32))
     }
 
     /// BFS hop distances from `src`; unreachable nodes get `u32::MAX`.
@@ -88,7 +151,7 @@ impl CommGraph {
         while let Some(v) = queue.pop_front() {
             let dv = dist[v as usize];
             // Deterministic order: adjacency lists are built deterministically.
-            for &w in &self.adj[v as usize] {
+            for &w in self.neighbors(v as usize) {
                 if parent[w as usize] == u32::MAX {
                     parent[w as usize] = v;
                     dist[w as usize] = dv + 1;
@@ -121,7 +184,7 @@ impl CommGraph {
             queue.push_back(start);
             while let Some(v) = queue.pop_front() {
                 comp.push(v);
-                for &w in &self.adj[v] {
+                for &w in self.neighbors(v) {
                     if !seen[w as usize] {
                         seen[w as usize] = true;
                         queue.push_back(w as usize);
@@ -152,7 +215,7 @@ impl CommGraph {
             queue.push_back(start);
             while let Some(v) = queue.pop_front() {
                 comp.push(v);
-                for &w in &self.adj[v] {
+                for &w in self.neighbors(v) {
                     let w = w as usize;
                     if in_set[w] && !seen[w] {
                         seen[w] = true;
@@ -201,8 +264,8 @@ impl RoutingTable {
     /// Builds the routing table for a graph: one FIFO BFS per destination,
     /// visiting neighbours in adjacency order, so a node's next hop is the
     /// neighbour through which the BFS from `dst` first reached it (the
-    /// parent [`CommGraph::bfs_tree`] gives). The BFS passes read a flat
-    /// copy of the adjacency lists.
+    /// parent [`CommGraph::bfs_tree`] gives). The BFS passes read the
+    /// graph's flat adjacency in place.
     ///
     /// # Panics
     /// Panics if the graph has more than 65,536 nodes.
@@ -212,15 +275,6 @@ impl RoutingTable {
             n <= Self::MAX_NODES,
             "RoutingTable: {n} nodes exceed the 65,536 that u16 next hops can name"
         );
-        // The adjacency as one flat array: n BFS passes read every list n
-        // times, and the per-node lists lie wherever the heap put them.
-        let mut first = Vec::with_capacity(n + 1);
-        let mut targets: Vec<u16> = Vec::with_capacity(2 * graph.edge_count());
-        first.push(0);
-        for v in 0..n {
-            targets.extend(graph.neighbors(v).iter().map(|&w| w as u16));
-            first.push(targets.len());
-        }
         let mut queue: Vec<u16> = Vec::with_capacity(n);
         let mut diameter = 0;
         let next_towards = (0..n)
@@ -238,10 +292,12 @@ impl RoutingTable {
                     }
                     let v = queue[head];
                     head += 1;
-                    for &w in &targets[first[usize::from(v)]..first[usize::from(v) + 1]] {
-                        if w as usize != dst && row[usize::from(w)] == w {
-                            row[usize::from(w)] = v;
-                            queue.push(w);
+                    for &w in graph.neighbors(usize::from(v)) {
+                        // `w < n ≤ 65,536`, so the cast is exact.
+                        let (w, id) = (w as usize, w as u16);
+                        if w != dst && row[w] == id {
+                            row[w] = v;
+                            queue.push(id);
                         }
                     }
                 }
@@ -301,22 +357,21 @@ mod tests {
 
     /// Path graph 0-1-2-3.
     fn path4() -> CommGraph {
-        let mut g = CommGraph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
-        g
+        CommGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])
     }
 
     #[test]
-    fn add_edge_ignores_dups_and_self_loops() {
-        let mut g = CommGraph::new(3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
-        g.add_edge(1, 1);
+    fn from_edges_drops_repeats_and_self_loops() {
+        let g = CommGraph::from_edges(3, [(0, 1), (1, 0), (1, 1)]);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (1, 3) has an endpoint out of range for 3 nodes")]
+    fn from_edges_rejects_an_out_of_range_endpoint() {
+        CommGraph::from_edges(3, [(0, 1), (1, 3)]);
     }
 
     #[test]
@@ -328,17 +383,14 @@ mod tests {
 
     #[test]
     fn unreachable_is_max() {
-        let mut g = CommGraph::new(3);
-        g.add_edge(0, 1);
+        let g = CommGraph::from_edges(3, [(0, 1)]);
         assert_eq!(g.bfs_hops(0)[2], u32::MAX);
         assert!(!g.is_connected());
     }
 
     #[test]
     fn components_found() {
-        let mut g = CommGraph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(2, 3);
+        let g = CommGraph::from_edges(5, [(0, 1), (2, 3)]);
         let comps = g.components();
         assert_eq!(comps.len(), 3);
         assert_eq!(comps[0], vec![0, 1]);
@@ -375,8 +427,7 @@ mod tests {
 
     #[test]
     fn routing_handles_disconnection() {
-        let mut g = CommGraph::new(3);
-        g.add_edge(0, 1);
+        let g = CommGraph::from_edges(3, [(0, 1)]);
         let rt = RoutingTable::build(&g);
         assert_eq!(rt.next_hop(0, 2), None);
         assert_eq!(rt.hops(0, 2), None);
@@ -387,12 +438,11 @@ mod tests {
     fn routing_diameter_is_the_deepest_bfs_level() {
         assert_eq!(RoutingTable::build(&path4()).diameter(), 3);
         // Two components: a path of 3 and an isolated node.
-        let mut g = CommGraph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
+        let g = CommGraph::from_edges(4, [(0, 1), (1, 2)]);
         assert_eq!(RoutingTable::build(&g).diameter(), 2);
-        assert_eq!(RoutingTable::build(&CommGraph::new(3)).diameter(), 0);
-        assert_eq!(RoutingTable::build(&CommGraph::new(0)).diameter(), 0);
+        let isolated = |n| CommGraph::from_edges(n, []);
+        assert_eq!(RoutingTable::build(&isolated(3)).diameter(), 0);
+        assert_eq!(RoutingTable::build(&isolated(0)).diameter(), 0);
     }
 
     #[test]
@@ -400,15 +450,12 @@ mod tests {
     fn routing_rejects_more_nodes_than_u16_can_name() {
         // The assertion fires before any row is allocated; the 65,537 rows
         // it guards against would take 8 GiB.
-        RoutingTable::build(&CommGraph::new((1 << 16) + 1));
+        RoutingTable::build(&CommGraph::from_edges((1 << 16) + 1, []));
     }
 
     #[test]
     fn max_degree() {
-        let mut g = CommGraph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3);
+        let g = CommGraph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
         assert_eq!(g.max_degree(), 3);
     }
 }
@@ -424,15 +471,10 @@ mod proptests {
             proptest::collection::vec((0usize..1000, 0usize..1000), 0..60),
         )
             .prop_map(|(n, extra)| {
-                let mut g = CommGraph::new(n);
                 // Spanning path guarantees connectivity.
-                for i in 1..n {
-                    g.add_edge(i - 1, i);
-                }
-                for (a, b) in extra {
-                    g.add_edge(a % n, b % n);
-                }
-                g
+                let path = (1..n).map(|i| (i - 1, i));
+                let extra = extra.into_iter().map(|(a, b)| (a % n, b % n));
+                CommGraph::from_edges(n, path.chain(extra))
             })
     }
 
@@ -444,12 +486,56 @@ mod proptests {
             proptest::collection::vec((0usize..1000, 0usize..1000), 0..50),
         )
             .prop_map(|(n, edges)| {
-                let mut g = CommGraph::new(n);
-                for (a, b) in edges {
-                    g.add_edge(a % n, b % n);
-                }
-                g
+                CommGraph::from_edges(n, edges.into_iter().map(|(a, b)| (a % n, b % n)))
             })
+    }
+
+    /// Edge lists that mix fresh edges, repeats, reversed repeats and self
+    /// loops, on up to 40 nodes (so some stay isolated).
+    fn random_edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+        (
+            1usize..40,
+            proptest::collection::vec((0usize..4, 0usize..1000, 0usize..1000), 0..80),
+        )
+            .prop_map(|(n, ops)| {
+                let mut edges: Vec<(usize, usize)> = Vec::new();
+                for (kind, a, b) in ops {
+                    let edge = match (kind, edges.get(b % edges.len().max(1))) {
+                        (1, Some(&e)) => e,
+                        (2, Some(&(x, y))) => (y, x),
+                        (3, _) => (a % n, a % n),
+                        _ => (a % n, b % n),
+                    };
+                    edges.push(edge);
+                }
+                (n, edges)
+            })
+    }
+
+    /// The per-node-list builder `from_edges` replaced: `add_edge` pushed
+    /// each new edge onto both endpoints' lists and ignored self loops and
+    /// edges already present.
+    struct ListOracle {
+        adj: Vec<Vec<u32>>,
+        edge_count: usize,
+    }
+
+    impl ListOracle {
+        fn build(n: usize, edges: &[(usize, usize)]) -> Self {
+            let mut oracle = ListOracle {
+                adj: vec![Vec::new(); n],
+                edge_count: 0,
+            };
+            for &(a, b) in edges {
+                if a == b || oracle.adj[a].contains(&(b as u32)) {
+                    continue;
+                }
+                oracle.adj[a].push(b as u32);
+                oracle.adj[b].push(a as u32);
+                oracle.edge_count += 1;
+            }
+            oracle
+        }
     }
 
     /// The two-matrix table `RoutingTable` replaced: per destination, one
@@ -532,6 +618,24 @@ mod proptests {
                 }
             }
             prop_assert_eq!(rt.diameter(), oracle.diameter());
+        }
+
+        #[test]
+        fn flat_adjacency_lists_like_the_per_node_builder(case in random_edge_list()) {
+            let (n, edges) = case;
+            let g = CommGraph::from_edges(n, edges.iter().copied());
+            let oracle = ListOracle::build(n, &edges);
+            prop_assert_eq!(g.n(), n);
+            prop_assert_eq!(g.edge_count(), oracle.edge_count);
+            let max_degree = oracle.adj.iter().map(Vec::len).max().unwrap_or(0);
+            prop_assert_eq!(g.max_degree(), max_degree);
+            for v in 0..n {
+                prop_assert_eq!(g.neighbors(v), oracle.adj[v].as_slice());
+                prop_assert_eq!(g.degree(v), oracle.adj[v].len());
+                for w in 0..n {
+                    prop_assert_eq!(g.has_edge(v, w), oracle.adj[v].contains(&(w as u32)));
+                }
+            }
         }
 
         #[test]

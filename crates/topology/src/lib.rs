@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 pub mod georoute;
-/// Adjacency-list communication graph and BFS routing.
+/// Flat-adjacency communication graph and BFS routing.
 pub mod graph;
 /// 2-D points and distance helpers.
 pub mod point;

@@ -48,23 +48,18 @@ impl Topology {
     pub fn grid(rows: usize, cols: usize) -> Self {
         let n = rows * cols;
         let mut positions = Vec::with_capacity(n);
-        let mut graph = CommGraph::new(n);
         for r in 0..rows {
             for c in 0..cols {
                 positions.push(Point::new(c as f64, r as f64));
             }
         }
-        let id = |r: usize, c: usize| r * cols + c;
-        for r in 0..rows {
-            for c in 0..cols {
-                if c + 1 < cols {
-                    graph.add_edge(id(r, c), id(r, c + 1));
-                }
-                if r + 1 < rows {
-                    graph.add_edge(id(r, c), id(r + 1, c));
-                }
-            }
-        }
+        // Each node's right neighbour, then the one below it.
+        let edges = (0..n).flat_map(|v| {
+            let right = (v % cols + 1 < cols).then_some((v, v + 1));
+            let down = (v / cols + 1 < rows).then_some((v, v + cols));
+            right.into_iter().chain(down)
+        });
+        let graph = CommGraph::from_edges(n, edges);
         // Extent is padded by half a spacing so every node is interior.
         let extent = Rect::new(
             -0.5,
@@ -175,19 +170,18 @@ impl Topology {
     }
 }
 
-/// Builds the unit-disk communication graph for a placement.
-fn unit_disk_graph(positions: &[Point], radio_range: f64) -> CommGraph {
+/// Builds the unit-disk communication graph for a placement: an edge
+/// between every two nodes at most `radio_range` apart, by an O(n²) scan
+/// of the pairs in ascending order.
+pub fn unit_disk_graph(positions: &[Point], radio_range: f64) -> CommGraph {
     let n = positions.len();
-    let mut graph = CommGraph::new(n);
     let r2 = radio_range * radio_range;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if positions[i].dist_sq(&positions[j]) <= r2 {
-                graph.add_edge(i, j);
-            }
-        }
-    }
-    graph
+    let edges = (0..n).flat_map(|i| {
+        ((i + 1)..n)
+            .filter(move |&j| positions[i].dist_sq(&positions[j]) <= r2)
+            .map(move |j| (i, j))
+    });
+    CommGraph::from_edges(n, edges)
 }
 
 #[cfg(test)]
