@@ -36,13 +36,15 @@ cargo test -q --workspace
 echo "== cargo test --release -p elink-workload (serving suites without debug assertions)"
 cargo test --release -q -p elink-workload
 
-# The scheduler's arena and cancellation invariants, the growth protocol's
-# and the model checker's are debug_assert!s too, the routing table's u16
-# rows and the flat adjacency are checked against their oracles, and the
-# 16-byte `Feature` layout and its copy-on-write in the profile that builds
-# every BENCH number (~45 s build on 2 cores).
-echo "== cargo test --release -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric (without debug assertions)"
-cargo test --release -q -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric
+# The scheduler's arena and cancellation invariants, the growth protocol's,
+# the model checker's and ARQ's end-of-queue check are debug_assert!s too,
+# the routing table's port rows (both widths) and the flat adjacency are
+# checked against their oracles, `Backbone::build` and the range and path
+# query tests read routes through the port rows, and the 16-byte `Feature`
+# layout and its copy-on-write run in the profile that builds every BENCH
+# number (~50 s build on 2 cores).
+echo "== cargo test --release -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric -p elink-query (without debug assertions)"
+cargo test --release -q -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric -p elink-query
 
 # The --check smokes below need release binaries: debug builds are ~10x
 # slower and `cargo run --release -q` would silently rebuild half the

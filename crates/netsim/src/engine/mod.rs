@@ -70,7 +70,7 @@ pub trait Protocol {
 /// A topology plus its (expensive, shareable) routing table.
 ///
 /// Build once per topology and share across simulator runs with `clone()`
-/// (both members are `Arc`s). The routing table — 2 bytes per node pair,
+/// (both members are `Arc`s). The routing table — 1 byte per node pair,
 /// one BFS per node to build — is constructed lazily on first use:
 /// protocols that only ever `send`/`broadcast_neighbors` (e.g.
 /// implicit-mode ELink, the regime of the 64k-node scaling bench) never pay
@@ -559,14 +559,8 @@ impl<P: Protocol> Simulator<P> {
     /// Runs until simulated time exceeds `deadline` or the queue drains.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.ensure_started();
-        loop {
-            match self.core.queue.next_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        // An empty queue still takes the step, which ends the run there.
+        while self.core.queue.next_time().is_none_or(|t| t <= deadline) && self.step() {}
         self.core.now = self.core.now.max(deadline);
         self.core.now
     }
@@ -586,6 +580,12 @@ impl<P: Protocol> Simulator<P> {
     /// protocol state freezes until recovery. Timers (and ARQ sender state)
     /// armed before a crash window are cleared even if the node recovered
     /// before the firing time.
+    ///
+    /// Every run loop that drains the queue ends with the step that finds
+    /// it empty ([`Simulator::run_to_completion`] always,
+    /// [`Simulator::run_until`] and [`Simulator::run_events`] when the
+    /// queue empties first); ARQ drops its dedup rows there (see
+    /// [`reliable`](crate::reliable)).
     fn step(&mut self) -> bool {
         let Some(PoppedEvent {
             time,
@@ -593,6 +593,9 @@ impl<P: Protocol> Simulator<P> {
             payload: event_kind,
         }) = self.core.queue.pop()
         else {
+            if let Some(arq) = &mut self.core.arq {
+                arq.quiesce();
+            }
             return false;
         };
         self.dispatch_event(time, node, event_kind);

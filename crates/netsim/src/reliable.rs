@@ -12,7 +12,8 @@
 //! ack. Receivers deduplicate by
 //! `(receiver, seq)`, where `seq` names the logical message along its whole
 //! route, so a data copy whose ack was lost is re-acked but delivered to
-//! the protocol (or relayed onward) exactly once. Hop-by-hop (rather than
+//! the protocol (or relayed onward) exactly once; the dedup rows live until
+//! the event queue runs dry (see `AcceptedSeqs`). Hop-by-hop (rather than
 //! end-to-end) recovery is what makes long unicast routes survive per-hop
 //! loss: a route of `h` hops at drop probability `p` succeeds with
 //! probability `(1 - p^(r+1))^h` instead of `((1-p)^h)`-per-attempt.
@@ -179,6 +180,11 @@ impl<T> Slab<T> {
         self.free.push(key.slot);
         Some(item)
     }
+
+    /// Whether no slot holds an entry: every slot is on the free list.
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.slots.len()
+    }
 }
 
 /// An ARQ event: what the engine queues for the sublayer and hands back to
@@ -272,13 +278,17 @@ pub(crate) struct ArqState<M> {
     seen: AcceptedSeqs,
 }
 
-/// Receiver-side ARQ dedup: every seq each receiver has accepted.
+/// Receiver-side ARQ dedup: every seq each receiver has accepted since the
+/// event queue last ran dry.
 ///
 /// Each receiver keeps one ascending vector. Seqs are issued in send
 /// order, so a receiver mostly accepts them in ascending order: a new seq
 /// is appended at the tail, and a late or duplicate copy is found by a
-/// short scan back from the tail. Nothing is ever pruned: a duplicate may
-/// arrive any time after the original, and dedup must stay exact. Rows
+/// short scan back from the tail. While events are queued nothing is
+/// pruned: a duplicate may arrive any time after the original, and dedup
+/// must stay exact. The rows are dropped at the engine step that finds the
+/// queue empty ([`ArqState::quiesce`]): no copy is in flight then, no
+/// transfer can send again, and every later copy carries a fresh seq. Rows
 /// hold seqs as `u32`, half the bytes of the engine's `u64` counter, so a
 /// receiver accepting a seq above `u32::MAX` (a run of more than 2³² ARQ
 /// transfers) panics.
@@ -305,6 +315,13 @@ impl AcceptedSeqs {
         seen.insert(at, seq);
         true
     }
+
+    /// Drops every row, returning its memory.
+    fn release(&mut self) {
+        for seen in &mut self.per_node {
+            *seen = Vec::new();
+        }
+    }
 }
 
 impl<M> ArqState<M> {
@@ -329,6 +346,21 @@ impl<M> ArqState<M> {
             panic!("ARQ copy {copy:?} dispatched twice"); // simlint: allow(no-panic-in-protocol): a copy event dispatches once; a second dispatch is a capture-seam caller bug (a cloned event), and delivering the slot's next copy instead would corrupt the run silently
         };
         taken
+    }
+
+    /// The engine's end-of-queue step: the queue ran dry, so no copy is in
+    /// flight (each waits on its `Data` event, or on a flow whose
+    /// completion is queued) and no transfer is live (each keeps its
+    /// retransmission timeout queued until the ack, give-up or crash that
+    /// removes it). Every copy from now on belongs to a transfer started
+    /// later, so it carries a seq above every seq accepted so far, and
+    /// dedup stays exact without the rows.
+    pub(crate) fn quiesce(&mut self) {
+        debug_assert!(
+            self.copies.is_empty() && self.xfers.is_empty(),
+            "ARQ state outlives the event queue"
+        );
+        self.seen.release();
     }
 }
 
@@ -602,6 +634,12 @@ impl<P: Protocol> Simulator<P> {
             a.copies.slots.iter().filter(|s| s.item.is_some()).count()
         })
     }
+
+    /// The receivers' dedup rows (empty without ARQ).
+    #[cfg(test)]
+    fn dedup_rows(&self) -> &[Vec<u32>] {
+        self.core.arq.as_ref().map_or(&[], |a| &a.seen.per_node)
+    }
 }
 
 #[cfg(test)]
@@ -774,6 +812,99 @@ pub(crate) mod tests {
                 assert_eq!(got, want, "receiver {node} from seq {start}");
             }
         }
+    }
+
+    /// Node 0 unicasts a burst of numbered messages to the far end at boot
+    /// (messages `0..BURST`) and again whenever a number `k` is injected at
+    /// it (messages `k..k + BURST`); every node records what reaches it.
+    struct Bursts {
+        got: Vec<u32>,
+    }
+
+    const BURST: u32 = 16;
+
+    impl Protocol for Bursts {
+        type Msg = u32;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if ctx.id() == 0 {
+                self.on_message(0, 0, ctx);
+            }
+        }
+
+        fn on_message(&mut self, from: usize, msg: u32, ctx: &mut Ctx<'_, u32>) {
+            if from != ctx.id() {
+                self.got.push(msg);
+                return;
+            }
+            let far = ctx.n() - 1;
+            for m in msg..msg + BURST {
+                assert!(ctx.unicast(far, m, "burst", 1));
+            }
+        }
+    }
+
+    /// Bursts over 4 hops of 30%-loss links, so lost acks force duplicate
+    /// copies at every relay.
+    fn burst_sim() -> Simulator<Bursts> {
+        let network = SimNetwork::new(Topology::grid(1, 5));
+        let nodes = (0..5).map(|_| Bursts { got: Vec::new() }).collect();
+        let link = LossyLink::new(1, 2).with_drop_prob(0.3);
+        let mut sim = Simulator::new(network, link, 11, nodes);
+        sim.enable_arq(ArqConfig::default());
+        sim
+    }
+
+    /// The far end's deliveries, sorted: exactly once means `0..upto`.
+    fn delivered(sim: &Simulator<Bursts>) -> Vec<u32> {
+        let mut got = sim.nodes()[4].got.clone();
+        got.sort_unstable();
+        got
+    }
+
+    #[test]
+    fn dedup_rows_end_with_the_traffic() {
+        let mut sim = burst_sim();
+        sim.run_to_completion();
+        assert_eq!(delivered(&sim), (0..BURST).collect::<Vec<_>>());
+        let dups = sim.metrics().counter("net.ack.dup");
+        assert!(dups > 0, "lost acks force duplicate copies");
+        assert_eq!(sim.metrics().counter("net.timeout"), 0);
+        assert!(
+            sim.dedup_rows().iter().all(|row| row.capacity() == 0),
+            "the drained queue releases every dedup row"
+        );
+        // A second burst into the same simulator: its seqs are all new, and
+        // its duplicates are still re-acked, never redelivered.
+        sim.inject(sim.now() + 1, 0, BURST);
+        sim.run_to_completion();
+        assert_eq!(delivered(&sim), (0..2 * BURST).collect::<Vec<_>>());
+        assert!(sim.metrics().counter("net.ack.dup") > dups);
+        assert!(sim.dedup_rows().iter().all(|row| row.capacity() == 0));
+        assert_eq!(sim.live_arq_copies(), 0);
+    }
+
+    #[test]
+    fn dedup_rows_outlive_a_deadline_with_traffic_queued() {
+        let mut sim = burst_sim();
+        sim.run_until(3);
+        assert!(
+            sim.nodes()[4].got.is_empty(),
+            "the burst is still in flight"
+        );
+        assert!(
+            sim.dedup_rows().iter().any(|row| !row.is_empty()),
+            "relays keep the seqs they accepted"
+        );
+        sim.run_to_completion();
+        assert_eq!(delivered(&sim), (0..BURST).collect::<Vec<_>>());
+        assert!(sim.dedup_rows().iter().all(|row| row.capacity() == 0));
+        // A deadline past the last event drains the queue inside
+        // `run_until`, which releases the rows too.
+        sim.inject(sim.now() + 1, 0, BURST);
+        sim.run_until(u64::MAX);
+        assert_eq!(delivered(&sim), (0..2 * BURST).collect::<Vec<_>>());
+        assert!(sim.dedup_rows().iter().all(|row| row.capacity() == 0));
     }
 
     #[test]

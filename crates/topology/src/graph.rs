@@ -232,16 +232,25 @@ impl CommGraph {
 /// All-pairs shortest-path next-hop routing, built with one BFS per
 /// destination.
 ///
-/// Storage is one `u16` next-hop row per destination, 2 bytes per ordered
-/// pair: 2 MiB at 1,024 nodes, 512 MiB at 16,384 and 8 GiB at 65,536. Entry
-/// `v` of row `dst` is `v`'s parent in the BFS tree rooted at `dst`, i.e.
-/// the next hop from `v` towards `dst`. "No route" (`v == dst`, or `dst`
-/// unreachable) is stored as `v` itself, so node ids use all 16 bits and a
-/// table covers up to 65,536 nodes; [`RoutingTable::build`] asserts that
-/// before it allocates a row. There is no hop matrix:
-/// [`RoutingTable::hops`] and [`RoutingTable::path`] walk the row in
-/// O(route length), and [`RoutingTable::diameter`] is the deepest BFS level
-/// the build reached.
+/// A sensor forwarding towards `dst` only needs to know which of its own
+/// radio neighbours to hand the message to, so storage is one *port row*
+/// per destination: entry `v` of row `dst` is the index, in `v`'s own
+/// adjacency list, of `v`'s parent in the BFS tree rooted at `dst` (the
+/// next hop from `v` towards `dst`). Ports are `u8` whenever every port
+/// fits below the "no route" sentinel `u8::MAX`, that is when no node has
+/// more than 255 neighbours: 1 byte per ordered pair, 1 MiB at 1,024
+/// nodes, 256 MiB at 16,384 and 4 GiB at 65,536. A graph with a wider
+/// node gets `u16` ports (sentinel `u16::MAX`), built and read by the same
+/// generic code; no node-id row is kept beside the ports. "No route"
+/// covers `v == dst` and an unreachable `dst`.
+///
+/// A port means something only against the adjacency it indexes, so the
+/// table keeps a copy of the graph it was built from (`n + 1` offsets and
+/// two ids per edge, 62 KiB for the 1,024-node serving deployment):
+/// no caller of [`RoutingTable::next_hop`], [`RoutingTable::hops`] or
+/// [`RoutingTable::path`] needs the graph at hand. There is no hop
+/// matrix: `hops` and `path` walk the route in O(route length), and
+/// [`RoutingTable::diameter`] is the deepest BFS level the build reached.
 ///
 /// Each destination's row is its own allocation. One flat `n²` buffer is
 /// large enough for glibc to map and unmap it on every build, and each
@@ -250,22 +259,53 @@ impl CommGraph {
 /// `n`-sized rows stay on the ordinary heap and are reused.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
-    /// `next_towards[dst][v]` is the next hop from `v` towards `dst`, or
-    /// `v` itself when there is none.
-    next_towards: Vec<Vec<u16>>,
+    rows: PortRows,
+    /// The adjacency the ports index into.
+    graph: CommGraph,
     /// The largest finite hop count between two nodes.
     diameter: u32,
 }
 
+/// One port row per destination, at the narrowest width that names every
+/// port of the graph.
+#[derive(Debug, Clone)]
+enum PortRows {
+    /// Every node has at most 255 neighbours.
+    Narrow(Vec<Vec<u8>>),
+    /// Some node has 256 or more.
+    Wide(Vec<Vec<u16>>),
+}
+
+/// A next-hop port: an index into the forwarding node's own adjacency
+/// list, with the type's largest value meaning "no route".
+trait Port: Copy + Eq + TryFrom<usize> + Into<usize> {
+    const NONE: Self;
+
+    /// The adjacency index, or `None` for [`Port::NONE`].
+    fn index(self) -> Option<usize> {
+        (self != Self::NONE).then(|| self.into())
+    }
+}
+
+impl Port for u8 {
+    const NONE: u8 = u8::MAX;
+}
+
+impl Port for u16 {
+    const NONE: u16 = u16::MAX;
+}
+
 impl RoutingTable {
-    /// The most nodes a table can route: a next hop is a `u16` node id.
+    /// The most nodes a table can route: a node then has at most 65,535
+    /// neighbours, so a `u16` port always stays below its sentinel (and
+    /// the BFS queue holds `u16` ids).
     const MAX_NODES: usize = 1 << 16;
 
     /// Builds the routing table for a graph: one FIFO BFS per destination,
     /// visiting neighbours in adjacency order, so a node's next hop is the
     /// neighbour through which the BFS from `dst` first reached it (the
-    /// parent [`CommGraph::bfs_tree`] gives). The BFS passes read the
-    /// graph's flat adjacency in place.
+    /// parent [`CommGraph::bfs_tree`] gives). The port width follows from
+    /// [`CommGraph::max_degree`].
     ///
     /// # Panics
     /// Panics if the graph has more than 65,536 nodes.
@@ -273,40 +313,18 @@ impl RoutingTable {
         let n = graph.n();
         assert!(
             n <= Self::MAX_NODES,
-            "RoutingTable: {n} nodes exceed the 65,536 that u16 next hops can name"
+            "RoutingTable: {n} nodes exceed the 65,536 whose neighbours u16 ports can name"
         );
-        let mut queue: Vec<u16> = Vec::with_capacity(n);
-        let mut diameter = 0;
-        let next_towards = (0..n)
-            .map(|dst| {
-                let mut row: Vec<u16> = (0..n).map(|v| v as u16).collect();
-                queue.clear();
-                queue.push(dst as u16);
-                // `level` is the BFS depth of `queue[head]`; the level ends
-                // at `level_end`.
-                let (mut head, mut level, mut level_end) = (0, 0, 1);
-                while head < queue.len() {
-                    if head == level_end {
-                        level += 1;
-                        level_end = queue.len();
-                    }
-                    let v = queue[head];
-                    head += 1;
-                    for &w in graph.neighbors(usize::from(v)) {
-                        // `w < n ≤ 65,536`, so the cast is exact.
-                        let (w, id) = (w as usize, w as u16);
-                        if w != dst && row[w] == id {
-                            row[w] = v;
-                            queue.push(id);
-                        }
-                    }
-                }
-                diameter = diameter.max(level);
-                row
-            })
-            .collect();
+        let (rows, diameter) = if graph.max_degree() <= usize::from(u8::NONE) {
+            let (rows, diameter) = build_port_rows(graph);
+            (PortRows::Narrow(rows), diameter)
+        } else {
+            let (rows, diameter) = build_port_rows(graph);
+            (PortRows::Wide(rows), diameter)
+        };
         RoutingTable {
-            next_towards,
+            rows,
+            graph: graph.clone(),
             diameter,
         }
     }
@@ -314,21 +332,20 @@ impl RoutingTable {
     /// Next hop from `src` towards `dst`. `None` if `src == dst` or
     /// unreachable.
     pub fn next_hop(&self, src: usize, dst: usize) -> Option<usize> {
-        let next = usize::from(self.next_towards[dst][src]);
-        (next != src).then_some(next)
+        let port = match &self.rows {
+            PortRows::Narrow(rows) => rows[dst][src].index(),
+            PortRows::Wide(rows) => rows[dst][src].index(),
+        }?;
+        Some(self.graph.neighbors(src)[port] as usize)
     }
 
     /// Hop count from `src` to `dst`; `None` if unreachable. Walks the
     /// route, so it costs O(hops).
     pub fn hops(&self, src: usize, dst: usize) -> Option<u32> {
-        let row = &self.next_towards[dst];
         let (mut cur, mut hops) = (src, 0);
         while cur != dst {
-            let next = usize::from(row[cur]);
-            if next == cur {
-                return None;
-            }
-            (cur, hops) = (next, hops + 1);
+            cur = self.next_hop(cur, dst)?;
+            hops += 1;
         }
         Some(hops)
     }
@@ -349,6 +366,61 @@ impl RoutingTable {
     pub fn diameter(&self) -> u32 {
         self.diameter
     }
+}
+
+/// The BFS passes of [`RoutingTable::build`] at port width `P`: one row
+/// per destination, and the deepest BFS level reached. When `v` discovers
+/// `w`, `w`'s port towards `v` is read from the reverse-port slice that
+/// runs beside `v`'s neighbour slice, so the inner loop walks two slices
+/// together.
+fn build_port_rows<P: Port>(graph: &CommGraph) -> (Vec<Vec<P>>, u32) {
+    let n = graph.n();
+    // `back[e]` for the adjacency slot `e` of `v` naming `w`: the index of
+    // `v` in `w`'s own list. Finding it by scanning `w`'s list costs the
+    // sum of squared degrees, at most what the BFS passes cost.
+    let back: Vec<P> = (0..n)
+        .flat_map(|v| {
+            graph.neighbors(v).iter().map(move |&w| {
+                let list = graph.neighbors(w as usize);
+                let at = list.iter().position(|&u| u as usize == v);
+                let at = at.expect("an undirected adjacency lists each edge at both ends");
+                let port = P::try_from(at).ok().filter(|&port| port != P::NONE);
+                port.expect("the port width names every adjacency index")
+            })
+        })
+        .collect();
+    let mut queue: Vec<u16> = Vec::with_capacity(n);
+    let mut diameter = 0;
+    let rows = (0..n)
+        .map(|dst| {
+            let mut row = vec![P::NONE; n];
+            queue.clear();
+            // `dst < n ≤ 65,536`, so the cast is exact.
+            queue.push(dst as u16);
+            // `level` is the BFS depth of `queue[head]`; the level ends at
+            // `level_end`.
+            let (mut head, mut level, mut level_end) = (0, 0, 1);
+            while head < queue.len() {
+                if head == level_end {
+                    level += 1;
+                    level_end = queue.len();
+                }
+                let v = usize::from(queue[head]);
+                head += 1;
+                let slots = graph.first[v] as usize..graph.first[v + 1] as usize;
+                for (&w, &port) in graph.targets[slots.clone()].iter().zip(&back[slots]) {
+                    let w = w as usize;
+                    if w != dst && row[w] == P::NONE {
+                        row[w] = port;
+                        queue.push(w as u16);
+                    }
+                }
+            }
+            diameter = diameter.max(level);
+            row
+        })
+        .collect();
+    (rows, diameter)
 }
 
 #[cfg(test)]
@@ -448,9 +520,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceed the 65,536")]
     fn routing_rejects_more_nodes_than_u16_can_name() {
-        // The assertion fires before any row is allocated; the 65,537 rows
-        // it guards against would take 8 GiB.
+        // The assertion fires before any row is allocated; the 65,537
+        // one-byte rows it guards against would take 4 GiB.
         RoutingTable::build(&CommGraph::from_edges((1 << 16) + 1, []));
+    }
+
+    /// A star: hub 0 with `leaves` leaves, listed in id order.
+    fn star(leaves: usize) -> CommGraph {
+        CommGraph::from_edges(leaves + 1, (1..=leaves).map(|leaf| (0, leaf)))
+    }
+
+    #[test]
+    fn routing_rows_take_one_byte_per_pair_below_degree_256() {
+        for g in [path4(), star(255)] {
+            let rt = RoutingTable::build(&g);
+            let PortRows::Narrow(rows) = &rt.rows else {
+                panic!("max degree {} needs no u16 ports", g.max_degree());
+            };
+            assert_eq!(rows.len(), g.n());
+            assert!(rows.iter().all(|row| row.len() == g.n()));
+            assert_eq!(std::mem::size_of_val(&rows[0][0]), 1);
+        }
+        // The hub's last port, 254, still sits below the sentinel.
+        let rt = RoutingTable::build(&star(255));
+        assert_eq!(rt.next_hop(0, 255), Some(255));
+        assert_eq!(rt.next_hop(255, 254), Some(0));
+        assert!(matches!(
+            RoutingTable::build(&star(256)).rows,
+            PortRows::Wide(_)
+        ));
     }
 
     #[test]
@@ -604,10 +702,34 @@ mod proptests {
         }
     }
 
+    /// A hub with 300 leaves, whose adjacency lists them in id order, plus
+    /// a path through the leaves: routes between distant leaves cross the
+    /// hub, which forwards through ports up to 299. Read as `u8`, a port of
+    /// 255 or more would alias a lower leaf or the sentinel.
+    #[test]
+    fn wide_ports_route_like_the_two_matrix_bfs() {
+        let leaves = 300;
+        let star = (1..=leaves).map(|leaf| (0, leaf));
+        let path = (2..=leaves).map(|leaf| (leaf - 1, leaf));
+        let g = CommGraph::from_edges(leaves + 1, star.chain(path));
+        let rt = RoutingTable::build(&g);
+        assert!(matches!(rt.rows, PortRows::Wide(_)));
+        let oracle = Oracle::build(&g);
+        for src in 0..g.n() {
+            for dst in 0..g.n() {
+                assert_eq!(rt.next_hop(src, dst), oracle.next_hop(src, dst));
+                assert_eq!(rt.hops(src, dst), oracle.hops(src, dst));
+                assert_eq!(rt.path(src, dst), oracle.path(src, dst));
+            }
+        }
+        assert_eq!(rt.diameter(), oracle.diameter());
+        assert_eq!(rt.path(1, leaves), Some(vec![1, 0, leaves]));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn u16_rows_route_like_the_two_matrix_bfs(g in random_sparse_graph()) {
+        fn port_rows_route_like_the_two_matrix_bfs(g in random_sparse_graph()) {
             let rt = RoutingTable::build(&g);
             let oracle = Oracle::build(&g);
             for src in 0..g.n() {
