@@ -51,15 +51,15 @@ cargo test --release -q -p elink-netsim -p elink-core -p elink-mc -p elink-topol
 # workspace with no indication of why CI stalled. Build once, loudly, then
 # invoke the produced binaries directly — and fail with a pointed message
 # if one is missing rather than letting cargo's bin resolution guess.
-echo "== cargo build --release -p elink-bench (bench bins for the --check smokes)"
-cargo build --release -q -p elink-bench
+echo "== cargo build --release -p elink-experiments (report bins for the --check smokes)"
+cargo build --release -q -p elink-experiments
 
 run_bench_bin() {
   local bin="$1"
   shift
   if [[ ! -x "target/release/$bin" ]]; then
-    echo "ci.sh: target/release/$bin not found — the bench bins must be built before the --check smokes." >&2
-    echo "       Build it with: cargo build --release -p elink-bench --bin $bin" >&2
+    echo "ci.sh: target/release/$bin not found — the report bins must be built before the --check smokes." >&2
+    echo "       Build it with: cargo build --release -p elink-experiments --bin $bin" >&2
     exit 1
   fi
   "target/release/$bin" "$@"

@@ -25,13 +25,12 @@
 //! byte-identical documents.
 
 use crate::contention::{preset, MEAN_GAPS};
+use crate::fields;
+use crate::json::{Json, Object};
 use elink_metric::{Absolute, Metric};
 use elink_netsim::FairShareLink;
 use elink_workload::{ServeOptions, Truth, WorkloadSim};
 use std::sync::Arc;
-
-/// Schema identifier of the `BENCH_admission.json` document.
-pub const ADMISSION_SCHEMA: &str = "elink-admission/v1";
 
 /// The A/B capacity: the sweep's saturating side (the 256 control of the
 /// contention sweep never congests, so admission would be a no-op there).
@@ -154,42 +153,20 @@ pub fn run_sweep() -> Vec<AdmissionPoint> {
     points
 }
 
-fn point_json(p: &AdmissionPoint) -> String {
-    format!(
-        concat!(
-            "{{\"mean_gap\":{},\"offered_milli\":{},\"admission\":{},",
-            "\"done\":{},\"admitted\":{},\"degraded\":{},\"shed\":{},",
-            "\"exact\":{},\"served_p50\":{},\"served_p99\":{},",
-            "\"served_max\":{},\"goodput_milli\":{},\"sim_ticks\":{},",
-            "\"queued_ms\":{}}}"
-        ),
-        p.mean_gap,
-        p.offered_milli,
-        p.admission,
-        p.done,
-        p.admitted,
-        p.degraded,
-        p.shed,
-        p.exact,
-        p.served_p50,
-        p.served_p99,
-        p.served_max,
-        p.goodput_milli,
-        p.sim_ticks,
-        p.queued_ms,
-    )
+fn point_json(p: &AdmissionPoint) -> Object {
+    fields!(Object::new(), p;
+        mean_gap, offered_milli, admission, done, admitted, degraded, shed, exact, served_p50,
+        served_p99, served_max, goodput_milli, sim_ticks, queued_ms)
 }
 
 /// The full `BENCH_admission.json` payload. Every field is deterministic;
 /// two runs of the same grid must produce byte-identical documents.
-pub fn admission_report_json(points: &[AdmissionPoint]) -> String {
-    let cells: Vec<String> = points.iter().map(point_json).collect();
-    format!(
-        "{{\"schema\":\"{}\",\"capacity\":{},\"results\":[\n{}\n]}}\n",
-        ADMISSION_SCHEMA,
-        ADMISSION_CAPACITY,
-        cells.join(",\n")
-    )
+pub fn json(points: &[AdmissionPoint]) -> Json {
+    Object::new()
+        .field("schema", "elink-admission/v1")
+        .field("capacity", ADMISSION_CAPACITY)
+        .field("results", Json::rows(points.iter().map(point_json)))
+        .into()
 }
 
 /// Audits the A/B contract over a full sweep (see module docs):
@@ -300,10 +277,9 @@ mod tests {
     #[test]
     fn report_is_schema_tagged_and_balanced() {
         let data = elink_datasets::TerrainDataset::generate(96, 6, 0.55, 7);
-        let p = run_point(&data, 8, true);
-        let json = admission_report_json(&[p]);
-        assert!(json.contains("\"schema\":\"elink-admission/v1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = json(&[run_point(&data, 8, true)]).document();
+        assert!(doc.contains("\"schema\":\"elink-admission/v1\""));
+        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     }
 
     #[test]

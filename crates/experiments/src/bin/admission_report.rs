@@ -8,7 +8,7 @@
 //! `--check` runs the sweep twice and fails unless the documents are
 //! byte-identical: the admission thresholds are pure integer arithmetic
 //! over the flow-table backlog, so same-seed runs must replay exactly. The
-//! command line is [`elink_bench::driver`]'s.
+//! command line is [`elink_experiments::driver`]'s.
 //!
 //! Independent of `--check`, the run fails (exit 1) unless the A/B
 //! contract holds past the saturation knee of the cap-64 sweep: admission
@@ -16,15 +16,14 @@
 //! below admission off at the heaviest load), lose no work (shed queries
 //! complete explicitly), and keep exact-answer goodput at or above the
 //! admission-off baseline (see
-//! `elink_bench::admission::admission_violation`). It also fails if any
+//! `elink_experiments::admission::admission_violation`). It also fails if any
 //! answer on either side — shed and degraded ones included — breaks the
 //! answer contract of `elink_workload::audit` over the initial anchors
 //! (the schedules are query-only).
 
-use elink_bench::admission::{
-    admission_report_json, admission_violation, run_sweep, AdmissionPoint,
-};
-use elink_bench::driver::{self, Report};
+use elink_experiments::admission::{self, admission_violation, run_sweep, AdmissionPoint};
+use elink_experiments::driver::{self, Report};
+use elink_experiments::json::Json;
 
 struct AdmissionSweep(Vec<AdmissionPoint>);
 
@@ -71,8 +70,8 @@ impl Report for AdmissionSweep {
         failures
     }
 
-    fn json(&self) -> String {
-        admission_report_json(&self.0)
+    fn json(&self) -> Json {
+        admission::json(&self.0)
     }
 }
 

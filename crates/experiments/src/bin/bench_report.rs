@@ -7,10 +7,11 @@
 //!
 //! `--check` runs the suite twice and fails unless the documents are
 //! byte-identical: the CI smoke gate for the observability layer. The
-//! command line is [`elink_bench::driver`]'s.
+//! command line is [`elink_experiments::driver`]'s.
 
-use elink_bench::driver::{self, Report};
-use elink_bench::report::{report_json, run_benches, BenchResult};
+use elink_experiments::driver::{self, Report};
+use elink_experiments::json::Json;
+use elink_experiments::report::{self, run_benches, BenchResult};
 
 struct Benches(Vec<BenchResult>);
 
@@ -36,8 +37,8 @@ impl Report for Benches {
         }
     }
 
-    fn json(&self) -> String {
-        report_json(&self.0)
+    fn json(&self) -> Json {
+        report::json(&self.0)
     }
 }
 

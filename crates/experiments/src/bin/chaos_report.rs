@@ -8,7 +8,7 @@
 //! `--check` runs the campaign twice and fails unless the documents are
 //! byte-identical: the CI smoke gate for the recovery layer, since
 //! same-seed chaos runs must be fully deterministic. The command line is
-//! [`elink_bench::driver`]'s.
+//! [`elink_experiments::driver`]'s.
 //!
 //! Independent of `--check`, the run fails (exit 1) if any cell breaks
 //! liveness (a surviving initiator's query wedged) or soundness (an answer
@@ -18,17 +18,20 @@
 //! observe a real failover, keep at least one subscription alive, and
 //! report zero push-soundness violations.
 
-use elink_bench::driver::{self, Report};
+use elink_experiments::driver::{self, Report};
+use elink_experiments::ext_chaos;
+use elink_experiments::json::Json;
 use elink_metric::{Absolute, Metric};
-use elink_workload::{default_sub_grid, run_campaign, run_sub_cell, ChaosReport, FaultSpec};
+use elink_workload::{default_sub_grid, run_sub_cell, ChaosReport, FaultSpec};
 use std::sync::Arc;
 
-/// The benchmark campaign: a 192-node terrain deployment, 60 queries per
-/// cell, over drop ∈ {0, 250}‰ × crash ∈ {0, 150}‰ plus one partition
-/// cell and one composed capacity × loss × crash cell (congestion pricing,
-/// drop faults, crashed leaders and the load-admission ladder all active
-/// at once) — the fault classes the recovery layer must survive, kept to
-/// six cells so the double-run `--check` stays in CI budget.
+/// The benchmark campaign on `ext_chaos`'s default deployment (192-node
+/// terrain, 60 queries per cell, δ = 300, seed 42), over drop ∈ {0, 250}‰ ×
+/// crash ∈ {0, 150}‰ plus one partition cell and one composed capacity ×
+/// loss × crash cell (congestion pricing, drop faults, crashed leaders and
+/// the load-admission ladder all active at once) — the fault classes the
+/// recovery layer must survive, kept to six cells so the double-run
+/// `--check` stays in CI budget.
 fn grid() -> Vec<FaultSpec> {
     let cell = |drop_milli, crash_milli, partition, capacity| FaultSpec {
         drop_milli,
@@ -53,21 +56,18 @@ impl Report for Chaos {
     const OUT: &'static str = "BENCH_chaos.json";
 
     fn run() -> Self {
-        let data = elink_datasets::TerrainDataset::generate(192, 6, 0.55, 7);
+        let params = ext_chaos::Params {
+            grid: grid(),
+            ..Default::default()
+        };
+        let mut report = ext_chaos::campaign(&params);
+        let data = elink_datasets::TerrainDataset::generate(params.n_sensors, 6, 0.55, 7);
+        let (features, (delta, seed)) = (data.features(), (params.delta, params.seed));
         let metric: Arc<dyn Metric> = Arc::new(Absolute);
-        let mut report = run_campaign(
-            data.topology(),
-            &data.features(),
-            &metric,
-            300.0,
-            60,
-            42,
-            &grid(),
-        );
         report.sub_cells = default_sub_grid()
             .into_iter()
             .map(|fault| {
-                run_sub_cell(data.topology(), &data.features(), &metric, 300.0, 42, fault)
+                run_sub_cell(data.topology(), &features, &metric, delta, seed, fault)
                     .expect("campaign fixture offers no isolatable (non-relay) coordinator victim")
             })
             .collect();
@@ -166,8 +166,8 @@ impl Report for Chaos {
         failures
     }
 
-    fn json(&self) -> String {
-        self.0.deterministic_json()
+    fn json(&self) -> Json {
+        ext_chaos::json(&self.0)
     }
 }
 

@@ -9,17 +9,18 @@
 //! byte-identical: a full-document determinism gate for the flow-level
 //! link model, where every tentative-completion invalidation and
 //! reschedule must replay exactly. The command line is
-//! [`elink_bench::driver`]'s.
+//! [`elink_experiments::driver`]'s.
 //!
 //! Independent of `--check`, the run fails (exit 1) if the queueing knee
 //! is missing — for any capacity, p99 latency must be non-decreasing in
 //! offered load and must grow superlinearly past saturation
-//! (see `elink_bench::contention::knee_violation`) — or if any answer
+//! (see `elink_experiments::contention::knee_violation`) — or if any answer
 //! breaks the answer contract of `elink_workload::audit` over the initial
 //! anchors (the schedules are query-only).
 
-use elink_bench::contention::{contention_report_json, knee_violation, run_sweep, ContentionPoint};
-use elink_bench::driver::{self, Report};
+use elink_experiments::contention::{self, knee_violation, run_sweep, ContentionPoint};
+use elink_experiments::driver::{self, Report};
+use elink_experiments::json::Json;
 
 struct Contention(Vec<ContentionPoint>);
 
@@ -63,8 +64,8 @@ impl Report for Contention {
         failures
     }
 
-    fn json(&self) -> String {
-        contention_report_json(&self.0)
+    fn json(&self) -> Json {
+        contention::json(&self.0)
     }
 }
 

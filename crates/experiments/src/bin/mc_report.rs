@@ -7,7 +7,7 @@
 //!
 //! `--check` runs the whole suite twice and fails unless the documents
 //! are byte-identical: exploration must visit the same states in the same
-//! order on every run. The command line is [`elink_bench::driver`]'s.
+//! order on every run. The command line is [`elink_experiments::driver`]'s.
 //!
 //! Independent of `--check`, the run fails (exit 1) when any cell:
 //!
@@ -27,7 +27,9 @@
 
 use std::time::Instant;
 
-use elink_bench::driver::{self, Report};
+use elink_experiments::driver::{self, Report};
+use elink_experiments::fields;
+use elink_experiments::json::{Json, Object};
 use elink_mc::scenarios::{elink_growth, serving};
 use elink_mc::{CheckOutcome, ExploreReport, FaultBudget, McConfig, Strategy};
 
@@ -215,33 +217,17 @@ impl Report for McReport {
     }
 
     /// Stable key order, no floats, no timing.
-    fn json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"elink-mc/v1\",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"explored\":{},\"pruned\":{},\"quiescent\":{},\"max_depth\":{},\"exhaustive\":{},\"violation\":{},\"expect_violation\":{},\"replay_reproduced\":{}}}",
-                c.name,
-                c.explored,
-                c.pruned,
-                c.quiescent,
-                c.max_depth,
-                c.exhaustive,
-                match &c.violation {
-                    Some(p) => format!("\"{p}\""),
-                    None => "null".to_string(),
-                },
-                c.expect_violation,
-                match c.replay_reproduced {
-                    Some(b) => b.to_string(),
-                    None => "null".to_string(),
-                },
-            ));
-        }
-        out.push_str("]}");
-        out
+    fn json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            let counts = fields!(Object::new(), c;
+                name, explored, pruned, quiescent, max_depth, exhaustive);
+            fields!(counts.field("violation", c.violation.as_deref()), c;
+                expect_violation, replay_reproduced)
+        });
+        Object::new()
+            .field("schema", "elink-mc/v1")
+            .field("cells", Json::array(cells))
+            .into()
     }
 }
 

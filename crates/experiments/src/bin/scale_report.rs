@@ -6,10 +6,11 @@
 //! ```
 //!
 //! `--check` runs the sweep twice and fails unless the documents are
-//! byte-identical. The command line is [`elink_bench::driver`]'s.
+//! byte-identical. The command line is [`elink_experiments::driver`]'s.
 
-use elink_bench::driver::{self, Report};
-use elink_bench::scale::{run_scale, scale_report_json, ScalePoint, FULL_SIDES};
+use elink_experiments::driver::{self, Report};
+use elink_experiments::json::Json;
+use elink_experiments::scale::{self, run_scale, ScalePoint, FULL_SIDES};
 
 struct Scale(Vec<ScalePoint>);
 
@@ -30,8 +31,8 @@ impl Report for Scale {
         }
     }
 
-    fn json(&self) -> String {
-        scale_report_json(&self.0)
+    fn json(&self) -> Json {
+        scale::json(&self.0)
     }
 }
 

@@ -7,15 +7,16 @@
 //!
 //! `--check` runs the bench twice and fails unless the documents are
 //! byte-identical: the CI smoke gate for the subscription engine. The
-//! command line is [`elink_bench::driver`]'s.
+//! command line is [`elink_experiments::driver`]'s.
 //!
 //! The bench compares the incremental push pipeline against per-update
 //! one-shot re-query over the same deployment and churn stream. The run
 //! fails unless every subscription survives and `ratio_milli >= 2000` (at
 //! least 2× fewer serving messages per update).
 
-use elink_bench::driver::{self, Report};
-use elink_bench::subbench::{self, SubReport};
+use elink_experiments::driver::{self, Report};
+use elink_experiments::json::Json;
+use elink_experiments::subbench::{self, SubReport};
 
 struct Sub(SubReport);
 
@@ -69,8 +70,8 @@ impl Report for Sub {
         failures
     }
 
-    fn json(&self) -> String {
-        self.0.to_json()
+    fn json(&self) -> Json {
+        subbench::json(&self.0)
     }
 }
 

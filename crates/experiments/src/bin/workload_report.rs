@@ -7,7 +7,7 @@
 //!
 //! `--check` runs the workload twice and fails unless the documents are
 //! byte-identical: the CI smoke gate for the serving layer. The command
-//! line is [`elink_bench::driver`]'s.
+//! line is [`elink_experiments::driver`]'s.
 //!
 //! The preset drives a mixed range/path stream of 120 queries against a
 //! 1024-node terrain deployment with background feature updates. The run
@@ -16,10 +16,10 @@
 //! (`elink_workload::audit`): updates interleave with the queries, so no
 //! single anchor snapshot is the truth every answer was served over.
 
-use elink_bench::driver::{self, Report};
-use elink_metric::Absolute;
-use elink_workload::{ServeOptions, SloReport, WorkloadSim, WorkloadSpec};
-use std::sync::Arc;
+use elink_experiments::driver::{self, Report};
+use elink_experiments::ext_workload;
+use elink_experiments::json::Json;
+use elink_workload::{ServeOptions, SloReport, WorkloadSpec};
 
 struct Workload(SloReport);
 
@@ -33,16 +33,7 @@ impl Report for Workload {
         let mut spec = WorkloadSpec::quick(42);
         spec.n_queries = 120;
         spec.n_updates = 40;
-        let delta = 300.0;
-        let data = elink_datasets::TerrainDataset::generate(1024, 6, 0.55, 7);
-        let sim = WorkloadSim::build(
-            data.topology().clone(),
-            data.features(),
-            Arc::new(Absolute),
-            delta,
-            &spec,
-            ServeOptions::for_delta(delta),
-        );
+        let sim = ext_workload::deploy(1024, 300.0, &spec, ServeOptions::for_delta(300.0));
         Workload(SloReport::from_run(&sim.run_concurrent()))
     }
 
@@ -94,8 +85,8 @@ impl Report for Workload {
         failures
     }
 
-    fn json(&self) -> String {
-        self.0.to_json()
+    fn json(&self) -> Json {
+        ext_workload::json(&self.0)
     }
 }
 

@@ -14,13 +14,13 @@
 //! `contention_report --check` CI gate reruns the whole sweep and
 //! requires byte-identical documents.
 
+use crate::fields;
+use crate::json::{Json, Object};
+use elink_datasets::TerrainDataset;
 use elink_metric::{Absolute, Metric};
 use elink_netsim::FairShareLink;
 use elink_workload::{Arrival, ServeOptions, SloReport, Truth, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
-
-/// Schema identifier of the `BENCH_contention.json` document.
-pub const CONTENTION_SCHEMA: &str = "elink-contention/v1";
 
 /// One (capacity, offered-load) cell of the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,20 +84,32 @@ pub(crate) fn preset(mean_gap: u64) -> (WorkloadSpec, f64) {
     (spec, 300.0)
 }
 
-/// Runs one cell of the sweep over a prebuilt terrain dataset.
+/// Runs one cell of this sweep or of `ext_contention`'s table: `spec`
+/// served at δ = `delta` on `data`, every link of capacity `capacity`.
+///
+/// # Panics
+/// Panics unless `spec` is query-only (the audit's truth is the initial
+/// features) and open-loop.
 pub fn run_point(
-    data: &elink_datasets::TerrainDataset,
+    data: &TerrainDataset,
+    spec: &WorkloadSpec,
+    delta: f64,
     capacity: u64,
-    mean_gap: u64,
 ) -> ContentionPoint {
-    let (spec, delta) = preset(mean_gap);
+    assert_eq!(
+        spec.n_updates, 0,
+        "contention cells serve query-only schedules"
+    );
+    let Arrival::Open { mean_gap } = spec.arrival else {
+        panic!("contention cells run open-loop arrivals");
+    };
     let metric: Arc<dyn Metric> = Arc::new(Absolute);
     let sim = WorkloadSim::build_with_link(
         data.topology().clone(),
         data.features(),
         Arc::clone(&metric),
         delta,
-        &spec,
+        spec,
         ServeOptions::for_delta(delta),
         FairShareLink::new(capacity),
         None,
@@ -131,50 +143,30 @@ pub fn run_point(
 
 /// Runs the full sweep (see [`CAPACITIES`] × [`MEAN_GAPS`]).
 pub fn run_sweep() -> Vec<ContentionPoint> {
-    let data = elink_datasets::TerrainDataset::generate(1024, 6, 0.55, 7);
+    let data = TerrainDataset::generate(1024, 6, 0.55, 7);
     let mut points = Vec::new();
     for &capacity in &CAPACITIES {
         for &mean_gap in &MEAN_GAPS {
-            points.push(run_point(&data, capacity, mean_gap));
+            let (spec, delta) = preset(mean_gap);
+            points.push(run_point(&data, &spec, delta, capacity));
         }
     }
     points
 }
 
-fn point_json(p: &ContentionPoint) -> String {
-    format!(
-        concat!(
-            "{{\"capacity\":{},\"mean_gap\":{},\"offered_milli\":{},",
-            "\"done\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},",
-            "\"throughput_milli\":{},\"sim_ticks\":{},\"queued_ms\":{},",
-            "\"links_used\":{},\"link_busy_peak\":{},\"link_peak_flows\":{}}}"
-        ),
-        p.capacity,
-        p.mean_gap,
-        p.offered_milli,
-        p.done,
-        p.p50,
-        p.p90,
-        p.p99,
-        p.max,
-        p.throughput_milli,
-        p.sim_ticks,
-        p.queued_ms,
-        p.links_used,
-        p.link_busy_peak,
-        p.link_peak_flows,
-    )
+fn point_json(p: &ContentionPoint) -> Object {
+    fields!(Object::new(), p;
+        capacity, mean_gap, offered_milli, done, p50, p90, p99, max, throughput_milli,
+        sim_ticks, queued_ms, links_used, link_busy_peak, link_peak_flows)
 }
 
 /// The full `BENCH_contention.json` payload. Every field is deterministic;
 /// two runs of the same grid must produce byte-identical documents.
-pub fn contention_report_json(points: &[ContentionPoint]) -> String {
-    let cells: Vec<String> = points.iter().map(point_json).collect();
-    format!(
-        "{{\"schema\":\"{}\",\"results\":[\n{}\n]}}\n",
-        CONTENTION_SCHEMA,
-        cells.join(",\n")
-    )
+pub fn json(points: &[ContentionPoint]) -> Json {
+    Object::new()
+        .field("schema", "elink-contention/v1")
+        .field("results", Json::rows(points.iter().map(point_json)))
+        .into()
 }
 
 /// Audits the knee. Within each capacity's sweep (lightest → heaviest
@@ -238,15 +230,21 @@ pub fn knee_violation(points: &[ContentionPoint]) -> Option<String> {
 mod tests {
     use super::*;
 
+    /// One cell of the report's preset at `mean_gap` on `data`.
+    fn cell(data: &TerrainDataset, capacity: u64, mean_gap: u64) -> ContentionPoint {
+        let (spec, delta) = preset(mean_gap);
+        run_point(data, &spec, delta, capacity)
+    }
+
     /// A miniature sweep (small fleet, one capacity) exercises the full
     /// point pipeline: deterministic reruns, queueing visible under load,
     /// every query completed.
     #[test]
     fn mini_sweep_is_deterministic_and_queues_under_load() {
-        let data = elink_datasets::TerrainDataset::generate(96, 6, 0.55, 7);
-        let light = run_point(&data, 2, 24);
-        let heavy = run_point(&data, 2, 1);
-        let again = run_point(&data, 2, 1);
+        let data = TerrainDataset::generate(96, 6, 0.55, 7);
+        let light = cell(&data, 2, 24);
+        let heavy = cell(&data, 2, 1);
+        let again = cell(&data, 2, 1);
         assert_eq!(heavy, again, "same-seed points must be byte-identical");
         assert_eq!(light.done, heavy.done, "load must never lose queries");
         assert_eq!(
@@ -261,10 +259,9 @@ mod tests {
 
     #[test]
     fn report_is_schema_tagged_and_balanced() {
-        let data = elink_datasets::TerrainDataset::generate(96, 6, 0.55, 7);
-        let p = run_point(&data, 4, 8);
-        let json = contention_report_json(&[p]);
-        assert!(json.contains("\"schema\":\"elink-contention/v1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let data = TerrainDataset::generate(96, 6, 0.55, 7);
+        let doc = json(&[cell(&data, 4, 8)]).document();
+        assert!(doc.contains("\"schema\":\"elink-contention/v1\""));
+        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     }
 }

@@ -13,6 +13,7 @@
 //! writes the document to `PATH` (default
 //! [`Report::OUT`](crate::driver::Report::OUT)). A bad argument exits 2.
 
+use crate::json::Json;
 use std::process::exit;
 
 /// One report binary: what it runs, prints, gates and writes.
@@ -29,8 +30,8 @@ pub trait Report: Sized {
     fn failures(&self) -> Vec<String> {
         Vec::new()
     }
-    /// The JSON document.
-    fn json(&self) -> String;
+    /// The JSON document, rendered by [`Json::document`].
+    fn json(&self) -> Json;
 }
 
 /// Runs report `R` under the shared command line (see the module docs).
@@ -51,7 +52,7 @@ pub fn main<R: Report>() {
 
     let report = R::run();
     report.print();
-    let json = report.json();
+    let json = report.json().document();
     let mut failures = report.failures();
     if json.matches('{').count() != json.matches('}').count() {
         failures.push(format!("unbalanced braces in {json}"));
@@ -66,7 +67,7 @@ pub fn main<R: Report>() {
     if check {
         let name = R::NAME;
         eprintln!("--check: running {name} again to verify determinism...");
-        let again = R::run().json();
+        let again = R::run().json().document();
         if again != json {
             eprintln!("DETERMINISM FAILURE: {name} documents differ across runs");
             for (a, b) in json.lines().zip(again.lines()).filter(|(a, b)| a != b) {

@@ -12,9 +12,11 @@
 //! retransmissions.
 
 use crate::common::Table;
+use crate::fields;
+use crate::json::{Json, Object};
 use elink_datasets::TerrainDataset;
 use elink_metric::{Absolute, Metric};
-use elink_workload::{default_grid, run_campaign, ChaosReport, FaultSpec};
+use elink_workload::{default_grid, run_campaign, ChaosCell, ChaosReport, FaultSpec, SubChaosCell};
 use std::sync::Arc;
 
 /// Parameters for the chaos campaign.
@@ -96,6 +98,45 @@ pub fn campaign(params: &Params) -> ChaosReport {
         params.seed,
         &params.grid,
     )
+}
+
+fn cell_json(c: &ChaosCell) -> Object {
+    let (from, until) = c.fault.partition.unwrap_or((0, 0));
+    let fault = fields!(Object::new(), c.fault; drop_milli, crash_milli)
+        .field("partition_from", from)
+        .field("partition_until", until)
+        // 0 = per-message cell (no capacity limit in play).
+        .field("capacity", c.fault.capacity.unwrap_or(0));
+    fields!(fault, c;
+        crashed, expected, done, exact, partial, coverage_mean_milli, coverage_min_milli,
+        gave_up, retx, timeouts, queued_ms, admitted, degraded, shed, failovers, violations)
+}
+
+fn sub_cell_json(c: &SubChaosCell) -> Object {
+    let fault = Object::new()
+        .field("drop_milli", c.fault.drop_milli)
+        .field("capacity", c.fault.capacity.unwrap_or(0));
+    fields!(fault, c;
+        crash_at, crashed_leader, registered, admitted, active, ended, exact, subset, pushes,
+        repairs, resyncs, contrib_gaveup, failovers, queued_ms, violations)
+}
+
+/// The `BENCH_chaos.json` document. Every field is deterministic; two runs
+/// of the same campaign must produce byte-identical documents.
+pub fn json(report: &ChaosReport) -> Json {
+    Object::new()
+        // v2 added `sub_cells`; v3 the composed capacity cells, the
+        // admission columns and the sub cells' capacity and queueing.
+        .field("schema", "elink-chaos/v3")
+        .field("n_nodes", report.n_nodes)
+        .field("n_queries", report.n_queries)
+        .field("seed", report.seed)
+        .field("cells", Json::array(report.cells.iter().map(cell_json)))
+        .field(
+            "sub_cells",
+            Json::array(report.sub_cells.iter().map(sub_cell_json)),
+        )
+        .into()
 }
 
 /// Regenerates the chaos-campaign table.
@@ -181,10 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_campaigns_are_byte_identical() {
+    fn same_seed_campaigns_are_identical() {
         let p = Params::quick();
-        let a = campaign(&p).deterministic_json();
-        let b = campaign(&p).deterministic_json();
-        assert_eq!(a, b, "chaos campaign is not deterministic");
+        assert_eq!(
+            campaign(&p),
+            campaign(&p),
+            "chaos campaign is not deterministic"
+        );
     }
 }

@@ -12,11 +12,9 @@
 //! gates on at 1k nodes (see EXPERIMENTS.md, Ext-C2).
 
 use crate::common::Table;
+use crate::contention::{self, ContentionPoint};
 use elink_datasets::TerrainDataset;
-use elink_metric::Absolute;
-use elink_netsim::FairShareLink;
-use elink_workload::{Arrival, ServeOptions, SloReport, WorkloadSim, WorkloadSpec};
-use std::sync::Arc;
+use elink_workload::{Arrival, WorkloadSpec};
 
 /// Parameters for the contention sweep.
 #[derive(Debug, Clone)]
@@ -63,29 +61,8 @@ impl Params {
     }
 }
 
-/// One sweep cell's measurements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cell {
-    /// Per-directed-link capacity (scalars per tick).
-    pub capacity: u64,
-    /// Mean inter-arrival gap (ticks).
-    pub mean_gap: u64,
-    /// Completed queries.
-    pub done: u64,
-    /// Median / 99th-percentile / max query latency (ticks).
-    pub p50: u64,
-    /// 99th-percentile query latency (ticks).
-    pub p99: u64,
-    /// Maximum query latency (ticks).
-    pub max: u64,
-    /// Total excess queueing across transfers (ticks).
-    pub queued_ms: u64,
-    /// Busy ticks on the busiest directed link.
-    pub link_busy_peak: i64,
-}
-
 /// Runs the full sweep, cells in (capacity-major, load-minor) order.
-pub fn sweep(params: &Params) -> Vec<Cell> {
+pub fn sweep(params: &Params) -> Vec<ContentionPoint> {
     let data = TerrainDataset::generate(params.n_sensors, 6, 0.55, 7);
     let mut cells = Vec::new();
     for &capacity in &params.capacities {
@@ -94,28 +71,7 @@ pub fn sweep(params: &Params) -> Vec<Cell> {
             spec.n_queries = params.n_queries;
             spec.n_updates = 0;
             spec.arrival = Arrival::Open { mean_gap };
-            let sim = WorkloadSim::build_with_link(
-                data.topology().clone(),
-                data.features(),
-                Arc::new(Absolute),
-                params.delta,
-                &spec,
-                ServeOptions::for_delta(params.delta),
-                FairShareLink::new(capacity),
-                None,
-            );
-            let run = sim.run_concurrent();
-            let slo = SloReport::from_run(&run);
-            cells.push(Cell {
-                capacity,
-                mean_gap,
-                done: slo.done,
-                p50: slo.latency.p50,
-                p99: slo.latency.p99,
-                max: slo.latency.max,
-                queued_ms: run.metrics.counter("net.queued_ms"),
-                link_busy_peak: run.metrics.gauge("net.link.busy_peak_ticks").unwrap_or(0),
-            });
+            cells.push(contention::run_point(&data, &spec, params.delta, capacity));
         }
     }
     cells
@@ -177,6 +133,7 @@ mod tests {
                 "cap {} gap {}: contention lost a query",
                 c.capacity, c.mean_gap
             );
+            assert_eq!(c.breaches, 0, "cap {} gap {}", c.capacity, c.mean_gap);
         }
         // Contended capacity, heaviest load: real queueing, fatter tail
         // than its own light-load point.

@@ -10,6 +10,8 @@
 //! cache disabled the hit-rate is zero and costs are flat in skew.
 
 use crate::common::{fmt, Table};
+use crate::fields;
+use crate::json::{Json, Object};
 use elink_datasets::TerrainDataset;
 use elink_metric::Absolute;
 use elink_workload::{ServeOptions, SloReport, WorkloadSim, WorkloadSpec};
@@ -61,8 +63,15 @@ impl Params {
     }
 }
 
+/// The serving deployment of `spec` on the `n`-node terrain: one cell of
+/// this table, and the `workload_report` and `sub_report` presets.
+pub fn deploy(n: usize, delta: f64, spec: &WorkloadSpec, opts: ServeOptions) -> WorkloadSim {
+    let data = TerrainDataset::generate(n, 6, 0.55, 7);
+    let (topology, features) = (data.topology().clone(), data.features());
+    WorkloadSim::build(topology, features, Arc::new(Absolute), delta, spec, opts)
+}
+
 fn run_cell(params: &Params, zipf_s: f64, cache: bool) -> SloReport {
-    let data = TerrainDataset::generate(params.n_sensors, 6, 0.55, 7);
     let mut spec = WorkloadSpec::quick(42);
     spec.zipf_s = zipf_s;
     spec.n_queries = params.n_queries;
@@ -70,15 +79,37 @@ fn run_cell(params: &Params, zipf_s: f64, cache: bool) -> SloReport {
     spec.n_templates = params.n_templates;
     let mut opts = ServeOptions::for_delta(params.delta);
     opts.cache_enabled = cache;
-    let sim = WorkloadSim::build(
-        data.topology().clone(),
-        data.features(),
-        Arc::new(Absolute),
-        params.delta,
-        &spec,
-        opts,
-    );
-    SloReport::from_run(&sim.run_concurrent())
+    SloReport::from_run(&deploy(params.n_sensors, params.delta, &spec, opts).run_concurrent())
+}
+
+/// The `BENCH_workload.json` document of one SLO report. Two runs of the
+/// same seed must produce byte-identical documents.
+pub fn json(r: &SloReport) -> Json {
+    let latency = fields!(Object::new(), r.latency; count, p50, p90, p99, max, mean_milli);
+    let cache = Object::new()
+        .field("hits", r.cache_hits)
+        .field("misses", r.cache_misses)
+        .field("hit_rate_milli", r.hit_rate_milli)
+        .field("evictions", r.cache_evictions)
+        .field("invalidations", r.invalidations);
+    let messages = Object::new()
+        .field("total_msgs", r.total_msgs)
+        .field("total_cost", r.total_cost)
+        .field("per_query_milli", r.msgs_per_query_milli)
+        .field("attributed_cost", r.attributed_cost);
+    let updates = Object::new()
+        .field("recv", r.updates_recv)
+        .field("absorbed", r.updates_absorbed)
+        .field("sync", r.updates_sync);
+    let head = Object::new().field("schema", "elink-workload/v2");
+    fields!(head, r; n_nodes, n_clusters, submitted, done, sim_ticks)
+        .field("latency", latency)
+        .field("throughput_milli", r.throughput_milli)
+        .field("cache", cache)
+        .field("batch_riders", r.batch_riders)
+        .field("messages", messages)
+        .field("updates", updates)
+        .into()
 }
 
 /// Regenerates the serving-workload table.

@@ -1,9 +1,10 @@
-//! Experiment harness: one module per figure of the paper's evaluation
-//! (§8), plus the extensions listed in DESIGN.md.
+//! Experiment and report harness: one module per figure of the paper's
+//! evaluation (§8), the extensions listed in DESIGN.md, and the
+//! machine-readable reports behind the committed `BENCH_*.json` files.
 //!
-//! Every module exposes a `Params` struct with two presets — `Default`
-//! (paper scale) and `quick()` (seconds-scale, used by the unit tests) —
-//! and a `run(params) -> Table` function that regenerates the
+//! Every figure module exposes a `Params` struct with two presets —
+//! `Default` (paper scale) and `quick()` (seconds-scale, used by the unit
+//! tests) — and a `run(params) -> Table` function that regenerates the
 //! figure's data. Binaries (`cargo run -p elink-experiments --release
 //! --bin figNN`) print the table as markdown and write `results/figNN.csv`;
 //! `--bin all` regenerates everything.
@@ -28,14 +29,32 @@
 //! | `ext_workload` | serving-layer SLOs vs template skew (concurrent queries) |
 //! | `ext_chaos` | seeded fault campaign: drop × crash × partition grid |
 //! | `ext_contention` | load × capacity sweep over the contention-aware link |
+//!
+//! The `*_report` binaries (`bench_report`, `workload_report`,
+//! `chaos_report`, `contention_report`, `admission_report`, `scale_report`,
+//! `mc_report`, `sub_report`) each write one `BENCH_*.json` document through
+//! [`driver`] (`[--check] [--out PATH]`, an acceptance gate, a determinism
+//! rerun) and the [`json`] writer. No document carries host time, which the
+//! standalone benchmark in `benchmark/` measures; this crate is outside
+//! simlint's protocol-crate set only for `mc_report`'s wall-time ceiling.
+//! `trace_summary` renders a [`elink_netsim::JsonlTrace`] log as per-node
+//! tables.
 
 // Every public item must carry a doc comment (simlint pub-doc-coverage
 // enforces the same invariant pre-rustdoc).
 #![warn(missing_docs)]
 
+/// The load-admission A/B sweep behind `BENCH_admission.json`.
+pub mod admission;
+/// Shared experiment infrastructure: result tables, δ grids, scenarios.
 pub mod common;
+/// The offered-load × capacity contention sweep behind `BENCH_contention.json`.
+pub mod contention;
 /// CSV reading/writing for the results directory.
 pub mod csv_io;
+/// The shared command line, gate, determinism rerun and writer of every
+/// `*_report` binary.
+pub mod driver;
 /// Ext — switching budget c and threshold φ ablations.
 pub mod ext_ablation;
 /// Ext — seeded fault campaign over the serving layer.
@@ -72,6 +91,14 @@ pub mod fig13;
 pub mod fig14;
 /// Fig. 15 — range-query cost vs radius, synthetic.
 pub mod fig15;
+/// The one JSON writer behind every `BENCH_*` document.
+pub mod json;
+/// Quick experiment presets behind `BENCH_elink.json`.
+pub mod report;
+/// The 1k→64k fleet-size scaling bench behind `BENCH_scale.json`.
+pub mod scale;
+/// The standing-query push-vs-requery bench behind `BENCH_sub.json`.
+pub mod subbench;
 /// Minimal SVG plotting for the results directory.
 pub mod svg;
 

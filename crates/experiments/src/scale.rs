@@ -11,9 +11,11 @@
 //! two-frequency feature field, clustered by implicit-mode ELink over a
 //! synchronous link — the §4 configuration, which is broadcast-only.
 //! Broadcast-only matters at this scale: the engine's routing table is
-//! `O(n²)` memory (≈ 34 GiB at 64k) and is built lazily; the bench asserts
-//! it was never materialized.
+//! `O(n²)` memory (1 byte per ordered pair, 4 GiB at 64k) and is built
+//! lazily; the bench asserts it was never materialized.
 
+use crate::fields;
+use crate::json::{Json, Object};
 use elink_core::{run_implicit, ElinkConfig};
 use elink_metric::{Absolute, Feature};
 use elink_netsim::SimNetwork;
@@ -24,7 +26,7 @@ use std::sync::Arc;
 pub const FULL_SIDES: [usize; 4] = [32, 64, 128, 256];
 
 /// One fleet size's measurements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalePoint {
     /// Fleet size (nodes).
     pub n: usize,
@@ -104,31 +106,20 @@ pub fn run_scale(sides: &[usize]) -> Vec<ScalePoint> {
     sides.iter().map(|&side| run_point(side)).collect()
 }
 
-fn point_json(p: &ScalePoint) -> String {
-    format!(
-        concat!(
-            "{{\"n\":{},\"clusters\":{},\"sim_time\":{},\"messages\":{},\"bytes\":{},",
-            "\"msgs_per_node\":{:.3},\"bytes_per_node\":{:.3},\"peak_live_events\":{}}}"
-        ),
-        p.n,
-        p.clusters,
-        p.sim_time,
-        p.messages,
-        p.bytes,
-        p.msgs_per_node,
-        p.bytes_per_node,
-        p.peak_live_events
-    )
+fn point_json(p: &ScalePoint) -> Object {
+    fields!(Object::new(), p; n, clusters, sim_time, messages, bytes)
+        .field("msgs_per_node", Json::Fixed3(p.msgs_per_node))
+        .field("bytes_per_node", Json::Fixed3(p.bytes_per_node))
+        .field("peak_live_events", p.peak_live_events)
 }
 
 /// The `BENCH_scale.json` document. Two same-seed runs must agree
 /// byte-for-byte.
-pub fn scale_report_json(points: &[ScalePoint]) -> String {
-    let rows: Vec<String> = points.iter().map(point_json).collect();
-    format!(
-        "{{\"schema\":\"elink-scale/v3\",\"results\":[\n{}\n]}}\n",
-        rows.join(",\n")
-    )
+pub fn json(points: &[ScalePoint]) -> Json {
+    Object::new()
+        .field("schema", "elink-scale/v3")
+        .field("results", Json::rows(points.iter().map(point_json)))
+        .into()
 }
 
 #[cfg(test)]
@@ -153,18 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_view_is_reproducible_and_wall_free() {
-        let a = run_scale(&[8, 16]);
-        let b = run_scale(&[8, 16]);
-        let json = scale_report_json(&a);
-        assert_eq!(json, scale_report_json(&b));
-        assert!(!json.contains("wall_ms"));
-        for key in [
-            "\"schema\":\"elink-scale/v3\"",
-            "\"msgs_per_node\":",
-            "\"peak_live_events\":",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
+    fn same_sides_replay_exactly() {
+        assert_eq!(run_scale(&[8, 16]), run_scale(&[8, 16]));
     }
 }

@@ -21,8 +21,11 @@
 //! percentiles come from the per-client samples recorded at delivery.
 
 use crate::admission::percentile;
+use crate::ext_workload::deploy;
+use crate::fields;
+use crate::json::{Json, Object};
 use elink_metric::Absolute;
-use elink_workload::{ServeOptions, Truth, WorkloadSim, WorkloadSpec};
+use elink_workload::{ServeOptions, Truth, WorkloadSpec};
 use std::sync::Arc;
 
 /// Everything `sub_report` prints and serializes. Every field is
@@ -78,18 +81,6 @@ pub fn preset(scale: u32) -> (WorkloadSpec, f64, usize) {
     (spec, 300.0, n_nodes)
 }
 
-fn build(spec: &WorkloadSpec, delta: f64, n_nodes: usize) -> WorkloadSim {
-    let data = elink_datasets::TerrainDataset::generate(n_nodes, 6, 0.55, 7);
-    WorkloadSim::build(
-        data.topology().clone(),
-        data.features(),
-        Arc::new(Absolute),
-        delta,
-        spec,
-        ServeOptions::for_delta(delta),
-    )
-}
-
 /// Runs the three-way comparison for one preset scale.
 pub fn run_once(scale: u32) -> SubReport {
     let (spec, delta, n_nodes) = preset(scale);
@@ -99,7 +90,7 @@ pub fn run_once(scale: u32) -> SubReport {
     let control = {
         let mut s = spec.clone();
         s.n_subscribers = 0;
-        let mut sim = build(&s, delta, n_nodes);
+        let mut sim = deploy(n_nodes, delta, &s, ServeOptions::for_delta(delta));
         let updates = sim.schedule().updates.clone();
         for u in updates {
             sim.inject_update(u.at, u.node, u.feature);
@@ -113,7 +104,7 @@ pub fn run_once(scale: u32) -> SubReport {
     //    so the per-update serving cost is honest (no cross-update
     //    coalescing hides traffic the re-query strategy would also save).
     let (push_total, n_clusters, subs, report_core) = {
-        let mut sim = build(&spec, delta, n_nodes);
+        let mut sim = deploy(n_nodes, delta, &spec, ServeOptions::for_delta(delta));
         let subs = sim.schedule().subscriptions.clone();
         let updates = sim.schedule().updates.clone();
         for s in &subs {
@@ -166,7 +157,7 @@ pub fn run_once(scale: u32) -> SubReport {
     let requery_total = {
         let mut s = spec.clone();
         s.n_subscribers = 0;
-        let mut sim = build(&s, delta, n_nodes);
+        let mut sim = deploy(n_nodes, delta, &s, ServeOptions::for_delta(delta));
         let updates = sim.schedule().updates.clone();
         let mut qid = 1u64 << 20;
         // Initial answers (the push run's snapshots).
@@ -215,38 +206,18 @@ pub fn run_once(scale: u32) -> SubReport {
     }
 }
 
-impl SubReport {
-    /// The JSON document (schema `elink-sub/v2`).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"schema\":\"elink-sub/v2\",\"n_nodes\":{},\"n_clusters\":{},",
-                "\"n_subscribers\":{},\"n_updates\":{},\"active_subs\":{},",
-                "\"pushes\":{},\"repairs\":{},\"contribs\":{},",
-                "\"push_latency\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},",
-                "\"push_msgs\":{},\"requery_msgs\":{},",
-                "\"push_per_update_milli\":{},\"requery_per_update_milli\":{},",
-                "\"ratio_milli\":{}}}"
-            ),
-            self.n_nodes,
-            self.n_clusters,
-            self.n_subscribers,
-            self.n_updates,
-            self.active_subs,
-            self.pushes,
-            self.repairs,
-            self.contribs,
-            self.push_p50,
-            self.push_p90,
-            self.push_p99,
-            self.push_max,
-            self.push_msgs,
-            self.requery_msgs,
-            self.push_per_update_milli,
-            self.requery_per_update_milli,
-            self.ratio_milli
-        )
-    }
+/// The `BENCH_sub.json` document (schema `elink-sub/v2`).
+pub fn json(r: &SubReport) -> Json {
+    let push_latency = Object::new()
+        .field("p50", r.push_p50)
+        .field("p90", r.push_p90)
+        .field("p99", r.push_p99)
+        .field("max", r.push_max);
+    let head = fields!(Object::new().field("schema", "elink-sub/v2"), r;
+        n_nodes, n_clusters, n_subscribers, n_updates, active_subs, pushes, repairs, contribs);
+    fields!(head.field("push_latency", push_latency), r;
+        push_msgs, requery_msgs, push_per_update_milli, requery_per_update_milli, ratio_milli)
+    .into()
 }
 
 #[cfg(test)]
@@ -257,7 +228,7 @@ mod tests {
     fn mini_preset_is_deterministic_and_beats_requery() {
         let a = run_once(4);
         let b = run_once(4);
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a, b);
         assert!(a.pushes > 0, "no pushes delivered");
         assert!(a.repairs > 0, "no incremental repairs ran");
         assert!(
@@ -269,8 +240,7 @@ mod tests {
 
     #[test]
     fn report_is_schema_tagged_and_balanced() {
-        let r = run_once(4);
-        let j = r.to_json();
+        let j = json(&run_once(4)).document();
         assert!(j.starts_with("{\"schema\":\"elink-sub/v2\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(j.ends_with('}'));

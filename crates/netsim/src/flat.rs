@@ -44,9 +44,22 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         self.entries.is_empty()
     }
 
+    /// Entries the map can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Removes all entries, keeping capacity.
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+
+    /// Frees the map's storage when it holds no entries: a map of in-flight
+    /// work then costs no memory once that work drains.
+    pub fn release_if_empty(&mut self) {
+        if self.entries.is_empty() {
+            self.entries = Vec::new();
+        }
     }
 
     #[inline]

@@ -15,9 +15,10 @@
 //! protocol crate where `Instant` is banned (simlint
 //! `no-wall-clock-or-ambient-rng`), and keeping host timing out of the
 //! registry is what lets `bench_report` assert byte-identical metric output
-//! across same-seed runs. Harnesses that want wall-clock (the
-//! `elink-bench` crate) measure it outside the registry and report it in a
-//! field excluded from the determinism check.
+//! across same-seed runs. Harnesses that want wall-clock (the standalone
+//! benchmark in `benchmark/`, `mc_report`'s suite ceiling in
+//! `elink-experiments`) measure it outside the registry and keep it out of
+//! every byte-compared document.
 //!
 //! # Phase spans
 //!

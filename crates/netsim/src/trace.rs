@@ -3,8 +3,8 @@
 //! A [`TraceSink`] attached via `Simulator::set_trace` receives every
 //! send/deliver/drop/timer event the engine processes. [`JsonlTrace`]
 //! streams every event as one JSON object per line for offline analysis
-//! (the `trace_summary` binary in `elink-bench` renders such logs as
-//! per-node tables). Wrap a sink in `Arc<Mutex<_>>` to keep a handle for
+//! (the `trace_summary` binary in `elink-experiments` renders such logs
+//! as per-node tables). Wrap a sink in `Arc<Mutex<_>>` to keep a handle for
 //! inspection after the simulator takes ownership.
 //!
 //! # Granularity contract: traces vs the cost book

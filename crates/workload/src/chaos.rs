@@ -35,17 +35,10 @@ use elink_topology::{NodeId, Topology};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Schema identifier of the `BENCH_chaos.json` document. v2 added the
-/// `sub_cells` array (standing-subscription fault cells); v3 added
-/// composed capacity × loss × crash cells, the load-admission overload
-/// columns (`admitted`/`degraded`/`shed`), and sub-cell capacity +
-/// queueing columns.
-pub const CHAOS_SCHEMA: &str = "elink-chaos/v3";
-
 /// One cell of the fault grid. All faults are active from the start of
 /// serving: deployment (clustering, index, backbone, plan distribution)
 /// happens on the pristine network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Per-hop independent drop probability, milli-units.
     pub drop_milli: u64,
@@ -108,7 +101,7 @@ impl FaultSpec {
 }
 
 /// Aggregated outcome of one campaign cell, plus its contract audit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosCell {
     /// The faults this cell ran under.
     pub fault: FaultSpec,
@@ -152,48 +145,6 @@ pub struct ChaosCell {
     pub violations: u64,
 }
 
-impl ChaosCell {
-    fn json(&self) -> String {
-        let (pfrom, puntil) = self.fault.partition.unwrap_or((0, 0));
-        format!(
-            concat!(
-                "{{\"drop_milli\":{},\"crash_milli\":{},",
-                "\"partition_from\":{},\"partition_until\":{},",
-                "\"capacity\":{},",
-                "\"crashed\":{},\"expected\":{},\"done\":{},",
-                "\"exact\":{},\"partial\":{},",
-                "\"coverage_mean_milli\":{},\"coverage_min_milli\":{},",
-                "\"gave_up\":{},\"retx\":{},\"timeouts\":{},",
-                "\"queued_ms\":{},",
-                "\"admitted\":{},\"degraded\":{},\"shed\":{},",
-                "\"failovers\":{},\"violations\":{}}}"
-            ),
-            self.fault.drop_milli,
-            self.fault.crash_milli,
-            pfrom,
-            puntil,
-            // 0 = per-message cell (no capacity limit in play).
-            self.fault.capacity.unwrap_or(0),
-            self.crashed,
-            self.expected,
-            self.done,
-            self.exact,
-            self.partial,
-            self.coverage_mean_milli,
-            self.coverage_min_milli,
-            self.gave_up,
-            self.retx,
-            self.timeouts,
-            self.queued_ms,
-            self.admitted,
-            self.degraded,
-            self.shed,
-            self.failovers,
-            self.violations,
-        )
-    }
-}
-
 /// Fault knobs of a standing-subscription cell: a per-hop drop rate plus
 /// one leader crash landing mid-subscription. Neither the victim nor the
 /// crash tick is a knob — the cell always kills the coordinator of the
@@ -201,7 +152,7 @@ impl ChaosCell {
 /// snapshots quiesce (measured on a crash-free dry run of the same lossy
 /// transport, which shares the dry run's RNG stream tick for tick until
 /// the crash), so the failover path is exercised by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubFaultSpec {
     /// Per-hop independent drop probability, milli-units.
     pub drop_milli: u64,
@@ -214,7 +165,7 @@ pub struct SubFaultSpec {
 
 /// Aggregated outcome of one standing-subscription fault cell, plus its
 /// push-soundness audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubChaosCell {
     /// The faults this cell ran under.
     pub fault: SubFaultSpec,
@@ -256,42 +207,8 @@ pub struct SubChaosCell {
     pub violations: u64,
 }
 
-impl SubChaosCell {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"drop_milli\":{},\"capacity\":{},",
-                "\"crash_at\":{},\"crashed_leader\":{},",
-                "\"registered\":{},\"admitted\":{},\"active\":{},\"ended\":{},",
-                "\"exact\":{},\"subset\":{},",
-                "\"pushes\":{},\"repairs\":{},\"resyncs\":{},",
-                "\"contrib_gaveup\":{},\"failovers\":{},",
-                "\"queued_ms\":{},\"violations\":{}}}"
-            ),
-            self.fault.drop_milli,
-            // 0 = per-message cell (no capacity limit in play).
-            self.fault.capacity.unwrap_or(0),
-            self.crash_at,
-            self.crashed_leader,
-            self.registered,
-            self.admitted,
-            self.active,
-            self.ended,
-            self.exact,
-            self.subset,
-            self.pushes,
-            self.repairs,
-            self.resyncs,
-            self.contrib_gaveup,
-            self.failovers,
-            self.queued_ms,
-            self.violations,
-        )
-    }
-}
-
 /// A whole campaign: the grid of cells over one deployment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Fleet size.
     pub n_nodes: usize,
@@ -306,22 +223,6 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// Every field of the report is deterministic; two runs of the same
-    /// campaign must produce byte-identical documents.
-    pub fn deterministic_json(&self) -> String {
-        let cells: Vec<String> = self.cells.iter().map(ChaosCell::json).collect();
-        let sub_cells: Vec<String> = self.sub_cells.iter().map(SubChaosCell::json).collect();
-        format!(
-            "{{\"schema\":\"{}\",\"n_nodes\":{},\"n_queries\":{},\"seed\":{},\"cells\":[{}],\"sub_cells\":[{}]}}",
-            CHAOS_SCHEMA,
-            self.n_nodes,
-            self.n_queries,
-            self.seed,
-            cells.join(","),
-            sub_cells.join(",")
-        )
-    }
-
     /// True when every cell upheld liveness (`done == expected`) and
     /// soundness (`violations == 0`), including the push-soundness audit
     /// of every standing-subscription cell.
@@ -481,7 +382,8 @@ pub fn run_sub_cell(
     );
     let subs = probe.schedule().subscriptions.clone();
     let updates = probe.schedule().updates.clone();
-    let routing = elink_topology::RoutingTable::build(topology.graph());
+    // The probe's network built the routing table during deployment.
+    let routing = probe.sim().network().routing();
     let n_all = topology.n();
     let is_relay = |leader: NodeId| {
         let alive: Vec<NodeId> = (0..n_all).filter(|&v| v != leader).collect();
@@ -735,61 +637,16 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_schema_tagged_and_balanced() {
+    fn all_sound_counts_sub_cell_violations() {
         let report = ChaosReport {
-            n_nodes: 96,
-            n_queries: 10,
-            seed: 7,
             cells: vec![ChaosCell {
-                fault: FaultSpec {
-                    drop_milli: 100,
-                    crash_milli: 150,
-                    partition: Some((400, 900)),
-                    capacity: None,
-                },
-                crashed: 14,
                 expected: 9,
                 done: 9,
-                exact: 5,
-                partial: 4,
-                coverage_mean_milli: 870,
-                coverage_min_milli: 0,
-                gave_up: 1,
-                retx: 42,
-                timeouts: 3,
-                queued_ms: 0,
-                admitted: 9,
-                degraded: 0,
-                shed: 0,
-                failovers: 2,
-                violations: 0,
+                ..Default::default()
             }],
-            sub_cells: vec![SubChaosCell {
-                fault: SubFaultSpec {
-                    drop_milli: 150,
-                    capacity: Some(64),
-                },
-                crash_at: 5000,
-                crashed_leader: 3,
-                registered: 7,
-                admitted: 9,
-                active: 6,
-                ended: 1,
-                exact: 2,
-                subset: 4,
-                pushes: 19,
-                repairs: 30,
-                resyncs: 1,
-                contrib_gaveup: 2,
-                failovers: 1,
-                queued_ms: 17,
-                violations: 0,
-            }],
+            sub_cells: vec![SubChaosCell::default()],
+            ..Default::default()
         };
-        let json = report.deterministic_json();
-        assert!(json.contains("\"schema\":\"elink-chaos/v3\""));
-        assert!(json.contains("\"sub_cells\":[{\"drop_milli\":150,\"capacity\":64"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(report.all_sound());
         let mut broken = report.clone();
         broken.sub_cells[0].violations = 1;

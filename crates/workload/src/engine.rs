@@ -13,7 +13,7 @@
 //!   proptests (no query overlaps an invalidation, so every answer must
 //!   equal the brute-force ground truth over anchors).
 
-use crate::gen::{Schedule, WorkloadSpec};
+use crate::gen::{Schedule, ScriptEntry, WorkloadSpec};
 use crate::plan::ServingPlan;
 use crate::protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
 use elink_core::{run_implicit, ElinkConfig};
@@ -225,16 +225,19 @@ impl WorkloadSim {
             load_admission: opts.load_admission,
             expect_subs: opts.subscriptions || !schedule.subscriptions.is_empty(),
         });
-        let nodes: Vec<ServeNode> = (0..n)
-            .map(|v| {
-                let node_plan = plan.nodes[v].clone();
+        // Each closed-loop client's script, handed out in one pass; in
+        // reverse, so a node drawn by two clients keeps the first one's.
+        let mut scripts: Vec<Vec<ScriptEntry>> = vec![Vec::new(); n];
+        for s in schedule.scripts.iter().rev() {
+            scripts[s.node].clone_from(&s.entries);
+        }
+        let nodes: Vec<ServeNode> = plan
+            .nodes
+            .into_iter()
+            .zip(scripts)
+            .enumerate()
+            .map(|(v, (node_plan, script))| {
                 let root = node_plan.cluster_root;
-                let script = schedule
-                    .scripts
-                    .iter()
-                    .find(|s| s.node == v)
-                    .map(|s| s.entries.clone())
-                    .unwrap_or_default();
                 ServeNode::new(
                     v,
                     node_plan,
@@ -454,6 +457,28 @@ mod tests {
 
     fn quick_spec(seed: u64) -> WorkloadSpec {
         WorkloadSpec::quick(seed)
+    }
+
+    /// A drained fault-free run leaves no room behind in the in-flight
+    /// maps: each released its storage when its last entry completed.
+    /// Recovery is armed so that deadlines are armed and cancelled too.
+    #[test]
+    fn drained_run_holds_no_in_flight_storage() {
+        let (topo, features, delta) = fixture(7);
+        let mut opts = ServeOptions::for_delta(delta);
+        opts.recovery = true;
+        let spec = quick_spec(11);
+        let mut sim = WorkloadSim::build(topo, features, Arc::new(Absolute), delta, &spec, opts);
+        for s in sim.schedule().submissions.clone() {
+            sim.inject_query(s.at, s.initiator, s.qid, s.template);
+        }
+        sim.quiesce();
+        let m = sim.sim().metrics();
+        assert_eq!(m.counter("wl.query.done"), spec.n_queries as u64);
+        assert!(m.counter("wl.cache.miss") > 0, "no descent ran");
+        for node in sim.sim().nodes() {
+            assert_eq!(node.in_flight_capacities(), [0; 4], "node {}", node.id());
+        }
     }
 
     #[test]

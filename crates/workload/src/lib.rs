@@ -19,7 +19,8 @@
 //!   answer, view, cache and covering contracts every harness applies.
 //! - [`engine`] — the harness: builds the deployment and drives the fleet
 //!   concurrently (benchmark) or sequentially (correctness oracle).
-//! - [`report`] — the `elink-workload/v1` SLO document.
+//! - [`report`] — SLO folding: latency percentiles, throughput, cache and
+//!   message totals of a finished run.
 //!
 //! See DESIGN.md §9 for the arrival models, the batching rule, and the
 //! cache-invalidation correctness argument.
@@ -42,7 +43,7 @@ pub mod plan;
 pub mod protocol;
 /// Serving QoS policy: admission ladder, eviction, adaptive windows.
 pub mod qos;
-/// SLO folding: latency percentiles and the `elink-workload/v1` document.
+/// SLO folding: latency percentiles, throughput and cache totals.
 pub mod report;
 /// Standing-query subscription state machines (client/coordinator/watcher).
 pub mod subscribe;
@@ -50,7 +51,7 @@ pub mod subscribe;
 pub use audit::{expected_matches, Truth};
 pub use chaos::{
     default_grid, default_sub_grid, run_campaign, run_cell, run_sub_cell, ChaosCell, ChaosReport,
-    FaultSpec, SubChaosCell, SubFaultSpec, CHAOS_SCHEMA,
+    FaultSpec, SubChaosCell, SubFaultSpec,
 };
 pub use engine::{ServeOptions, WorkloadRun, WorkloadSim};
 pub use gen::{build_schedule, Arrival, Schedule, Template, WorkloadSpec};
@@ -58,5 +59,5 @@ pub use nodeset::NodeSet;
 pub use plan::{ChildEntry, NodePlan, ServingPlan};
 pub use protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
 pub use qos::{AdaptiveWindow, Admission};
-pub use report::{LatencySummary, SloReport, SCHEMA};
+pub use report::{LatencySummary, SloReport};
 pub use subscribe::{ClientSub, PushVerdict, SubState};

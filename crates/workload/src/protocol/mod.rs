@@ -665,6 +665,29 @@ impl ServeNode {
             ctx.cancel_timer(timer);
         }
     }
+
+    /// The capacities of the in-flight maps, `evals` to `deadlines`.
+    #[cfg(test)]
+    pub(crate) fn in_flight_capacities(&self) -> [usize; 4] {
+        let (evals, echo) = (self.evals.capacity(), self.echo.capacity());
+        [
+            evals,
+            echo,
+            self.pending.capacity(),
+            self.deadlines.capacity(),
+        ]
+    }
+
+    /// Frees the storage of every in-flight map that holds no entries, so
+    /// a node keeps no room for evaluations, echoes, queries or deadlines
+    /// it no longer has. Run once per handler call: a handler that removes
+    /// and re-inserts an entry reallocates nothing.
+    fn release_drained(&mut self) {
+        self.evals.release_if_empty();
+        self.echo.release_if_empty();
+        self.pending.release_if_empty();
+        self.deadlines.release_if_empty();
+    }
 }
 
 impl Protocol for ServeNode {
@@ -782,6 +805,7 @@ impl Protocol for ServeNode {
             }
             ServeMsg::SubReregister => self.on_sub_reregister(from, ctx),
         }
+        self.release_drained();
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Ctx<'_, ServeMsg>) {
@@ -802,6 +826,7 @@ impl Protocol for ServeNode {
                 }
             }
         }
+        self.release_drained();
     }
 }
 

@@ -1,16 +1,12 @@
-//! SLO reporting: folds a [`WorkloadRun`] into
-//! the machine-readable `elink-workload/v2` document emitted by the
-//! `workload_report` bench binary.
+//! SLO reporting: folds a [`WorkloadRun`] into the [`SloReport`] behind
+//! the `workload_report` binary's document.
 //!
 //! Every field is derived from deterministic simulator state; ratios are
-//! reported in integer milli-units so the document is byte-stable across
-//! runs of the same seed (the `--check` contract).
+//! reported in integer milli-units so the report is identical across runs
+//! of the same seed (the `--check` contract).
 
 use crate::engine::WorkloadRun;
 use elink_netsim::SimTime;
-
-/// Schema identifier of the emitted document.
-pub const SCHEMA: &str = "elink-workload/v2";
 
 /// Latency percentiles over completed queries (ticks). Percentile `p` of
 /// `n` ascending samples is the sample at the rounded linear index
@@ -138,54 +134,6 @@ impl SloReport {
             updates_sync: m.counter("wl.update.sync"),
         }
     }
-
-    /// The JSON document (single line, stable key order). Two runs of the
-    /// same seed must produce byte-identical output.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"schema\":\"{schema}\",",
-                "\"n_nodes\":{n_nodes},\"n_clusters\":{n_clusters},",
-                "\"submitted\":{submitted},\"done\":{done},\"sim_ticks\":{sim_ticks},",
-                "\"latency\":{{\"count\":{lc},\"p50\":{p50},\"p90\":{p90},",
-                "\"p99\":{p99},\"max\":{lmax},\"mean_milli\":{lmean}}},",
-                "\"throughput_milli\":{thr},",
-                "\"cache\":{{\"hits\":{hits},\"misses\":{misses},",
-                "\"hit_rate_milli\":{hitrate},\"evictions\":{evict},",
-                "\"invalidations\":{inval}}},",
-                "\"batch_riders\":{riders},",
-                "\"messages\":{{\"total_msgs\":{tmsgs},\"total_cost\":{tcost},",
-                "\"per_query_milli\":{mpq},\"attributed_cost\":{attr}}},",
-                "\"updates\":{{\"recv\":{urecv},\"absorbed\":{uabs},\"sync\":{usync}}}}}"
-            ),
-            schema = SCHEMA,
-            n_nodes = self.n_nodes,
-            n_clusters = self.n_clusters,
-            submitted = self.submitted,
-            done = self.done,
-            sim_ticks = self.sim_ticks,
-            lc = self.latency.count,
-            p50 = self.latency.p50,
-            p90 = self.latency.p90,
-            p99 = self.latency.p99,
-            lmax = self.latency.max,
-            lmean = self.latency.mean_milli,
-            thr = self.throughput_milli,
-            hits = self.cache_hits,
-            misses = self.cache_misses,
-            hitrate = self.hit_rate_milli,
-            evict = self.cache_evictions,
-            inval = self.invalidations,
-            riders = self.batch_riders,
-            tmsgs = self.total_msgs,
-            tcost = self.total_cost,
-            mpq = self.msgs_per_query_milli,
-            attr = self.attributed_cost,
-            urecv = self.updates_recv,
-            uabs = self.updates_absorbed,
-            usync = self.updates_sync,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -201,47 +149,5 @@ mod tests {
         assert_eq!(percentile(&[], 50), 0);
         // Index (50·3 + 50) / 100 = 2; nearest rank would pick 20.
         assert_eq!(percentile(&[10, 20, 30, 40], 50), 30);
-    }
-
-    /// The document must stay balanced, schema-tagged JSON with no host
-    /// time in it.
-    #[test]
-    fn to_json_stays_brace_balanced() {
-        let report = SloReport {
-            n_nodes: 4,
-            n_clusters: 1,
-            submitted: 2,
-            done: 2,
-            sim_ticks: 10,
-            latency: LatencySummary {
-                count: 2,
-                p50: 3,
-                p90: 4,
-                p99: 4,
-                max: 4,
-                mean_milli: 3500,
-            },
-            throughput_milli: 200,
-            cache_hits: 1,
-            cache_misses: 1,
-            hit_rate_milli: 500,
-            cache_evictions: 0,
-            invalidations: 0,
-            batch_riders: 0,
-            total_msgs: 20,
-            total_cost: 40,
-            msgs_per_query_milli: 10_000,
-            attributed_cost: 42,
-            updates_recv: 0,
-            updates_absorbed: 0,
-            updates_sync: 0,
-        };
-        let json = report.to_json();
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "unbalanced braces in {json}");
-        assert!(json.starts_with("{\"schema\":\"elink-workload/v2\","));
-        assert!(json.ends_with("\"sync\":0}}"));
-        assert!(!json.contains("wall_ms"));
     }
 }

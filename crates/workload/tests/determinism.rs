@@ -21,7 +21,7 @@ fn build(seed: u64, opts: ServeOptions, spec: &WorkloadSpec) -> WorkloadSim {
 }
 
 /// Same seed ⇒ byte-identical cost books, metrics (including the latency
-/// histogram and cache counters), completions, and report JSON.
+/// histogram and cache counters), completions, and SLO reports.
 #[test]
 fn same_seed_runs_are_byte_identical() {
     let spec = WorkloadSpec::quick(17);
@@ -32,9 +32,9 @@ fn same_seed_runs_are_byte_identical() {
     assert_eq!(a.completed, b.completed, "completions diverged");
     assert_eq!(a.sim_ticks, b.sim_ticks);
     assert_eq!(
-        SloReport::from_run(&a).to_json(),
-        SloReport::from_run(&b).to_json(),
-        "report documents diverged"
+        SloReport::from_run(&a),
+        SloReport::from_run(&b),
+        "SLO reports diverged"
     );
 }
 
