@@ -6,10 +6,13 @@
 //! byte-identical to `Simulator::run_to_completion` on the same
 //! construction (same topology, features, link, seed, ARQ config). These
 //! property tests diff the full `JsonlTrace` byte stream, the `CostBook`,
-//! and the extracted clustering across random topologies, signalling
-//! modes, lossy links and the ARQ reliable-delivery sublayer. Any
-//! divergence means the capture seam is not the engine's own dispatch —
-//! the soundness root of every other checker result.
+//! the dispatch count and the extracted clustering across random
+//! topologies, signalling modes, lossy links and the ARQ reliable-delivery
+//! sublayer. Any divergence means the capture seam is not the engine's own
+//! dispatch — the soundness root of every other checker result. The FIFO
+//! schedule dispatches every boot and broadcast copy on its own, while the
+//! engine may queue them as runs, so the equal dispatch counts also pin
+//! that a run dispatches exactly the events it stands for.
 
 use std::sync::{Arc, Mutex};
 
@@ -26,6 +29,7 @@ use proptest::prelude::*;
 struct RunView {
     trace: Vec<u8>,
     costs: CostBook,
+    events: u64,
     assignment: Vec<usize>,
     roots: Vec<usize>,
 }
@@ -76,6 +80,7 @@ fn view(
         .collect();
     let clustering = Clustering::from_node_states(&states, topology, &Absolute);
     let costs = sim.costs().clone();
+    let events = sim.events_processed();
     drop(sim);
     let trace = Arc::try_unwrap(sink)
         .expect("simulator dropped its trace handle")
@@ -85,6 +90,7 @@ fn view(
     RunView {
         trace,
         costs,
+        events,
         roots: clustering.clusters.iter().map(|c| c.root).collect(),
         assignment: clustering.assignment,
     }
@@ -127,6 +133,12 @@ fn run_case(
         );
     }
     prop_assert_eq!(&engine.costs, &fifo.costs, "{}: cost books diverge", label);
+    prop_assert_eq!(
+        engine.events,
+        fifo.events,
+        "{}: dispatch counts diverge",
+        label
+    );
     prop_assert_eq!(
         &engine.assignment,
         &fifo.assignment,

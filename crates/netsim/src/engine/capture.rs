@@ -139,6 +139,9 @@ impl<M: std::fmt::Debug> McEvent<M> {
                 "deliver n{} t{rel} from{} q{:?} {:?}",
                 self.node, from, query, msg
             ),
+            EventKind::Broadcast { from, msg } => {
+                format!("broadcast n{} t{rel} from{} {:?}", self.node, from, msg)
+            }
             EventKind::Timer { id, .. } => format!("timer n{} t{rel} id{id}", self.node),
             EventKind::Arq(event) => event.describe(self.node, rel),
             EventKind::FlowDone { flow, gen } => {
@@ -324,7 +327,9 @@ impl<P: Protocol> Simulator<P> {
     /// its `n` `on_start` dispatches against `k`); returns how many ran.
     /// Counterexample replay uses this to halt the engine mid-schedule at
     /// the checker's violation point — `run_until` cannot split a tick, but
-    /// a dispatch count can.
+    /// a dispatch count can. Each dispatch of a queued run counts as one,
+    /// so this may stop inside the boot run or a broadcast run; the next
+    /// step, of any run loop, finishes that run before anything else pops.
     pub fn run_events(&mut self, k: u64) -> u64 {
         self.ensure_started();
         let mut done = 0;

@@ -179,11 +179,19 @@ impl<'a, M: Clone> Ctx<'a, M> {
         }
     }
 
-    /// Sends a message to every neighbor (clones the payload). Walks the
-    /// adjacency slice by index — the hottest loop in every flood-style
-    /// phase allocates nothing, and skips [`Ctx::send`]'s neighbour check,
-    /// since each recipient comes from that very list.
+    /// Sends a message to every neighbour, in adjacency order: one radio
+    /// transmission per neighbour, each traced, billed and fated like a
+    /// [`Ctx::send`] (without its neighbour check, since each recipient
+    /// comes from the adjacency itself), and each delivered, traced and
+    /// counted on its own. On a per-message link without ARQ, copies that
+    /// all land at one tick take one queue entry instead of one each (see
+    /// [`Scheduler::push_run`](crate::Scheduler::push_run)); nothing
+    /// observable depends on it.
     pub fn broadcast_neighbors(&mut self, msg: &M, kind: &'static str, scalars: u64) {
+        if self.core.queues_runs() {
+            self.core.broadcast(self.node, msg, kind, scalars);
+            return;
+        }
         for i in 0..self.neighbors().len() {
             let to = self.neighbors()[i] as usize;
             self.send_to_neighbor(to, msg.clone(), kind, scalars, None);

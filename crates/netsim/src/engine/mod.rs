@@ -34,6 +34,7 @@ use crate::stats::CostBook;
 use crate::trace::{DropReason, TraceEvent, TraceSink};
 use elink_topology::{RoutingTable, Topology};
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
@@ -115,12 +116,18 @@ impl SimNetwork {
 
 #[derive(Clone)]
 pub(crate) enum EventKind<M> {
+    /// A node's boot. [`Simulator::ensure_started`] queues the boots of all
+    /// `n` nodes as one run, whose dispatch for node `v` boots `v`.
     Start,
     Deliver {
         from: usize,
         msg: M,
         query: Option<QueryId>,
     },
+    /// The copies of one broadcast by `from` that all land at one tick,
+    /// queued as one run (see [`Core::broadcast`]): the run's dispatch for
+    /// "node" `p` delivers `msg` to `from`'s `p`-th neighbour.
+    Broadcast { from: usize, msg: M },
     Timer {
         id: u64,
         /// When the timer was armed; a crash window opening after this and
@@ -135,10 +142,7 @@ pub(crate) enum EventKind<M> {
     /// predicted when it was scheduled; a generation mismatch at fire time
     /// means a later link transition invalidated the prediction and the
     /// event is ignored (the current prediction's event is still queued).
-    FlowDone {
-        flow: u32,
-        gen: u32,
-    },
+    FlowDone { flow: u32, gen: u32 },
 }
 
 /// Continuation stored with each in-flight flow under a flow-model link:
@@ -389,6 +393,82 @@ impl<M> Core<M> {
         }
     }
 
+    /// Whether a broadcast may be queued as one run: on a per-message link
+    /// without ARQ, and outside the capture seam, whose checker explores
+    /// single deliveries.
+    pub(crate) fn queues_runs(&self) -> bool {
+        self.arq.is_none() && self.flows.is_none() && self.capture.is_none()
+    }
+
+    /// Sends `msg` from `from` to each of its neighbours in adjacency
+    /// order, where [`Core::queues_runs`] holds. Each copy is traced and
+    /// rolls its own [`Core::fate`], as a [`Ctx::send`] would; the `k`
+    /// copies are billed at once, which gives the cost book the same totals
+    /// as `k` bills. When every copy survives and lands at one tick, the
+    /// copies are queued as one run ([`Scheduler::push_run`]) that takes
+    /// the `k` consecutive sequence numbers they would have taken;
+    /// otherwise each surviving copy is queued on its own, in adjacency
+    /// order, as the per-copy path queues them.
+    pub(crate) fn broadcast(&mut self, from: usize, msg: &M, kind: &'static str, scalars: u64)
+    where
+        M: Clone,
+    {
+        let now = self.now;
+        let degree = self.network.topology().graph().degree(from);
+        self.costs.record_tx(from, kind, degree as u64, scalars);
+        // While `run` holds, every copy so far survived and lands at `land`.
+        let (mut run, mut land) = (true, None);
+        for port in 0..degree {
+            let to = self.network.topology().graph().neighbors(from)[port] as usize;
+            self.trace(TraceEvent::Send {
+                time: now,
+                from,
+                to,
+                query: None,
+                retx: false,
+            });
+            let arrive = self.fate(from, to, now, Some((from, to, None)));
+            if run {
+                if arrive.is_some() && (port == 0 || arrive == land) {
+                    land = arrive;
+                    continue;
+                }
+                // The fates differ: queue the agreeing copies so far one by
+                // one, then carry on copy by copy.
+                run = false;
+                if let Some(at) = land {
+                    for p in 0..port {
+                        let to = self.network.topology().graph().neighbors(from)[p] as usize;
+                        self.deliver_copy(from, to, msg, scalars, at);
+                    }
+                }
+            }
+            if let Some(at) = arrive {
+                self.deliver_copy(from, to, msg, scalars, at);
+            }
+        }
+        if let (true, Some(at)) = (run, land) {
+            let copies = EventKind::Broadcast {
+                from,
+                msg: msg.clone(),
+            };
+            self.queue.push_run(at, 0, degree as u32, copies);
+        }
+    }
+
+    /// Queues one surviving copy of `from`'s broadcast for `to` at `at`.
+    fn deliver_copy(&mut self, from: usize, to: usize, msg: &M, scalars: u64, at: SimTime)
+    where
+        M: Clone,
+    {
+        let deliver = EventKind::Deliver {
+            from,
+            msg: msg.clone(),
+            query: None,
+        };
+        self.transmit(from, to, scalars, at, deliver);
+    }
+
     /// Counts and traces a timer, or a node's boot, that fires while its
     /// node is down (or, for a timer, after a crash window since it was
     /// armed): no message is lost, so it is not a `net.drops.node_down`.
@@ -534,8 +614,11 @@ impl<P: Protocol> Simulator<P> {
 
     /// High-water mark of simultaneously live (queued, uncancelled) events
     /// over the run, which the scaling bench reports as `peak_live_events`.
-    /// It is the event arena's footprint, except that a cancelled wheel
-    /// event keeps its slot until the wheel reaches its tick.
+    /// A queued run counts each dispatch it still owes, so this is the
+    /// peak a queue of one entry per copy would reach. The event arena
+    /// holds one slot per queue entry, so it needs at most this many
+    /// slots, except that a cancelled wheel event keeps its slot until the
+    /// wheel reaches its tick.
     pub fn peak_live_events(&self) -> usize {
         self.core.queue.peak_live()
     }
@@ -557,6 +640,9 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Runs until simulated time exceeds `deadline` or the queue drains.
+    /// A run's dispatches share one tick, so the loop never stops inside a
+    /// run; one that [`Simulator::run_events`] left unfinished dispatches
+    /// first.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.ensure_started();
         // An empty queue still takes the step, which ends the run there.
@@ -565,13 +651,18 @@ impl<P: Protocol> Simulator<P> {
         self.core.now
     }
 
+    /// Queues the boot of every node at tick 0, in id order, as one run:
+    /// it takes the place the `n` boots would take one by one, after
+    /// anything injected before the run began.
     fn ensure_started(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for node in 0..self.nodes.len() {
-            self.core.push(0, node, EventKind::Start);
+        let n = self.nodes.len();
+        if n > 0 {
+            // Node ids fit a `u32`, as in the communication graph.
+            self.core.queue.push_run(0, 0, n as u32, EventKind::Start);
         }
     }
 
@@ -586,11 +677,15 @@ impl<P: Protocol> Simulator<P> {
     /// [`Simulator::run_until`] and [`Simulator::run_events`] when the
     /// queue empties first); ARQ drops its dedup rows there (see
     /// [`reliable`](crate::reliable)).
+    ///
+    /// A queued run dispatches one event per step, in order, before
+    /// anything else pops; each dispatch but the last works on a copy of
+    /// the run's payload.
     fn step(&mut self) -> bool {
         let Some(PoppedEvent {
             time,
             node,
-            payload: event_kind,
+            payload,
         }) = self.core.queue.pop()
         else {
             if let Some(arq) = &mut self.core.arq {
@@ -598,7 +693,13 @@ impl<P: Protocol> Simulator<P> {
             }
             return false;
         };
-        self.dispatch_event(time, node, event_kind);
+        match payload {
+            Cow::Owned(event_kind) => self.dispatch_event(time, node, event_kind),
+            Cow::Borrowed(event_kind) => {
+                let event_kind = event_kind.clone();
+                self.dispatch_event(time, node, event_kind);
+            }
+        }
         true
     }
 
@@ -640,13 +741,10 @@ impl<P: Protocol> Simulator<P> {
                 };
                 self.nodes[node].on_start(&mut ctx);
             }
-            EventKind::Deliver { from, msg, query } => {
-                if !self.core.alive(node, time) {
-                    self.core.drop_node_down(time, from, node, query);
-                    return;
-                }
-                self.core.costs.record_rx(node);
-                self.deliver(time, node, from, msg, query);
+            EventKind::Deliver { from, msg, query } => self.receive(time, node, from, msg, query),
+            EventKind::Broadcast { from, msg } => {
+                let to = self.core.network.topology().graph().neighbors(from)[node] as usize;
+                self.receive(time, to, from, msg, None);
             }
             EventKind::Timer { id, scheduled } => {
                 if !self.core.alive(node, time)
@@ -666,6 +764,28 @@ impl<P: Protocol> Simulator<P> {
                 self.nodes[node].on_timer(id, &mut ctx);
             }
         }
+    }
+
+    /// A copy from `from` reaching `node`: lost if the node is down, else
+    /// counted as a reception and delivered.
+    // Inlined into both of `dispatch_event`'s message arms: as a call it
+    // moves the message through memory once more, which costs every plain
+    // delivery a few ns.
+    #[inline(always)]
+    fn receive(
+        &mut self,
+        time: SimTime,
+        node: usize,
+        from: usize,
+        msg: P::Msg,
+        query: Option<QueryId>,
+    ) {
+        if !self.core.alive(node, time) {
+            self.core.drop_node_down(time, from, node, query);
+            return;
+        }
+        self.core.costs.record_rx(node);
+        self.deliver(time, node, from, msg, query);
     }
 
     /// Hands `msg` from logical origin `from` to `node`'s protocol: the

@@ -10,9 +10,16 @@
 //! `O(1)` amortized, and events scheduled beyond the wheel horizon wait in
 //! an overflow heap.
 //!
+//! One entry may stand for a *run*: `k` events at one tick, for the
+//! consecutive nodes `v, v + 1, …, v + k − 1`, under `k` consecutive
+//! sequence numbers, all carrying the same payload
+//! ([`Scheduler::push_run`]). [`Scheduler::pop`] hands the run out one
+//! dispatch at a time, lending the payload until the last, and the run
+//! counts as live events until each of its dispatches has popped.
+//!
 //! # Memory
 //!
-//! The queue's bookkeeping follows its live events, not the length of the
+//! The queue's bookkeeping follows its live entries, not the length of the
 //! run. A wheel bucket is a `(head, tail)` pair of slot indices: its events
 //! are linked through their slots' `next` field and appended at the tail,
 //! so a bucket holds them in push order and owns no storage of its own.
@@ -20,7 +27,9 @@
 //! While an event waits in the overflow heap its `next` holds a sentinel
 //! instead, which is how [`Scheduler::cancel`] tells the two places apart.
 //! So the scheduler owns the chunked slab, 8 bytes of bucket heads per
-//! bucket and the overflow heap, and nothing else.
+//! bucket and the overflow heap, and nothing else. A run of `k` events
+//! takes one slot, not `k`: its remaining count sits in what was the
+//! slot's padding, so a slot stays 16 bytes beside its payload.
 //!
 //! # Cancellation
 //!
@@ -39,7 +48,7 @@
 //!
 //! # Determinism
 //!
-//! For the wheel the `(time, seq)` order follows from three invariants
+//! For the wheel the `(time, seq)` order follows from four invariants
 //! (see DESIGN.md §11 for the argument):
 //!
 //! 1. events are never pushed into the past (`time ≥ cur`), so a bucket
@@ -52,7 +61,12 @@
 //!    the same time (a direct push at time `t` requires `t < cur + B`,
 //!    which becomes true only at a `cur` advance — after migration ran);
 //! 3. `cur` only advances when every earlier bucket is drained, cancelled
-//!    entries included.
+//!    entries included;
+//! 4. a run takes the queue position of its first event, and its events
+//!    hold consecutive sequence numbers, so no other event could fall
+//!    between them: a run stays at the head of its bucket until its last
+//!    dispatch pops, and every event pushed meanwhile, at its tick or
+//!    later, carries a later sequence number.
 //!
 //! Cancellation removes entries and never reorders the rest, so the live
 //! events keep their `(time, seq)` order. Dropping the stale overflow
@@ -60,6 +74,7 @@
 //! in the same order.
 
 use crate::engine::SimTime;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -90,13 +105,16 @@ impl EventHandle {
 }
 
 /// One event as returned by [`Scheduler::pop`].
-pub struct PoppedEvent<T> {
+pub struct PoppedEvent<'a, T: Clone> {
     /// Simulated time the event fires at.
     pub time: SimTime,
-    /// Destination node.
+    /// Destination node: for the `i`-th dispatch of a run, the run's
+    /// first node plus `i`.
     pub node: usize,
-    /// The engine-defined payload (delivery, timer, ARQ bookkeeping...).
-    pub payload: T,
+    /// The engine-defined payload (delivery, timer, ARQ bookkeeping...):
+    /// owned for a plain event and for a run's last dispatch, lent by the
+    /// queue while the run owes more.
+    pub payload: Cow<'a, T>,
 }
 
 /// End of a bucket's list or of the free list.
@@ -104,11 +122,12 @@ const NIL: u32 = u32::MAX;
 /// `Slot::next` of an event waiting in the overflow heap.
 const IN_OVERFLOW: u32 = u32::MAX - 1;
 
-/// Arena slot. `payload` is `Some` while the event is live; pop and cancel
-/// take it. Neither the time nor the seq tiebreak is stored here: a
-/// bucket stands for one tick and keeps its slots in insertion order, and
-/// the overflow heap carries both in its key.
+/// Arena slot. `payload` is `Some` while the entry is live; cancel and
+/// the entry's last pop take it. Neither the time nor the seq tiebreak is
+/// stored here: a bucket stands for one tick and keeps its slots in
+/// insertion order, and the overflow heap carries both in its key.
 struct Slot<T> {
+    /// The node of the entry's next dispatch.
     node: u32,
     /// Bumped each time the slot is freed.
     gen: u32,
@@ -116,6 +135,9 @@ struct Slot<T> {
     /// ([`NIL`] at the end), or [`IN_OVERFLOW`] while the event waits in
     /// the overflow heap.
     next: u32,
+    /// Dispatches the entry still owes: 1 for a plain event, `k` for a
+    /// run of `k` that has not popped yet.
+    left: u32,
     payload: Option<T>,
 }
 
@@ -196,6 +218,7 @@ impl Bucket {
 /// sequence number, pop in `(time, seq)` order, cancel by handle.
 pub struct Scheduler<T> {
     seq: u64,
+    /// Live events: each live entry counts the dispatches it still owes.
     live: usize,
     peak_live: usize,
     slots: Slab<T>,
@@ -247,7 +270,8 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Live (queued, uncancelled) events right now.
+    /// Live (queued, uncancelled) events right now; a run counts each
+    /// dispatch it still owes.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -257,7 +281,8 @@ impl<T> Scheduler<T> {
         self.live == 0
     }
 
-    /// High-water mark of simultaneously live events over the whole run.
+    /// High-water mark of simultaneously live events over the whole run,
+    /// counted as [`Scheduler::len`] counts them.
     pub fn peak_live(&self) -> usize {
         self.peak_live
     }
@@ -270,14 +295,14 @@ impl<T> Scheduler<T> {
         (time & (self.buckets.len() as SimTime - 1)) as usize
     }
 
-    /// Takes a slot for `payload` with the given `next` link.
-    fn alloc(&mut self, node: usize, next: u32, payload: T) -> EventHandle {
+    /// Takes a slot for a `left`-dispatch entry with the given `next` link.
+    fn alloc(&mut self, node: usize, next: u32, left: u32, payload: T) -> EventHandle {
         let node = node as u32;
         if self.free != NIL {
             let slot = self.free;
             let s = &mut self.slots[slot as usize];
             self.free = s.next;
-            (s.node, s.next, s.payload) = (node, next, Some(payload));
+            (s.node, s.next, s.left, s.payload) = (node, next, left, Some(payload));
             EventHandle { slot, gen: s.gen }
         } else {
             let slot = u32::try_from(self.slots.len())
@@ -288,6 +313,7 @@ impl<T> Scheduler<T> {
                 node,
                 gen: 0,
                 next,
+                left,
                 payload: Some(payload),
             });
             EventHandle { slot, gen: 0 }
@@ -320,28 +346,41 @@ impl<T> Scheduler<T> {
     /// valid for [`Scheduler::cancel`] until the event pops.
     // simlint: hot
     pub fn push(&mut self, time: SimTime, node: usize, payload: T) -> EventHandle {
+        self.push_run(time, node, 1, payload)
+    }
+
+    /// Queues a run: `k` events at `time`, for the nodes `node`,
+    /// `node + 1`, …, `node + k − 1` in that order, each carrying
+    /// `payload`. It pops exactly as `k` [`Scheduler::push`]es made now
+    /// would: the run takes the next `k` sequence numbers and counts as `k`
+    /// live events, one fewer at each of its dispatches, but it takes one
+    /// slot and one place in the wheel or the overflow heap. The handle
+    /// cancels the dispatches the run still owes.
+    // simlint: hot
+    pub fn push_run(&mut self, time: SimTime, node: usize, k: u32, payload: T) -> EventHandle {
         debug_assert!(time >= self.cur, "push into the past breaks the wheel");
+        debug_assert!(k > 0, "a run of no events");
         let seq = self.seq;
-        self.seq += 1;
-        self.live += 1;
+        self.seq += u64::from(k);
+        self.live += k as usize;
         if self.live > self.peak_live {
             self.peak_live = self.live;
         }
         if time < self.horizon() {
-            let h = self.alloc(node, NIL, payload);
+            let h = self.alloc(node, NIL, k, payload);
             self.link(time, h.slot);
             h
         } else {
-            let h = self.alloc(node, IN_OVERFLOW, payload);
+            let h = self.alloc(node, IN_OVERFLOW, k, payload);
             self.overflow.push(Reverse((time, seq, h.slot, h.gen)));
             h
         }
     }
 
-    /// Cancels a queued event and drops its payload; `false` (and no
-    /// change) if the event already popped or was cancelled. A wheel event
-    /// keeps its slot until the wheel reaches its tick; an overflow event
-    /// frees its slot at once.
+    /// Cancels a queued event, or what a run still owes, and drops its
+    /// payload; `false` (and no change) if the entry already popped in
+    /// full or was cancelled. A wheel entry keeps its slot until the wheel
+    /// reaches its tick; an overflow entry frees its slot at once.
     // simlint: hot
     pub fn cancel(&mut self, h: EventHandle) -> bool {
         let Some(s) = self.slots.get_mut(h.slot as usize) else {
@@ -350,7 +389,7 @@ impl<T> Scheduler<T> {
         if s.gen != h.gen || s.payload.take().is_none() {
             return false;
         }
-        self.live -= 1;
+        self.live -= s.left as usize;
         if s.next != IN_OVERFLOW {
             self.wheel_dead += 1;
             return true;
@@ -460,10 +499,14 @@ impl<T> Scheduler<T> {
         }
         Some(t)
     }
+}
 
+impl<T: Clone> Scheduler<T> {
     /// Removes and returns the earliest live event (`(time, seq)` order).
+    /// A run's dispatches pop one per call, back to back; the queue lends
+    /// its payload to each but the last, which takes it.
     // simlint: hot
-    pub fn pop(&mut self) -> Option<PoppedEvent<T>> {
+    pub fn pop(&mut self) -> Option<PoppedEvent<'_, T>> {
         let t = self.next_time()?;
         if t != self.cur {
             // Commit the window advance; migrates every overflow entry that
@@ -471,25 +514,39 @@ impl<T> Scheduler<T> {
             // t when the wheel held no live event — see invariant 2).
             self.set_cur(t);
         }
+        self.live -= 1;
         let b = self.bucket_of(t);
         let slot = self.buckets[b].head;
         let s = &mut self.slots[slot as usize];
-        let payload = s.payload.take().expect("next_time left a cancelled head"); // simlint: allow(no-panic-in-protocol): arena bookkeeping invariant; next_time stops only at a live head
         let node = s.node as usize;
+        if s.left > 1 {
+            // A run that owes more stays at the head of its bucket: a
+            // same-tick push from this dispatch's handler carries a later
+            // seq than the run's remaining events (invariant 4).
+            s.left -= 1;
+            s.node += 1;
+            let lent = self.slots[slot as usize].payload.as_ref();
+            debug_assert!(lent.is_some(), "next_time left a cancelled head");
+            return lent.map(|payload| PoppedEvent {
+                time: t,
+                node,
+                payload: Cow::Borrowed(payload),
+            });
+        }
         // Unlink the head; same-tick pushes from the handler append to
         // what is left and pop in seq order.
+        let payload = s.payload.take().expect("next_time left a cancelled head"); // simlint: allow(no-panic-in-protocol): arena bookkeeping invariant; next_time stops only at a live head
         let bucket = &mut self.buckets[b];
         bucket.head = s.next;
         if bucket.head == NIL {
             bucket.tail = NIL;
         }
         self.in_wheel -= 1;
-        self.live -= 1;
         self.release(slot);
         Some(PoppedEvent {
             time: t,
             node,
-            payload,
+            payload: Cow::Owned(payload),
         })
     }
 }
@@ -498,10 +555,10 @@ impl<T> Scheduler<T> {
 mod tests {
     use super::*;
 
-    fn drain<T>(s: &mut Scheduler<T>) -> Vec<(SimTime, usize, T)> {
+    fn drain<T: Clone>(s: &mut Scheduler<T>) -> Vec<(SimTime, usize, T)> {
         let mut out = Vec::new();
         while let Some(e) = s.pop() {
-            out.push((e.time, e.node, e.payload));
+            out.push((e.time, e.node, e.payload.into_owned()));
         }
         out
     }
@@ -517,10 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn slots_carry_twelve_bytes_beside_the_payload() {
-        // Node, generation and link; the time lives in the bucket or the
-        // overflow key (DESIGN.md §11.4). Over an 8-byte-aligned payload
-        // that is 16 bytes with padding.
+    fn slots_carry_sixteen_bytes_beside_the_payload() {
+        // Node, generation, link and the dispatches a run still owes; the
+        // time lives in the bucket or the overflow key (DESIGN.md §11.4).
+        // Over an 8-byte-aligned payload that is 16 bytes, no padding.
         fn check<T>() {
             let (slot, payload) = (
                 std::mem::size_of::<Slot<T>>(),
@@ -541,6 +598,34 @@ mod tests {
         }
         let order: Vec<u32> = drain(&mut s).into_iter().map(|(_, _, p)| p).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_run_pops_back_to_back_and_counts_until_its_last_dispatch() {
+        let mut s = Scheduler::new();
+        s.push(3, 9, 'a');
+        s.push_run(3, 4, 3, 'r');
+        assert_eq!((s.len(), s.peak_live()), (4, 4));
+        assert_eq!(*s.pop().unwrap().payload, 'a');
+        let e = s.pop().unwrap();
+        assert_eq!(e.node, 4);
+        assert!(matches!(e.payload, Cow::Borrowed('r')), "lent while owed");
+        // A same-tick push from the run's first dispatch waits for the
+        // rest of the run, and the run still counts what it owes.
+        s.push(3, 0, 'b');
+        assert_eq!((s.len(), s.next_time()), (3, Some(3)));
+        assert_eq!(s.pop().unwrap().node, 5);
+        let e = s.pop().unwrap();
+        assert_eq!(e.node, 6);
+        assert!(
+            matches!(e.payload, Cow::Owned('r')),
+            "handed over at the last"
+        );
+        assert_eq!(*s.pop().unwrap().payload, 'b');
+        assert_eq!((s.len(), s.peak_live()), (0, 4));
+        // The run held one slot, and 'b' reused the one 'a' freed.
+        assert_eq!(s.slots.len(), 2);
+        assert_eq!(free_len(&s), 2);
     }
 
     #[test]
@@ -568,7 +653,7 @@ mod tests {
         let mut s = Scheduler::new();
         s.push(far, 0, 1); // beyond horizon from cur=0: overflow
         s.push(200, 0, 0); // pops first; advances cur past 200
-        assert_eq!(s.pop().unwrap().payload, 0);
+        assert_eq!(*s.pop().unwrap().payload, 0);
         // Window now reaches `far`: this goes straight into the bucket.
         s.push(far, 0, 2);
         let order: Vec<u32> = drain(&mut s).into_iter().map(|(_, _, p)| p).collect();
@@ -585,7 +670,7 @@ mod tests {
         assert_eq!(s.next_time(), Some(4), "peek must not pop");
         assert_eq!(s.len(), 2);
         let e = s.pop().unwrap();
-        assert_eq!((e.time, e.node, e.payload), (4, 2, 'b'));
+        assert_eq!((e.time, e.node, *e.payload), (4, 2, 'b'));
         assert_eq!(s.next_time(), Some(9));
     }
 
@@ -611,7 +696,7 @@ mod tests {
         for round in 0..1000u64 {
             s.push(round, 0, round);
             let e = s.pop().unwrap();
-            assert_eq!(e.payload, round);
+            assert_eq!(*e.payload, round);
         }
         assert!(s.slots.len() <= 2, "arena grew: {} slots", s.slots.len());
     }
@@ -658,7 +743,7 @@ mod tests {
         let mut s = Scheduler::new();
         let a = s.push(3, 0, 'a');
         let b = s.push(4, 1, 'b');
-        assert_eq!(s.pop().unwrap().payload, 'a');
+        assert_eq!(*s.pop().unwrap().payload, 'a');
         assert!(!s.cancel(a), "a popped event cannot be cancelled");
         assert_eq!(s.len(), 1);
         assert!(s.cancel(b));
@@ -684,7 +769,7 @@ mod tests {
         // `a`'s heap entry surfaces first and is discarded.
         assert_eq!(s.next_time(), Some(far + 1));
         let e = s.pop().unwrap();
-        assert_eq!((e.time, e.node, e.payload), (far + 1, 1, 'b'));
+        assert_eq!((e.time, e.node, *e.payload), (far + 1, 1, 'b'));
         assert!(s.is_empty());
     }
 
@@ -695,7 +780,7 @@ mod tests {
         let near = s.push(10, 0, 0);
         let remote = s.push(far, 0, 1);
         s.push(5, 0, 2);
-        assert_eq!(s.pop().unwrap().payload, 2);
+        assert_eq!(*s.pop().unwrap().payload, 2);
         assert!(s.cancel(near) && s.cancel(remote));
         // Empty, with a dead entry in a wheel bucket and one in the heap.
         assert!(s.is_empty());
@@ -722,15 +807,15 @@ mod tests {
         // an injection at 5, between the cursor and the next event, is legal.
         s.push(5, 0, 3);
         assert_eq!(s.next_time(), Some(5));
-        assert_eq!(s.pop().unwrap().payload, 3);
-        assert_eq!(s.pop().unwrap().payload, 1);
+        assert_eq!(*s.pop().unwrap().payload, 3);
+        assert_eq!(*s.pop().unwrap().payload, 1);
         // Only the overflow event is left; cancel it and peek past it too.
         assert!(s.cancel(y));
         s.push(30, 0, 4);
         let dead = s.push(40, 0, 5);
         assert!(s.cancel(dead));
         assert_eq!(s.next_time(), Some(30));
-        assert_eq!(s.pop().unwrap().payload, 4);
+        assert_eq!(*s.pop().unwrap().payload, 4);
         assert_eq!(s.next_time(), None);
     }
 
@@ -762,20 +847,79 @@ mod tests {
     /// workloads (deterministic LCG per seed; same-tick bursts, in-window
     /// and far-future overflow times, pop-while-pushing churn, `next_time`
     /// peeks, and cancellation of random live events in the wheel and the
-    /// overflow heap, which the oracle drops too). Every seed also has a
-    /// cancel-heavy far-future phase, bursts of overflow events most of
-    /// which are cancelled again between pops, so the overflow heap
+    /// overflow heap, which the oracle drops too). One push in four is a
+    /// run of two to six events, which the oracle holds as that many
+    /// entries under consecutive seqs for consecutive nodes; a cancelled
+    /// run drops what it still owes, also when some of it has popped.
+    /// `len` and `peak_live` must count what the oracle holds. Every seed
+    /// also has a cancel-heavy far-future phase, bursts of overflow events
+    /// most of which are cancelled again between pops, so the overflow heap
     /// compacts mid-run; the stale-entry count is checked after each of
     /// those cancels.
     #[test]
     fn heap_and_calendar_agree_on_random_workloads() {
         use std::collections::BTreeMap;
+        /// `(time, seq, node, tag)`: a run's events share its tag.
         type Oracle = BinaryHeap<Reverse<(SimTime, u64, usize, u64)>>;
+        /// Live tags: the handle and the events still owed.
+        type Live = BTreeMap<u64, (EventHandle, u32)>;
+        struct World {
+            s: Scheduler<u64>,
+            oracle: Oracle,
+            live: Live,
+            seq: u64,
+            tag: u64,
+            peak: usize,
+        }
+        impl World {
+            fn push(&mut self, t: SimTime, node: usize, k: u32) {
+                let h = self.s.push_run(t, node, k, self.tag);
+                for i in 0..u64::from(k) {
+                    self.oracle
+                        .push(Reverse((t, self.seq + i, node + i as usize, self.tag)));
+                }
+                self.live.insert(self.tag, (h, k));
+                self.seq += u64::from(k);
+                self.tag += 1;
+                self.peak = self.peak.max(self.oracle.len());
+            }
+            fn cancel(&mut self, victim: u64, seed: u64) {
+                let (h, _) = self.live.remove(&victim).expect("live");
+                assert!(self.s.cancel(h), "seed {seed}: live cancel refused");
+                assert!(!self.s.cancel(h), "seed {seed}: double cancel accepted");
+                self.oracle.retain(|&Reverse((.., t))| t != victim);
+            }
+            fn check_pop(&mut self, seed: u64) -> Option<SimTime> {
+                assert_eq!(self.s.len(), self.oracle.len(), "seed {seed}: live count");
+                assert_eq!(self.s.peak_live(), self.peak, "seed {seed}: live peak");
+                let want = self.oracle.peek().map(|&Reverse((t, ..))| t);
+                assert_eq!(self.s.next_time(), want, "seed {seed}: next_time peek");
+                let got = self.s.pop().map(|e| (e.time, e.node, *e.payload));
+                let want = self
+                    .oracle
+                    .pop()
+                    .map(|Reverse((t, _, node, tag))| (t, node, tag));
+                assert_eq!(got, want, "seed {seed}: pop order diverged");
+                let (t, _, tag) = got?;
+                let (h, owed) = self.live.get_mut(&tag).expect("popped a live tag");
+                *owed -= 1;
+                if *owed == 0 {
+                    let h = *h;
+                    self.live.remove(&tag);
+                    assert!(!self.s.cancel(h), "seed {seed}: cancelled a popped event");
+                }
+                Some(t)
+            }
+        }
         for seed in 0..16u64 {
-            let mut s: Scheduler<u64> = Scheduler::new();
-            let mut oracle = Oracle::new();
-            // Live handles by tag.
-            let mut handles: BTreeMap<u64, EventHandle> = BTreeMap::new();
+            let mut w = World {
+                s: Scheduler::new(),
+                oracle: Oracle::new(),
+                live: Live::new(),
+                seq: 0,
+                tag: 0,
+                peak: 0,
+            };
             let mut lcg: u64 = 0x5eed ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut next = || {
                 lcg = lcg
@@ -784,23 +928,8 @@ mod tests {
                 lcg >> 33
             };
             let mut now: SimTime = 0;
-            let mut tag = 0u64;
-            let check_pop = |s: &mut Scheduler<u64>,
-                             oracle: &mut Oracle,
-                             handles: &mut BTreeMap<u64, EventHandle>| {
-                assert_eq!(s.len(), oracle.len(), "seed {seed}: live count");
-                let want = oracle.peek().map(|&Reverse((t, ..))| t);
-                assert_eq!(s.next_time(), want, "seed {seed}: next_time peek");
-                let got = s.pop().map(|e| (e.time, e.node, e.payload));
-                let want = oracle.pop().map(|Reverse((t, _, node, p))| (t, node, p));
-                assert_eq!(got, want, "seed {seed}: pop order diverged");
-                if let Some((.., p)) = got {
-                    let h = handles.remove(&p).expect("popped a live tag");
-                    assert!(!s.cancel(h), "seed {seed}: cancelled a popped event");
-                }
-                got
-            };
             let mut compactions = 0;
+            let mut runs = 0;
             for round in 0..500 {
                 // Burst of pushes at assorted offsets from `now`.
                 for _ in 0..(next() % 8) {
@@ -811,55 +940,47 @@ mod tests {
                         2 => r % Scheduler::<u64>::WHEEL_BUCKETS as u64, // in window
                         _ => 8192 + r % 50_000,                          // overflow
                     };
-                    let node = (r % 64) as usize;
-                    handles.insert(tag, s.push(now + dt, node, tag));
-                    oracle.push(Reverse((now + dt, tag, node, tag)));
-                    tag += 1;
+                    let k = match next() % 4 {
+                        0 => 2 + (next() % 5) as u32,
+                        _ => 1,
+                    };
+                    runs += usize::from(k > 1);
+                    w.push(now + dt, (r % 64) as usize, k);
                 }
-                // Cancel a few random live events.
+                // Cancel a few random live events and runs.
                 for _ in 0..(next() % 3) {
-                    if handles.is_empty() {
+                    if w.live.is_empty() {
                         break;
                     }
-                    let pick = next() as usize % handles.len();
-                    let victim = *handles.keys().nth(pick).expect("in range");
-                    let h = handles.remove(&victim).expect("live");
-                    assert!(s.cancel(h), "seed {seed}: live cancel refused");
-                    assert!(!s.cancel(h), "seed {seed}: double cancel accepted");
-                    oracle.retain(|&Reverse((_, t, ..))| t != victim);
+                    let pick = next() as usize % w.live.len();
+                    let victim = *w.live.keys().nth(pick).expect("in range");
+                    w.cancel(victim, seed);
                 }
                 // Every 20th round: a far-future burst, seven in eight of
                 // it cancelled again, with pops in between.
                 if round % 20 == 10 {
-                    let first = tag;
+                    let first = w.tag;
                     for _ in 0..(16 + next() % 48) {
                         let r = next();
-                        let (t, node) = (now + 8192 + r % 50_000, (r % 64) as usize);
-                        handles.insert(tag, s.push(t, node, tag));
-                        oracle.push(Reverse((t, tag, node, tag)));
-                        tag += 1;
+                        w.push(now + 8192 + r % 50_000, (r % 64) as usize, 1);
                     }
-                    for victim in first..tag {
-                        if next() % 8 == 0 {
-                            continue;
+                    for victim in first..w.tag {
+                        if next() % 8 == 0 || !w.live.contains_key(&victim) {
+                            continue; // kept, or popped in between
                         }
-                        let Some(h) = handles.remove(&victim) else {
-                            continue; // popped in between
-                        };
-                        let before = s.overflow.len();
-                        assert!(s.cancel(h), "seed {seed}: live cancel refused");
-                        oracle.retain(|&Reverse((_, t, ..))| t != victim);
-                        compactions += usize::from(s.overflow.len() < before);
-                        let stale = s
-                            .overflow
-                            .iter()
-                            .filter(|&&Reverse((_, _, slot, gen))| {
-                                s.slots[slot as usize].gen != gen
-                            })
-                            .count();
-                        assert_eq!(s.overflow_dead, stale, "seed {seed}: stale count");
+                        let before = w.s.overflow.len();
+                        w.cancel(victim, seed);
+                        compactions += usize::from(w.s.overflow.len() < before);
+                        let stale =
+                            w.s.overflow
+                                .iter()
+                                .filter(|&&Reverse((_, _, slot, gen))| {
+                                    w.s.slots[slot as usize].gen != gen
+                                })
+                                .count();
+                        assert_eq!(w.s.overflow_dead, stale, "seed {seed}: stale count");
                         if victim % 4 == 0 {
-                            if let Some((t, ..)) = check_pop(&mut s, &mut oracle, &mut handles) {
+                            if let Some(t) = w.check_pop(seed) {
                                 now = t;
                             }
                         }
@@ -867,19 +988,20 @@ mod tests {
                 }
                 // Drain a few.
                 for _ in 0..(next() % 6) {
-                    if let Some((t, ..)) = check_pop(&mut s, &mut oracle, &mut handles) {
+                    if let Some(t) = w.check_pop(seed) {
                         assert!(t >= now, "seed {seed}: time went backwards");
                         now = t;
                     }
                 }
             }
-            while check_pop(&mut s, &mut oracle, &mut handles).is_some() {}
+            while w.check_pop(seed).is_some() {}
             assert!(
                 compactions > 0,
                 "seed {seed}: the overflow heap never compacted"
             );
-            assert!(s.is_empty());
-            assert!(handles.is_empty(), "seed {seed}: live handles left over");
+            assert!(runs > 0, "seed {seed}: no run was pushed");
+            assert!(w.s.is_empty());
+            assert!(w.live.is_empty(), "seed {seed}: live handles left over");
         }
     }
 }

@@ -143,11 +143,11 @@ fn scheduler_bytes_follow_live_events() {
     let held = (live_bytes() - before) as usize;
 
     // What the scheduler may hold: whole chunks of 1,024 slots, each its
-    // payload plus 16 bytes of node, generation and link (DESIGN.md
-    // §11.4), the chunk list, 8 bytes of bucket heads per bucket, and an
-    // overflow heap of 24-byte entries that compaction keeps within twice
-    // its live entries plus one, plus one burst pushed since the last
-    // compaction (doubling capacity).
+    // payload plus 16 bytes of node, generation, link and run length
+    // (DESIGN.md §11.4), the chunk list, 8 bytes of bucket heads per
+    // bucket, and an overflow heap of 24-byte entries that compaction keeps
+    // within twice its live entries plus one, plus one burst pushed since
+    // the last compaction (doubling capacity).
     let chunks = peak_slots.div_ceil(1024);
     let slab = chunks * 1024 * (size_of::<Option<Payload>>() + 16) + 2 * chunks.max(4) * 24;
     let buckets = B as usize * 8;

@@ -622,26 +622,30 @@ mod tests {
         );
     }
 
+    /// Every closed-loop client runs its whole script: each query
+    /// completes or is counted lost, also when the clients are many for
+    /// the deployment. On fixture 7's 96 nodes, nodes drawn independently
+    /// put 16 clients on 15 nodes and 32 on 29, and a node runs one script.
     #[test]
     fn closed_loop_scripts_complete() {
-        let (topo, features, delta) = fixture(4);
-        let mut spec = quick_spec(13);
-        spec.arrival = Arrival::Closed {
-            clients: 6,
-            think: 4,
-        };
-        let run = WorkloadSim::build(
-            topo,
-            features,
-            Arc::new(Absolute),
-            delta,
-            &spec,
-            ServeOptions::for_delta(delta),
-        )
-        .run_concurrent();
-        assert_eq!(
-            run.completed.len() + run.metrics.counter("wl.query.lost") as usize,
-            spec.n_queries
-        );
+        for (fixture_seed, spec_seed, clients) in [(4, 13, 6), (7, 42, 16), (7, 42, 32)] {
+            let (topo, features, delta) = fixture(fixture_seed);
+            let mut spec = quick_spec(spec_seed);
+            spec.arrival = Arrival::Closed { clients, think: 4 };
+            let run = WorkloadSim::build(
+                topo,
+                features,
+                Arc::new(Absolute),
+                delta,
+                &spec,
+                ServeOptions::for_delta(delta),
+            )
+            .run_concurrent();
+            assert_eq!(
+                run.completed.len() + run.metrics.counter("wl.query.lost") as usize,
+                spec.n_queries,
+                "{clients} clients: a query neither completed nor was counted lost"
+            );
+        }
     }
 }

@@ -63,7 +63,8 @@ pub enum Arrival {
     /// Closed loop: `clients` scripted initiators each submit their next
     /// query `think` ticks after the previous one completes.
     Closed {
-        /// Number of concurrent clients.
+        /// Number of concurrent clients, each on a node of its own, so at
+        /// most the node count.
         clients: usize,
         /// Think time between a completion and the next submission.
         think: u64,
@@ -293,12 +294,22 @@ pub fn build_schedule(spec: &WorkloadSpec, features: &[Feature], delta: f64) -> 
                     think,
                 });
             }
-            for entries in entries_per {
+            // A node runs one script, so clients draw their nodes without
+            // replacement (a partial Fisher–Yates shuffle of the ids).
+            assert!(
+                clients <= n,
+                "{clients} closed-loop clients need a node each, but there are {n} nodes"
+            );
+            let mut ids: Vec<NodeId> = (0..n).collect();
+            for (j, entries) in entries_per.into_iter().enumerate() {
                 if entries.is_empty() {
                     continue;
                 }
-                let node = rng_q.gen_range(0..n);
-                scripts.push(ClientScript { node, entries });
+                ids.swap(j, rng_q.gen_range(j..n));
+                scripts.push(ClientScript {
+                    node: ids[j],
+                    entries,
+                });
             }
         }
     }
@@ -410,26 +421,44 @@ mod tests {
 
     #[test]
     fn closed_loop_partitions_queries_across_clients() {
+        // 30 clients on 30 nodes take every node once; 8 of them get no
+        // query and run no script.
+        for clients in [4, 30] {
+            let spec = WorkloadSpec {
+                arrival: Arrival::Closed { clients, think: 5 },
+                n_queries: 22,
+                ..WorkloadSpec::quick(9)
+            };
+            let s = build_schedule(&spec, &features(30), 300.0);
+            assert!(s.submissions.is_empty());
+            let total: usize = s.scripts.iter().map(|c| c.entries.len()).sum();
+            assert_eq!(total, 22);
+            let mut qids: Vec<QueryId> = s
+                .scripts
+                .iter()
+                .flat_map(|c| c.entries.iter().map(|e| e.qid))
+                .collect();
+            qids.sort_unstable();
+            qids.dedup();
+            assert_eq!(qids.len(), 22, "qids must be unique");
+            let mut nodes: Vec<NodeId> = s.scripts.iter().map(|c| c.node).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            assert_eq!(nodes.len(), clients.min(22), "one client per node");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "31 closed-loop clients need a node each, but there are 30 nodes")]
+    fn closed_loop_refuses_more_clients_than_nodes() {
         let spec = WorkloadSpec {
             arrival: Arrival::Closed {
-                clients: 4,
+                clients: 31,
                 think: 5,
             },
-            n_queries: 22,
-            ..WorkloadSpec::quick(9)
+            ..WorkloadSpec::quick(42)
         };
-        let s = build_schedule(&spec, &features(30), 300.0);
-        assert!(s.submissions.is_empty());
-        let total: usize = s.scripts.iter().map(|c| c.entries.len()).sum();
-        assert_eq!(total, 22);
-        let mut qids: Vec<QueryId> = s
-            .scripts
-            .iter()
-            .flat_map(|c| c.entries.iter().map(|e| e.qid))
-            .collect();
-        qids.sort_unstable();
-        qids.dedup();
-        assert_eq!(qids.len(), 22, "qids must be unique");
+        build_schedule(&spec, &features(30), 300.0);
     }
 
     #[test]
