@@ -38,13 +38,15 @@ cargo test --release -q -p elink-workload
 
 # The scheduler's arena, cancellation and run-count invariants, the growth
 # protocol's, the model checker's and ARQ's end-of-queue check are
-# debug_assert!s too, the routing table's port rows (both widths) and the
-# flat adjacency are checked against their oracles, `Backbone::build` and
-# the range and path query tests read routes through the port rows, the
-# 16-byte `Feature` layout and its copy-on-write, and the spanning-forest
-# baseline, the other protocol that floods through broadcast runs, run in
-# the profile that builds every BENCH number (~50 s build on 2 cores).
-echo "== cargo test --release -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric -p elink-query -p elink-baselines (without debug assertions)"
+# debug_assert!s too, the routing table's port rows (both widths; the wave
+# build across several passes of 128 waves, its pass boundary included)
+# and the flat adjacency are checked against their oracles,
+# `Backbone::build` and the range and path query tests read routes
+# through the port rows, the 16-byte `Feature` layout and its
+# copy-on-write, and the spanning-forest baseline, the other protocol that
+# floods through broadcast runs, run in the profile that builds every
+# BENCH number (~50 s build on 2 cores).
+echo "== cargo test --release -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric -p elink-query -p elink-baselines (without debug assertions; multi-pass routing oracle)"
 cargo test --release -q -p elink-netsim -p elink-core -p elink-mc -p elink-topology -p elink-metric -p elink-query -p elink-baselines
 
 # The --check smokes below need release binaries: debug builds are ~10x

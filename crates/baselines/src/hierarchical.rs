@@ -32,9 +32,10 @@ pub fn hierarchical_clustering(
     hierarchical_clustering_with_routing(topology, features, metric, delta, None)
 }
 
-/// As [`hierarchical_clustering`], reusing a prebuilt routing table (the
-/// table build is `O(N·E)` and experiments sweep many δ values on one
-/// topology).
+/// As [`hierarchical_clustering`], reusing a prebuilt routing table:
+/// building one runs a BFS wave from every node ([`RoutingTable::build`]),
+/// and experiments sweep many δ values, or build query backbones, on one
+/// topology.
 pub fn hierarchical_clustering_with_routing(
     topology: &Topology,
     features: &[Feature],

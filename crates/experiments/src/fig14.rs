@@ -8,7 +8,7 @@
 //! shrinking as the radius grows (§8.6).
 
 use crate::common::{delta_quantiles, fmt, ScenarioBuilder, Table};
-use elink_baselines::{hierarchical_clustering, spanning_forest_clustering};
+use elink_baselines::{hierarchical_clustering_with_routing, spanning_forest_clustering};
 use elink_core::Clustering;
 use elink_datasets::{TaoDataset, TaoParams};
 use elink_metric::{Feature, Metric};
@@ -139,7 +139,16 @@ pub(crate) fn range_query_table(
     let features = scenario.features.clone();
     let network = &scenario.network;
     let elink = scenario.run_implicit().clustering;
-    let hier = hierarchical_clustering(topology, &features, metric.as_ref(), delta).clustering;
+    // The query backbones route over `network`'s table; the baseline
+    // prices its merge rounds over the same one.
+    let hier = hierarchical_clustering_with_routing(
+        topology,
+        &features,
+        metric.as_ref(),
+        delta,
+        Some(network.routing()),
+    )
+    .clustering;
     let sf = spanning_forest_clustering(topology, &features, metric.as_ref(), delta).clustering;
     let setups = [
         (

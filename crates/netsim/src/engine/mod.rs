@@ -72,7 +72,8 @@ pub trait Protocol {
 ///
 /// Build once per topology and share across simulator runs with `clone()`
 /// (both members are `Arc`s). The routing table — 1 byte per node pair,
-/// one BFS per node to build — is constructed lazily on first use:
+/// built by a BFS wave from every node, 128 waves at a time — is
+/// constructed lazily on first use:
 /// protocols that only ever `send`/`broadcast_neighbors` (e.g.
 /// implicit-mode ELink, the regime of the 64k-node scaling bench) never pay
 /// for it.

@@ -229,8 +229,9 @@ impl CommGraph {
     }
 }
 
-/// All-pairs shortest-path next-hop routing, built with one BFS per
-/// destination.
+/// All-pairs shortest-path next-hop routing: the routes of one FIFO BFS
+/// per destination, built by BFS waves from the forwarding nodes, 128 at a
+/// time (see [`RoutingTable::build`]).
 ///
 /// A sensor forwarding towards `dst` only needs to know which of its own
 /// radio neighbours to hand the message to, so storage is one *port row*
@@ -297,15 +298,27 @@ impl Port for u16 {
 
 impl RoutingTable {
     /// The most nodes a table can route: a node then has at most 65,535
-    /// neighbours, so a `u16` port always stays below its sentinel (and
-    /// the BFS queue holds `u16` ids).
+    /// neighbours, so a `u16` port always stays below its sentinel.
     const MAX_NODES: usize = 1 << 16;
 
-    /// Builds the routing table for a graph: one FIFO BFS per destination,
-    /// visiting neighbours in adjacency order, so a node's next hop is the
-    /// neighbour through which the BFS from `dst` first reached it (the
-    /// parent [`CommGraph::bfs_tree`] gives). The port width follows from
-    /// [`CommGraph::max_degree`].
+    /// Builds the routing table for a graph. A node's next hop towards
+    /// `dst` is the neighbour through which a FIFO BFS from `dst`, visiting
+    /// neighbours in adjacency order, first reached it (the parent
+    /// [`CommGraph::bfs_tree`] gives). That BFS reaches each node along the
+    /// lexicographically least port sequence among the shortest paths,
+    /// which can also be built greedily from the `dst` end. So the rows
+    /// come from BFS waves run from the *forwarding* nodes, level by level
+    /// and 128 at a time, one bit each in a `u128` per node: a node a wave
+    /// reaches takes its entry from the first neighbour, in its own
+    /// adjacency order, that the wave reached one level earlier. The
+    /// waves of nearby nodes share their levels, so on the 1,024-node
+    /// serving deployment a build visits 1.5M adjacency slots where one
+    /// BFS per destination visits 15.2M, and takes about a quarter of the
+    /// time. Grids from 20 × 30 to 64 × 64 build up to 17% faster than
+    /// with one BFS per destination (64 × 64 about level), and paths about
+    /// twice as slowly: a pass then runs a level per hop with few
+    /// discoveries each (DESIGN.md §11.4 has the timings). The port width
+    /// follows from [`CommGraph::max_degree`].
     ///
     /// # Panics
     /// Panics if the graph has more than 65,536 nodes.
@@ -368,16 +381,52 @@ impl RoutingTable {
     }
 }
 
-/// The BFS passes of [`RoutingTable::build`] at port width `P`: one row
-/// per destination, and the deepest BFS level reached. When `v` discovers
-/// `w`, `w`'s port towards `v` is read from the reverse-port slice that
-/// runs beside `v`'s neighbour slice, so the inner loop walks two slices
-/// together.
+/// BFS waves per pass of [`build_port_rows`]: one bit of a `u128` each.
+const WAVES: usize = 128;
+
+/// The rows of [`RoutingTable::build`] at port width `P`, and the deepest
+/// BFS level reached, built by a level-synchronous, bit-parallel
+/// multi-source BFS (Then et al., "The More the Merrier", PVLDB 8(4),
+/// 2014) that gives every next hop of one FIFO BFS per destination.
+///
+/// **Why the hops are the same.** A FIFO BFS from `dst` that visits
+/// neighbours in adjacency order holds each level in the lexicographic
+/// order of the port sequences that reached it, and a node is discovered
+/// by the first node of the previous level that lists it. So it reaches
+/// each `v` along the lexicographically least port sequence among the
+/// shortest paths from `dst` to `v`, and that path can be built greedily
+/// from the `dst` end: at each node, take the first port, in that node's
+/// own adjacency order, that leads one hop closer to `v`. Entry `v` of row
+/// `dst` is the port at `v` where that path arrives, which is the same for
+/// every node on the path.
+///
+/// **The waves.** So the build runs one BFS wave from each *forwarding*
+/// node `v`. When `v`'s wave first reaches `x`, at level `d`, the first
+/// slot of `x`'s adjacency whose node the wave reached at level `d − 1`
+/// names the next node `y` of that path, and entry `v` of row `x` is
+/// entry `v` of row `y`; at level 1 it is the reverse port of that slot.
+/// The deepest level any wave reaches is the diameter. A pass runs 128
+/// waves at once, one bit each in three `u128` words per node (see
+/// [`Waves`]), and fills those 128 entries of every row. Its sources are
+/// gathered by a BFS from the least node that has not been a source, so
+/// their waves overlap and share levels.
+///
+/// **Cost.** A level marks the neighbours of the last level's nodes that
+/// miss one of their waves, then scans each marked node's adjacency only
+/// until every wave it gained has its port, and each ordered pair costs
+/// one port copy, from row `y` into row `x`. On the 1,024-node serving
+/// deployment a build runs 8
+/// passes and 179 levels: 1.07M marking steps and 0.43M slot scans, of
+/// which 0.15M discover the 1.05M copies, where one FIFO BFS per
+/// destination checks 15.2M adjacency slots (1,024 × 14,886). Graphs of
+/// low degree and long hop diameter gain little or lose: a pass then runs
+/// many levels of few discoveries each, so grids gain up to 17% and paths
+/// take about twice as long (DESIGN.md §11.4 has timings).
 fn build_port_rows<P: Port>(graph: &CommGraph) -> (Vec<Vec<P>>, u32) {
     let n = graph.n();
     // `back[e]` for the adjacency slot `e` of `v` naming `w`: the index of
     // `v` in `w`'s own list. Finding it by scanning `w`'s list costs the
-    // sum of squared degrees, at most what the BFS passes cost.
+    // sum of squared degrees.
     let back: Vec<P> = (0..n)
         .flat_map(|v| {
             graph.neighbors(v).iter().map(move |&w| {
@@ -389,38 +438,170 @@ fn build_port_rows<P: Port>(graph: &CommGraph) -> (Vec<Vec<P>>, u32) {
             })
         })
         .collect();
-    let mut queue: Vec<u16> = Vec::with_capacity(n);
-    let mut diameter = 0;
-    let rows = (0..n)
-        .map(|dst| {
-            let mut row = vec![P::NONE; n];
-            queue.clear();
-            // `dst < n ≤ 65,536`, so the cast is exact.
-            queue.push(dst as u16);
-            // `level` is the BFS depth of `queue[head]`; the level ends at
-            // `level_end`.
-            let (mut head, mut level, mut level_end) = (0, 0, 1);
-            while head < queue.len() {
-                if head == level_end {
-                    level += 1;
-                    level_end = queue.len();
+    let mut rows: Vec<Vec<P>> = (0..n).map(|_| vec![P::NONE; n]).collect();
+    let mut waves = Waves::new(n);
+    let mut is_source = vec![false; n];
+    // Every node below `least` has been a source.
+    let (mut least, mut diameter) = (0, 0);
+    loop {
+        // The sources: a BFS over the nodes that have not been sources,
+        // restarted from the least of them whenever it runs dry.
+        let sources = &mut waves.sources;
+        sources.clear();
+        let mut head = 0;
+        while sources.len() < WAVES {
+            if head == sources.len() {
+                while least < n && is_source[least] {
+                    least += 1;
                 }
-                let v = usize::from(queue[head]);
-                head += 1;
-                let slots = graph.first[v] as usize..graph.first[v + 1] as usize;
-                for (&w, &port) in graph.targets[slots.clone()].iter().zip(&back[slots]) {
-                    let w = w as usize;
-                    if w != dst && row[w] == P::NONE {
-                        row[w] = port;
-                        queue.push(w as u16);
+                if least == n {
+                    break;
+                }
+                is_source[least] = true;
+                // `least < n ≤ 65,536`, so the cast is exact.
+                sources.push(least as u32);
+            }
+            let v = sources[head] as usize;
+            head += 1;
+            for &w in graph.neighbors(v) {
+                if sources.len() < WAVES && !is_source[w as usize] {
+                    is_source[w as usize] = true;
+                    sources.push(w);
+                }
+            }
+        }
+        if sources.is_empty() {
+            return (rows, diameter);
+        }
+        diameter = diameter.max(waves.run(graph, &back, &mut rows));
+    }
+}
+
+/// The scratch of one pass of [`build_port_rows`]. Wave `b` starts at
+/// `sources[b]` and is bit `b` of each node's words; every word is zero
+/// between passes.
+struct Waves {
+    /// Where each wave starts.
+    sources: Vec<u32>,
+    /// Per node, the waves that have reached it.
+    seen: Vec<u128>,
+    /// Per node, the waves that reached it at the last level.
+    frontier: Vec<u128>,
+    /// Per node, the waves that reach it at the level being built.
+    new: Vec<u128>,
+    /// The nodes the last level reached.
+    level: Vec<u32>,
+    /// `n + 1` slots, the first of which list the nodes the level being
+    /// built reaches (see [`Waves::run`]).
+    next: Vec<u32>,
+}
+
+impl Waves {
+    fn new(n: usize) -> Self {
+        Waves {
+            sources: Vec::with_capacity(WAVES),
+            seen: vec![0; n],
+            frontier: vec![0; n],
+            new: vec![0; n],
+            level: Vec::with_capacity(n),
+            next: vec![0; n + 1],
+        }
+    }
+
+    /// Runs every wave of the pass to its end, writing entry `sources[b]`
+    /// of each row that wave `b` reaches, and returns the deepest level
+    /// reached.
+    fn run<P: Port>(&mut self, graph: &CommGraph, back: &[P], rows: &mut [Vec<P>]) -> u32 {
+        let Waves {
+            sources,
+            seen,
+            frontier,
+            new,
+            level,
+            next,
+        } = self;
+        for (b, &s) in sources.iter().enumerate() {
+            let s = s as usize;
+            seen[s] = 1 << b;
+            frontier[s] = 1 << b;
+            level.push(s as u32);
+        }
+        let mut depth = 0;
+        while !level.is_empty() {
+            // Mark each neighbour of the last level with the waves it
+            // misses. Every neighbour is written after the list, which
+            // takes it in only at its first mark of the level, so no
+            // branch hangs on the marks and `marked` stays at most `n`.
+            let mut marked = 0;
+            for &y in level.iter() {
+                let reached = frontier[y as usize];
+                for &x in graph.neighbors(y as usize) {
+                    let x = x as usize;
+                    let had = new[x];
+                    let gained = reached & !seen[x];
+                    new[x] = had | gained;
+                    next[marked] = x as u32;
+                    marked += usize::from((had == 0) & (gained != 0));
+                }
+            }
+            let next = &next[..marked];
+            if !next.is_empty() {
+                depth += 1;
+            }
+            // A gained wave's entry comes through the first slot of `x`'s
+            // adjacency whose node that wave reached at the last level.
+            for &x in next {
+                let x = x as usize;
+                let slots = graph.first[x] as usize..graph.first[x + 1] as usize;
+                let mut missing = new[x];
+                for (e, &y) in slots.clone().zip(&graph.targets[slots]) {
+                    let y = y as usize;
+                    let hit = frontier[y] & missing;
+                    if hit == 0 {
+                        continue;
+                    }
+                    missing ^= hit;
+                    if depth == 1 {
+                        // `y` is a source, so `hit` is its wave alone.
+                        rows[x][y] = back[e];
+                    } else {
+                        for_each_wave(hit, |b| {
+                            let v = sources[b] as usize;
+                            rows[x][v] = rows[y][v];
+                        });
+                    }
+                    if missing == 0 {
+                        break;
                     }
                 }
             }
-            diameter = diameter.max(level);
-            row
-        })
-        .collect();
-    (rows, diameter)
+            for &y in level.iter() {
+                frontier[y as usize] = 0;
+            }
+            level.clear();
+            for &x in next {
+                let x = x as usize;
+                let gained = std::mem::take(&mut new[x]);
+                frontier[x] = gained;
+                seen[x] |= gained;
+                level.push(x as u32);
+            }
+        }
+        seen.fill(0);
+        depth
+    }
+}
+
+/// Calls `f` with the index of each set bit of `waves`, lowest first, a
+/// `u64` half at a time.
+#[inline(always)]
+fn for_each_wave(waves: u128, mut f: impl FnMut(usize)) {
+    for (mut half, base) in [(waves as u64, 0), ((waves >> 64) as u64, 64)] {
+        while half != 0 {
+            f((base + half.trailing_zeros() as usize) % WAVES);
+            half &= half - 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -562,6 +743,8 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn random_connected_graph() -> impl Strategy<Value = CommGraph> {
         (
@@ -586,6 +769,74 @@ mod proptests {
             .prop_map(|(n, edges)| {
                 CommGraph::from_edges(n, edges.into_iter().map(|(a, b)| (a % n, b % n)))
             })
+    }
+
+    /// Graphs of 129–300 nodes, so a build runs two or three passes of
+    /// [`WAVES`] waves and the last pass is partial. Node ids are a random
+    /// permutation, so neither components nor passes follow id order. The
+    /// nodes form one component larger than a pass (when `n` leaves room),
+    /// components smaller than a pass and one to four isolated nodes. A
+    /// component is a random spanning tree, from a path to a bushy tree and
+    /// with or without a hub, plus random chords or none, so shortest paths
+    /// are long or tie and a hub's list mixes nodes of every pass. The edge
+    /// list is shuffled and each edge's direction drawn, so ports are not
+    /// sorted by id.
+    fn random_multi_pass_graph() -> impl Strategy<Value = CommGraph> {
+        (129usize..301, 0u64..u64::MAX).prop_map(|(n, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ids: Vec<usize> = (0..n).collect();
+            shuffle(&mut ids, &mut rng);
+            let isolated = rng.gen_range(1..=4usize);
+            let mut rest = &ids[..n - isolated];
+            let mut edges = Vec::new();
+            let mut big = rest.len() >= WAVES + 9;
+            while !rest.is_empty() {
+                let size = if big {
+                    rng.gen_range(WAVES + 1..=rest.len() - 8)
+                } else {
+                    rng.gen_range(1..=rest.len().min(60))
+                };
+                big = false;
+                let (component, tail) = rest.split_at(size);
+                rest = tail;
+                // Each node hangs off the component's first node with
+                // probability `hub`, else off one of the `reach` nodes
+                // before it.
+                let hub = [0.0, 0.0, 0.25, 0.5][rng.gen_range(0..4usize)];
+                let reach = rng.gen_range(1..=size);
+                for i in 1..size {
+                    let parent = if rng.gen_bool(hub) {
+                        component[0]
+                    } else {
+                        component[i - 1 - rng.gen_range(0..i.min(reach))]
+                    };
+                    edges.push((component[i], parent));
+                }
+                let chords = if rng.gen_bool(0.3) {
+                    0
+                } else {
+                    rng.gen_range(0..=size)
+                };
+                for _ in 0..chords {
+                    let a = component[rng.gen_range(0..size)];
+                    edges.push((a, component[rng.gen_range(0..size)]));
+                }
+            }
+            shuffle(&mut edges, &mut rng);
+            for edge in &mut edges {
+                if rng.gen_bool(0.5) {
+                    *edge = (edge.1, edge.0);
+                }
+            }
+            CommGraph::from_edges(n, edges)
+        })
+    }
+
+    /// A Fisher–Yates shuffle.
+    fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range(0..=i));
+        }
     }
 
     /// Edge lists that mix fresh edges, repeats, reversed repeats and self
@@ -702,6 +953,40 @@ mod proptests {
         }
     }
 
+    /// Compares every pair's next hop, hop count and path, and the
+    /// diameter, with the two-matrix oracle. The next hops come first: a
+    /// wrong one can close a routing loop, which `hops` and `path` would
+    /// walk forever.
+    fn routes_like_the_oracle(g: &CommGraph, rt: &RoutingTable) -> TestCaseResult {
+        let oracle = Oracle::build(g);
+        let pairs = || (0..g.n()).flat_map(|src| (0..g.n()).map(move |dst| (src, dst)));
+        for (src, dst) in pairs() {
+            prop_assert_eq!(rt.next_hop(src, dst), oracle.next_hop(src, dst));
+        }
+        for (src, dst) in pairs() {
+            prop_assert_eq!(rt.hops(src, dst), oracle.hops(src, dst));
+            prop_assert_eq!(rt.path(src, dst), oracle.path(src, dst));
+        }
+        prop_assert_eq!(rt.diameter(), oracle.diameter());
+        Ok(())
+    }
+
+    /// Paths of 128 and 129 nodes, listed from either end: the 129th node
+    /// starts a second pass whose only wave crosses the whole path, and
+    /// every node's waves arrive one level at a time.
+    #[test]
+    fn paths_at_the_pass_boundary_route_like_the_two_matrix_bfs() {
+        for n in [WAVES, WAVES + 1] {
+            let forward = CommGraph::from_edges(n, (1..n).map(|i| (i - 1, i)));
+            let backward = CommGraph::from_edges(n, (1..n).rev().map(|i| (i, i - 1)));
+            for g in [forward, backward] {
+                let rt = RoutingTable::build(&g);
+                routes_like_the_oracle(&g, &rt).unwrap();
+                assert_eq!(rt.diameter() as usize, n - 1);
+            }
+        }
+    }
+
     /// A hub with 300 leaves, whose adjacency lists them in id order, plus
     /// a path through the leaves: routes between distant leaves cross the
     /// hub, which forwards through ports up to 299. Read as `u8`, a port of
@@ -714,15 +999,7 @@ mod proptests {
         let g = CommGraph::from_edges(leaves + 1, star.chain(path));
         let rt = RoutingTable::build(&g);
         assert!(matches!(rt.rows, PortRows::Wide(_)));
-        let oracle = Oracle::build(&g);
-        for src in 0..g.n() {
-            for dst in 0..g.n() {
-                assert_eq!(rt.next_hop(src, dst), oracle.next_hop(src, dst));
-                assert_eq!(rt.hops(src, dst), oracle.hops(src, dst));
-                assert_eq!(rt.path(src, dst), oracle.path(src, dst));
-            }
-        }
-        assert_eq!(rt.diameter(), oracle.diameter());
+        routes_like_the_oracle(&g, &rt).unwrap();
         assert_eq!(rt.path(1, leaves), Some(vec![1, 0, leaves]));
     }
 
@@ -730,16 +1007,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn port_rows_route_like_the_two_matrix_bfs(g in random_sparse_graph()) {
-            let rt = RoutingTable::build(&g);
-            let oracle = Oracle::build(&g);
-            for src in 0..g.n() {
-                for dst in 0..g.n() {
-                    prop_assert_eq!(rt.next_hop(src, dst), oracle.next_hop(src, dst));
-                    prop_assert_eq!(rt.hops(src, dst), oracle.hops(src, dst));
-                    prop_assert_eq!(rt.path(src, dst), oracle.path(src, dst));
-                }
-            }
-            prop_assert_eq!(rt.diameter(), oracle.diameter());
+            routes_like_the_oracle(&g, &RoutingTable::build(&g))?;
         }
 
         #[test]
@@ -787,6 +1055,14 @@ mod proptests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn port_rows_route_like_the_two_matrix_bfs_across_passes(g in random_multi_pass_graph()) {
+            routes_like_the_oracle(&g, &RoutingTable::build(&g))?;
         }
     }
 }
